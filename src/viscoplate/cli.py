@@ -42,7 +42,6 @@ CSV_HEADER = (
     "psi1,psi2,L,G,M,dissipation,rate_residual"
 )
 MONOTONE_TOL = 1e-10
-GAP_TOL = 1e-8
 OVERSHOOT_TOL = 1e-6
 # half-width of the window around each zero crossing of u that the
 # refinement slope leaves out: there the log source caps the residual
@@ -268,7 +267,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     wc = None
     if params.k > 0.0:
         wc = dg.well_constants(params, cp, a=scn.a)
-        wrep = dg.check_well(traj, wc)
+        wrep = dg.check_well(bundle, wc)
         report["well"] = {
             "a": wc.a, "Q0": wc.Q0, "rho_bar": wc.rho_bar, "d": wc.d,
             "d_positive": wc.d_positive, "window": list(wc.window),
@@ -296,24 +295,26 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
             0.0,
         )
         gap_min = float(np.min(gaps))
-        verdicts["log_sobolev"] = "pass" if gap_min >= -GAP_TOL else "fail"
+        verdicts["log_sobolev"] = "pass" if gap_min >= -dg.GAP_TOL else "fail"
         report["log_sobolev"] = {"a": a_used, "gap_min": _num(gap_min)}
     else:
         verdicts["log_sobolev"] = "n/a"
         report["log_sobolev"] = {"a": None, "gap_min": None}
 
-    # Lyapunov weight search
+    # Lyapunov weight search; n/a when no sample has energy to bound
     L = np.full(len(traj), np.nan)
+    report["lyapunov"] = {"N": None, "eps": scn.lyap_eps, "ratio_min": None, "ratio_max": None}
     try:
-        N = dg.find_lyapunov_N(traj, eps=scn.lyap_eps)
-        lrep = dg.lyapunov_series(traj, N, scn.lyap_eps)
-        L = N * bundle.E + scn.lyap_eps * bundle.psi1 + bundle.psi2
-        ok = lrep.ratio_min is None or lrep.ratio_min > 0.0
-        verdicts["lyapunov"] = "pass" if ok else "fail"
-        report["lyapunov"] = {
-            "N": N, "eps": scn.lyap_eps,
-            "ratio_min": _num(lrep.ratio_min), "ratio_max": _num(lrep.ratio_max),
-        }
+        N = dg.find_lyapunov_N(bundle, eps=scn.lyap_eps)
+        if N is None:
+            verdicts["lyapunov"] = "n/a"
+        else:
+            lrep = dg.lyapunov_series(bundle, N, scn.lyap_eps)
+            L = lrep.L
+            verdicts["lyapunov"] = "pass" if lrep.ratio_min > 0.0 else "fail"
+            report["lyapunov"].update(
+                N=N, ratio_min=_num(lrep.ratio_min), ratio_max=_num(lrep.ratio_max)
+            )
     except DomainError as exc:
         verdicts["lyapunov"] = "fail"
         report["lyapunov"] = {"error": str(exc)}
@@ -410,6 +411,13 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
     """Cartesian product of axis assignments; one cell directory each."""
     if not axes:
         raise InputError("sweep needs at least one --axis")
+    env_cap = os.environ.get("VISCOPLATE_THREADS")
+    try:
+        workers = int(env_cap) if env_cap else (os.cpu_count() or 1)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InputError(f"VISCOPLATE_THREADS must be a positive integer, got {env_cap!r}")
     os.makedirs(out_root, exist_ok=True)
     keys = list(axes)
     cells = []
@@ -418,8 +426,6 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
         cell_dir = os.path.join(out_root, _cell_name(idx, assignment))
         cells.append((idx, with_overrides(base, out_dir=cell_dir, **assignment)))
 
-    env_cap = os.environ.get("VISCOPLATE_THREADS")
-    workers = int(env_cap) if env_cap else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(cells)))
     if workers == 1:
         results = [_run_cell(c) for c in cells]

@@ -22,7 +22,7 @@ long runs.  Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,18 +97,10 @@ class WellReport:
 
 
 @dataclass(frozen=True)
-class LyapunovSample:
-    t: float
-    Psi1: float
-    Psi2: float
-    L: float
-    N: float
-    eps: float
-
-
-@dataclass(frozen=True)
 class LyapunovReport:
-    samples: list
+    """L = N E + eps Psi1 + Psi2 per sample and its L/E bounds over E > RATIO_FLOOR."""
+
+    L: np.ndarray
     ratio_min: float | None
     ratio_max: float | None
     N: float
@@ -168,7 +160,6 @@ class SeriesBundle:
     rate: np.ndarray
     rate_residual: np.ndarray
     memory_tail: np.ndarray | None
-    samples: list = field(repr=False, default_factory=list)
 
 
 # --- quadrature helpers --------------------------------------------------
@@ -337,24 +328,12 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
         tail_raw, _, _ = _conv_pass(times, G, grams.M2, params.kernel, dt, deriv=True, lag_min=t1)
         tail = -tail_raw
 
-    samples = [
-        EnergySample(
-            t=float(times[i]), kin_rho=float(kin[i]), bend=float(bend[i]),
-            bend_rate=float(bend_rate[i]), mass=float(mass[i]), logterm=float(logterm[i]),
-            memory=float(mem[i]), E=float(E[i]), J=float(J[i]), I=float(I[i]),
-        )
-        for i in range(len(times))
-    ]
     return SeriesBundle(
         times=times, dt=dt, kin_rho=kin, bend=bend, bend_rate=bend_rate, mass=mass,
         logterm=logterm, memory=mem, memory_deriv=memp, E=E, J=J, I=I, psi1=psi1,
         psi2=psi2, dissipation=diss, damping_avg=damping_avg, rate=rate,
-        rate_residual=rate_residual, memory_tail=tail, samples=samples,
+        rate_residual=rate_residual, memory_tail=tail,
     )
-
-
-def energy_series(trajectory: Trajectory) -> list:
-    return analyze(trajectory).samples
 
 
 def energy_rate_residual(trajectory: Trajectory) -> np.ndarray:
@@ -484,14 +463,13 @@ def well_constants(params: PhysicalParams, cp: float, a: float | None = None) ->
     )
 
 
-def check_well(trajectory: Trajectory, wc: WellConstants) -> WellReport:
-    """Certify the stay-in-the-well bounds along a run.
+def check_well(bundle: SeriesBundle, wc: WellConstants) -> WellReport:
+    """Certify the stay-in-the-well bounds along an analyzed run.
 
     Preconditions: |u0| < rho_bar and 0 < E(0) < d.  When they hold, every
     sample must satisfy |u| < rho_bar, I > 0, the kinetic bound
     kin_rho <= E(0) and |D u_t|^2 <= 2 E(0).
     """
-    bundle = analyze(trajectory)
     e0 = float(bundle.E[0])
     u0 = math.sqrt(max(float(bundle.mass[0]), 0.0))
     reason = None
@@ -547,33 +525,38 @@ def psi2(
     return -(term1 + term2)
 
 
-def lyapunov_series(trajectory: Trajectory, N: float, eps: float) -> LyapunovReport:
+def lyapunov_series(bundle: SeriesBundle, N: float, eps: float) -> LyapunovReport:
     """L = N E + eps Psi1 + Psi2 per sample, with L/E ratio bounds."""
     if N <= 0 or eps <= 0:
         raise InputError("Lyapunov weights must be positive")
-    bundle = analyze(trajectory)
     L = N * bundle.E + eps * bundle.psi1 + bundle.psi2
-    samples = [
-        LyapunovSample(float(bundle.times[i]), float(bundle.psi1[i]),
-                       float(bundle.psi2[i]), float(L[i]), N, eps)
-        for i in range(len(bundle.times))
-    ]
     sel = bundle.E > RATIO_FLOOR
     if not np.any(sel):
-        return LyapunovReport(samples, None, None, N, eps)
+        return LyapunovReport(L, None, None, N, eps)
     ratios = L[sel] / bundle.E[sel]
-    return LyapunovReport(samples, float(ratios.min()), float(ratios.max()), N, eps)
+    return LyapunovReport(L, float(ratios.min()), float(ratios.max()), N, eps)
 
 
-def find_lyapunov_N(trajectory: Trajectory, eps: float = 1e-2) -> float:
-    """Smallest power-of-two weight N with a positive L/E lower bound."""
-    N = 1.0
-    while N <= 2.0**10:
-        rep = lyapunov_series(trajectory, N, eps)
-        if rep.ratio_min is not None and rep.ratio_min > 0.0:
-            return N
-        N *= 2.0
-    raise DomainError("no N up to 2^10 gives a positive Lyapunov ratio")
+def find_lyapunov_N(bundle: SeriesBundle, eps: float = 1e-2) -> float | None:
+    """Smallest N in 2^0 .. 2^10 with a positive L/E lower bound.
+
+    All eleven candidates are tried at once with the arithmetic of
+    lyapunov_series, so the chosen N gives lyapunov_series a positive
+    ratio_min.  None when no sample has E > RATIO_FLOOR (a run at rest
+    has no ratio to bound).
+    """
+    if eps <= 0:
+        raise InputError("Lyapunov weights must be positive")
+    sel = bundle.E > RATIO_FLOOR
+    if not np.any(sel):
+        return None
+    E = bundle.E[sel]
+    Ns = 2.0 ** np.arange(11)
+    L = Ns[:, None] * E + eps * bundle.psi1[sel] + bundle.psi2[sel]
+    ok = (L / E).min(axis=1) > 0.0
+    if not ok.any():
+        raise DomainError("no N up to 2^10 gives a positive Lyapunov ratio")
+    return float(Ns[np.argmax(ok)])
 
 
 # --- memory inequalities -------------------------------------------------
@@ -674,19 +657,15 @@ def damping_diag(
 def fit_decay(source, envelope: DecayEnvelope, start: float | None = None) -> FitReport:
     """Fit the single constant c so that E(t) <= c env(t) on the tail.
 
-    source is either a Trajectory or a (times, energies) pair.  c is the
-    supremum of E/env over the window, so the overshoot of E against
-    c env is zero by construction up to roundoff.  The exponent field is
-    the log-linear regression slope of E over the window (meaningful for
-    exponential-type decay).
+    source is a (times, energies) pair, e.g. (bundle.times, bundle.E).
+    c is the supremum of E/env over the window, so the overshoot of E
+    against c env is zero by construction up to roundoff.  The exponent
+    field is the log-linear regression slope of E over the window
+    (meaningful for exponential-type decay).
     """
-    if isinstance(source, Trajectory):
-        times = source.times
-        E = analyze(source).E
-    else:
-        times, E = source
-        times = np.asarray(times, dtype=float)
-        E = np.asarray(E, dtype=float)
+    times, E = source
+    times = np.asarray(times, dtype=float)
+    E = np.asarray(E, dtype=float)
     if np.all(E == 0.0):
         return FitReport(math.nan, math.nan, math.nan, 0, (math.nan, math.nan), True)
     if start is None:

@@ -149,6 +149,8 @@ class Scenario:
             errs.append("output.stride must be >= 1")
         if not 0 < self.delta < 1:
             errs.append("diagnostics.delta must lie in (0, 1)")
+        if self.lyap_eps <= 0:
+            errs.append("diagnostics.lyap_eps must be positive")
         for name, spec, parser in (
             ("physics.kernel", self.kernel, parse_kernel_spec),
             ("physics.damping", self.damping, parse_damping_spec),

@@ -168,7 +168,7 @@ def test_c04_potential_well_invariants_hold(shared_space):
     for _ in range(40):
         trial = with_overrides(scn, initial_u=f"mode(1,{amp!r})")
         traj = run(trial, basis=basis, grams=grams)
-        report = dg.check_well(traj, wc)
+        report = dg.check_well(dg.analyze(traj), wc)
         if report.certified:
             break
         amp /= 2.0

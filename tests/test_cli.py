@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import viscoplate.diagnostics as dg
 from viscoplate.cli import CSV_HEADER, _parse_axes, _split_values, main, run_scenario
 from viscoplate.errors import InputError
 from viscoplate.scenario import load_scenario, with_overrides
@@ -182,6 +183,35 @@ def test_refine_judges_slope_outside_zero_crossings(tmp_path):
     assert rate["levels"][-1]["worst_crossing_distance"] <= rate["crossing_halfwidth"]
 
 
+def test_rest_run_lyapunov_not_applicable(tmp_path):
+    # zero data: no sample carries energy, so there is no L/E ratio to bound
+    cfg = write_cfg(tmp_path, DISSIPATIVE.replace("mode(1,0.04)", "mode(1,0.0)"))
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 0
+    rep = read_report(out)
+    assert rep["energy"]["E0"] == 0.0
+    assert rep["verdicts"]["lyapunov"] == "n/a"
+    assert rep["lyapunov"] == {"N": None, "eps": 0.01, "ratio_min": None, "ratio_max": None}
+
+
+@pytest.mark.parametrize("refine, calls", [(0, 1), (3, 3)])
+def test_run_analyzes_each_trajectory_once(tmp_path, monkeypatch, refine, calls):
+    seen = []
+    analyze = dg.analyze
+
+    def counting(traj, *args, **kwargs):
+        seen.append(len(traj))
+        return analyze(traj, *args, **kwargs)
+
+    monkeypatch.setattr(dg, "analyze", counting)
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    scn = with_overrides(load_scenario(cfg), out_dir=str(tmp_path / "out"))
+    _, code = run_scenario(scn, refine=refine)
+    assert code == 0
+    assert len(seen) == calls
+    assert len(set(seen)) == calls  # one call per refinement level
+
+
 def test_effective_ini_reparses_to_same_scenario(tmp_path):
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "out")
@@ -251,6 +281,17 @@ def test_sweep_kernel_rate_ordering(tmp_path, monkeypatch):
     exponents = [float(r.split(",")[-1]) for r in rows]
     assert len(exponents) == 3
     assert exponents[0] > exponents[1] > exponents[2] > 0.0
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_sweep_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("VISCOPLATE_THREADS", value)
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--axis", "k=0.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "VISCOPLATE_THREADS" in err
+    assert not os.path.exists(out)
 
 
 def test_axis_parser_keeps_parenthesized_values_whole():

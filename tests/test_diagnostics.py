@@ -50,14 +50,25 @@ def setup6():
     return basis, assemble_grams(basis)
 
 
-@pytest.fixture(scope="module")
-def dissipative_run():
-    params = PhysicalParams(
-        1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0
-    )
+DISSIPATIVE = PhysicalParams(
+    1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0
+)
+
+
+def mode1_run(params, dt, T):
     g0 = np.zeros(6)
     g0[0] = 0.04
-    return run(Scn(params, 1e-3, 3.0, g0, np.zeros(6)))
+    return run(Scn(params, dt, T, g0, np.zeros(6)))
+
+
+@pytest.fixture(scope="module")
+def dissipative_run():
+    return mode1_run(DISSIPATIVE, 1e-3, 3.0)
+
+
+@pytest.fixture(scope="module")
+def dissipative_bundle(dissipative_run):
+    return dg.analyze(dissipative_run)
 
 
 @pytest.fixture(scope="module")
@@ -108,15 +119,14 @@ def test_energy_single_mode_closed_form(setup6):
     assert abs(es.logterm - ref) < 1e-9
 
 
-def test_energy_identities_along_run(dissipative_run):
-    b = dg.analyze(dissipative_run)
+def test_energy_identities_along_run(dissipative_bundle):
+    b = dissipative_bundle
     assert np.max(np.abs(b.E - (b.kin_rho + b.J))) < 1e-12
     assert np.max(np.abs(b.J - (0.5 * b.I + 0.25 * 0.5 * b.mass))) < 1e-12
 
 
-def test_energy_single_sample_matches_series(dissipative_run):
-    traj = dissipative_run
-    b = dg.analyze(traj)
+def test_energy_single_sample_matches_series(dissipative_run, dissipative_bundle):
+    traj, b = dissipative_run, dissipative_bundle
     hist = traj.history()
     for i in (0, 700, 3000):
         es = dg.energy(traj.state(i), traj.params, traj.grams, traj.basis, history=hist)
@@ -124,8 +134,8 @@ def test_energy_single_sample_matches_series(dissipative_run):
         assert abs(es.memory - b.memory[i]) < 1e-12
 
 
-def test_energy_monotone_dissipative(dissipative_run):
-    E = dg.analyze(dissipative_run).E
+def test_energy_monotone_dissipative(dissipative_bundle):
+    E = dissipative_bundle.E
     assert np.max(np.diff(E)) <= 1e-10
     assert E[-1] < 0.5 * E[0]
 
@@ -156,8 +166,8 @@ def test_rate_residual_second_order():
     assert 3.2 < ratio < 4.8
 
 
-def test_rate_nonpositive_along_run(dissipative_run):
-    b = dg.analyze(dissipative_run)
+def test_rate_nonpositive_along_run(dissipative_bundle):
+    b = dissipative_bundle
     assert np.max(b.rate) <= 1e-12
     assert np.max(b.memory_deriv) <= 1e-14  # b' <= 0 makes this term nonpositive
     assert np.min(b.dissipation) >= -1e-14
@@ -305,7 +315,7 @@ def test_well_constants_hypothesis_guard():
 def test_check_well_zero_data():
     traj = run(Scn(CONSERVATIVE, 0.01, 0.1, np.zeros(6), np.zeros(6)))
     wc = dg.well_constants(well_params(2.0), 0.0253, a=0.25)
-    rep = dg.check_well(traj, wc)
+    rep = dg.check_well(dg.analyze(traj), wc)
     assert not rep.certified and "energy" in rep.reason
     assert not rep.passed
 
@@ -315,7 +325,7 @@ def test_check_well_oversized_datum():
     g0 = np.zeros(6)
     g0[0] = 1.01 * wc.rho_bar
     traj = run(Scn(CONSERVATIVE, 0.01, 0.1, g0, np.zeros(6)))
-    rep = dg.check_well(traj, wc)
+    rep = dg.check_well(dg.analyze(traj), wc)
     assert not rep.certified and "rho_bar" in rep.reason
 
 
@@ -323,7 +333,7 @@ def test_check_well_certified_trajectory(certified_run):
     traj = certified_run
     cp = estimate_cp(traj.grams)
     wc = dg.well_constants(traj.params, cp, a=0.25)
-    rep = dg.check_well(traj, wc)
+    rep = dg.check_well(dg.analyze(traj), wc)
     assert rep.certified and rep.passed
     assert rep.violations == [] and rep.first_violation_time is None
     assert 0.0 < rep.e0 < wc.d and rep.u0_norm < wc.rho_bar
@@ -386,33 +396,69 @@ def test_psi2_brute_force_oracle(dissipative_run):
 
 
 def test_lyapunov_zero_trajectory():
-    traj = run(Scn(CONSERVATIVE, 0.01, 0.2, np.zeros(6), np.zeros(6)))
-    rep = dg.lyapunov_series(traj, 4.0, 0.01)
+    b = dg.analyze(run(Scn(CONSERVATIVE, 0.01, 0.2, np.zeros(6), np.zeros(6))))
+    rep = dg.lyapunov_series(b, 4.0, 0.01)
     assert rep.ratio_min is None and rep.ratio_max is None
-    assert all(s.L == 0.0 for s in rep.samples)
+    assert np.all(rep.L == 0.0)
+    assert dg.find_lyapunov_N(b, eps=0.01) is None
 
 
-def test_lyapunov_search_and_bounds(dissipative_run):
-    N = dg.find_lyapunov_N(dissipative_run, eps=1e-2)
-    rep = dg.lyapunov_series(dissipative_run, N, 1e-2)
+def test_lyapunov_search_and_bounds(dissipative_bundle):
+    N = dg.find_lyapunov_N(dissipative_bundle, eps=1e-2)
+    rep = dg.lyapunov_series(dissipative_bundle, N, 1e-2)
     assert rep.ratio_min > 0.0
     assert math.isfinite(rep.ratio_max) and rep.ratio_max >= rep.ratio_min
 
 
-def test_lyapunov_linear_in_N(dissipative_run):
-    b = dg.analyze(dissipative_run)
-    r1 = dg.lyapunov_series(dissipative_run, 3.0, 0.05)
-    r2 = dg.lyapunov_series(dissipative_run, 6.0, 0.05)
-    L1 = np.array([s.L for s in r1.samples])
-    L2 = np.array([s.L for s in r2.samples])
+def test_lyapunov_linear_in_N(dissipative_bundle):
+    b = dissipative_bundle
+    L1 = dg.lyapunov_series(b, 3.0, 0.05).L
+    L2 = dg.lyapunov_series(b, 6.0, 0.05).L
     assert np.max(np.abs(L2 - (L1 + 3.0 * b.E))) < 1e-12
 
 
-def test_lyapunov_rejects_bad_weights(dissipative_run):
+def test_lyapunov_rejects_bad_weights(dissipative_bundle):
     with pytest.raises(InputError):
-        dg.lyapunov_series(dissipative_run, 0.0, 0.1)
+        dg.lyapunov_series(dissipative_bundle, 0.0, 0.1)
     with pytest.raises(InputError):
-        dg.lyapunov_series(dissipative_run, 1.0, -0.1)
+        dg.lyapunov_series(dissipative_bundle, 1.0, -0.1)
+    with pytest.raises(InputError):
+        dg.find_lyapunov_N(dissipative_bundle, eps=0.0)
+
+
+@pytest.fixture(scope="module")
+def coarse_dissipative_bundle():
+    return dg.analyze(mode1_run(DISSIPATIVE, 1e-2, 3.0))
+
+
+def _doubling_N(b, eps):
+    """Oracle: double N from 1 until min L/E over E > RATIO_FLOOR is positive."""
+    sel = b.E > dg.RATIO_FLOOR
+    N = 1.0
+    while N <= 2.0**10:
+        L = N * b.E + eps * b.psi1 + b.psi2
+        if np.min(L[sel] / b.E[sel]) > 0.0:
+            return N
+        N *= 2.0
+    return None
+
+
+@pytest.mark.parametrize("eps, expected", [(0.01, 1.0), (1.0, 2.0), (10.0, 16.0), (200.0, 256.0)])
+def test_find_lyapunov_N_matches_doubling_search(coarse_dissipative_bundle, eps, expected):
+    b = coarse_dissipative_bundle
+    N = dg.find_lyapunov_N(b, eps=eps)
+    assert N == _doubling_N(b, eps) == expected
+    rep = dg.lyapunov_series(b, N, eps)
+    assert rep.ratio_min > 0.0
+    if N > 1.0:
+        assert dg.lyapunov_series(b, N / 2.0, eps).ratio_min <= 0.0
+
+
+def test_find_lyapunov_N_gives_up_beyond_2_to_10(coarse_dissipative_bundle):
+    b = coarse_dissipative_bundle
+    assert _doubling_N(b, 1000.0) is None
+    with pytest.raises(DomainError, match="2\\^10"):
+        dg.find_lyapunov_N(b, eps=1000.0)
 
 
 # --- memory inequalities -------------------------------------------------
@@ -580,9 +626,10 @@ def test_fit_decay_skip_and_guards():
         dg.fit_decay((t[:40], np.exp(-t[:40])), env)
 
 
-def test_fit_decay_accepts_trajectory(dissipative_run):
+def test_fit_decay_on_run_energy(dissipative_bundle):
+    b = dissipative_bundle
     env = envelope_linear_B(XiWeight.constant(1.0), 0.5, 1.0, 0.0)
-    fr = dg.fit_decay(dissipative_run, env)
+    fr = dg.fit_decay((b.times, b.E), env)
     assert fr.n_samples >= 50 and math.isfinite(fr.c) and fr.c > 0.0
     assert fr.overshoot <= 1e-12
 

@@ -63,6 +63,12 @@ T = -2
     assert "n" in msg and "dt" in msg and "T" in msg
 
 
+@pytest.mark.parametrize("value", ["0", "-0.01"])
+def test_nonpositive_lyap_eps_rejected(value):
+    with pytest.raises(ScenarioError, match="diagnostics.lyap_eps must be positive"):
+        parse_scenario_text(MINIMAL + f"[diagnostics]\nlyap_eps = {value}\n")
+
+
 def test_type_error_names_section_and_key():
     with pytest.raises(ScenarioError, match=r"\[time\] T"):
         parse_scenario_text("[time]\nT = abc\n")
