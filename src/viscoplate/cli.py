@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .dynamics import run as simulate
-from .errors import DivergedError, DomainError, HypothesisError, InputError, ViscoplateError
+from .errors import DivergedError, DomainError, InputError, ScenarioError, ViscoplateError
 from .kernels import (
     envelope_linear_B,
     envelope_nonlinear_B,
@@ -418,13 +418,16 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
         workers = 0
     if workers < 1:
         raise InputError(f"VISCOPLATE_THREADS must be a positive integer, got {env_cap!r}")
-    os.makedirs(out_root, exist_ok=True)
     keys = list(axes)
     cells = []
     for idx, combo in enumerate(itertools.product(*(axes[k] for k in keys))):
         assignment = dict(zip(keys, combo))
         cell_dir = os.path.join(out_root, _cell_name(idx, assignment))
-        cells.append((idx, with_overrides(base, out_dir=cell_dir, **assignment)))
+        try:
+            cells.append((idx, with_overrides(base, out_dir=cell_dir, **assignment)))
+        except ScenarioError as exc:
+            raise ScenarioError(f"sweep cell {os.path.basename(cell_dir)}: {exc}") from None
+    os.makedirs(out_root, exist_ok=True)
 
     workers = max(1, min(workers, len(cells)))
     if workers == 1:

@@ -7,9 +7,9 @@ gap; potential-well constants and their trajectory certification; the
 weighted Lyapunov functional; damping and memory tail diagnostics; and
 least-squares fitting of decay envelopes against the measured energy.
 
-Everything here is a pure function of immutable snapshots.  Heavy
-convolution series are evaluated in row blocks so memory stays bounded on
-long runs.  Conventions:
+Everything here is a pure function of immutable snapshots.  The memory
+convolution series along a run are an O(N log N) FFT of the same product
+trapezoid quadrature (see the memory module).  Conventions:
 
 * norms come from Gram quadratic forms, pointwise integrands (powers of
   the velocity, u^2 ln|u|) from the shared quadrature rule;
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HistoryBuffer, PhysicalParams, PlateState, Trajectory, _trap_weights
+from . import memory
+from .dynamics import HistoryBuffer, PhysicalParams, PlateState, Trajectory
 from .errors import DomainError, HypothesisError, InputError
 from .kernels import (
     ConvexModulus,
@@ -39,7 +40,6 @@ from .spectral import Basis, GramSet
 
 GAP_TOL = 1e-8
 RATIO_FLOOR = 1e-14
-_BLOCK = 128
 
 
 # --- sample containers ---------------------------------------------------
@@ -174,64 +174,6 @@ def _coeffs_of(state) -> np.ndarray:
     return state.g if isinstance(state, PlateState) else np.asarray(state, dtype=float)
 
 
-# --- convolution series --------------------------------------------------
-
-
-def _conv_pass(times, G, M2, kernel, dt, deriv=False, lag_min=0.0):
-    """Block-evaluated product-trapezoid convolutions against the history.
-
-    Returns (scal, C, Bw) where, writing w_i for the trapezoid weights of
-    the lag integral restricted to lags >= lag_min and b for the kernel
-    (or its derivative),
-
-        scal[n] = sum_i w_i b(t_n - t_i) |D(g_n - g_i)|^2   (M2 form)
-        C[n]    = sum_i w_i b(t_n - t_i) g_i
-        Bw[n]   = sum_i w_i b(t_n - t_i)
-    """
-    N = len(times)
-    scal = np.zeros(N)
-    C = np.zeros_like(G)
-    Bw = np.zeros(N)
-    if kernel.is_zero or N < 2:
-        return scal, C, Bw
-    GM2 = G @ M2
-    p = np.einsum("ij,ij->i", GM2, G)
-    fn = kernel.deriv if deriv else kernel.value
-    for r0 in range(0, N, _BLOCK):
-        r1 = min(r0 + _BLOCK, N)
-        rows = np.arange(r0, r1)
-        lags = times[rows][:, None] - times[None, :]
-        keep = lags >= lag_min - 1e-9 * max(dt, 1.0)
-        vals = fn(np.clip(lags, 0.0, None))
-        w = np.full((r1 - r0, N), dt)
-        w[:, 0] = 0.5 * dt
-        # the last included node per row closes the trapezoid; rows whose
-        # lag window holds fewer than two nodes integrate to zero
-        last = np.maximum(keep.sum(axis=1) - 1, 0)
-        w[np.arange(r1 - r0), last] *= 0.5
-        vals = vals * w * keep
-        vals[keep.sum(axis=1) < 2] = 0.0
-        Bw[rows] = vals.sum(axis=1)
-        Cb = vals @ G
-        C[rows] = Cb
-        scal[rows] = p[rows] * Bw[rows] + vals @ p - 2.0 * np.einsum("ij,ij->i", GM2[rows], Cb)
-    return scal, C, Bw
-
-
-def _history_conv(history: HistoryBuffer, kernel: RelaxationKernel, t: float, deriv=False):
-    """Single-time counterpart of _conv_pass; returns (w*b values, node times)."""
-    n = int(round(t / history.dt)) if history.dt > 0 else 0
-    if abs(t - n * history.dt) > 1e-9 * max(history.dt, 1.0):
-        raise InputError("time is not on the history grid")
-    if n >= len(history):
-        raise InputError("history does not reach the requested time")
-    sub = history.times[: n + 1]
-    if n == 0 or kernel.is_zero:
-        return np.zeros(n + 1), sub
-    fn = kernel.deriv if deriv else kernel.value
-    return _trap_weights(sub) * fn(t - sub), sub
-
-
 # --- energy --------------------------------------------------------------
 
 
@@ -252,7 +194,8 @@ def energy(
     logterm = float(basis.qw @ _log_integrand(uq))
     mem = 0.0
     if history is not None and not params.kernel.is_zero:
-        wts, sub = _history_conv(history, params.kernel, state.t)
+        sub = history.upto(state.t)
+        wts = memory.weights(sub, state.t, params.kernel.value)
         diffs = history.snapshots[: len(sub)] - state.g
         mem = float(wts @ np.einsum("ij,ij->i", diffs @ grams.M2, diffs))
     bint = float(params.kernel.integral_to(state.t))
@@ -289,8 +232,8 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
     mass = np.einsum("ij,ij->i", G @ grams.M0, G)
     logterm = (qw * _log_integrand(UQ)).sum(axis=1)
 
-    mem, C, Bw = _conv_pass(times, G, grams.M2, params.kernel, dt)
-    memp, _, _ = _conv_pass(times, G, grams.M2, params.kernel, dt, deriv=True)
+    mem, C, Bw = memory.series(times, G, grams.M2, params.kernel.value, dt)
+    memp, _, _ = memory.series(times, G, grams.M2, params.kernel.deriv, dt)
 
     bint = np.asarray(params.kernel.integral_to(times), dtype=float)
     I = (1.0 - bint) * bend + bend_rate + mass + mem - k * logterm
@@ -325,7 +268,7 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
 
     tail = None
     if t1 is not None:
-        tail_raw, _, _ = _conv_pass(times, G, grams.M2, params.kernel, dt, deriv=True, lag_min=t1)
+        tail_raw, _, _ = memory.series(times, G, grams.M2, params.kernel.deriv, dt, lag_min=t1)
         tail = -tail_raw
 
     return SeriesBundle(
@@ -514,7 +457,8 @@ def psi2(
     kernel: RelaxationKernel,
 ) -> float:
     """Weighted cross term against the memory convolution (weak form)."""
-    wts, sub = _history_conv(history, kernel, state.t)
+    sub = history.upto(state.t)
+    wts = memory.weights(sub, state.t, kernel.value)
     if not np.any(wts):
         return 0.0
     conv = wts.sum() * state.g - wts @ history.snapshots[: len(sub)]
@@ -571,16 +515,17 @@ def memory_cs_check(
     """
     if len(history) == 0:
         raise InputError("history is empty")
+    sub = history.upto(state.t)
+    diffs = state.g - history.snapshots[: len(sub)]
+    q = np.einsum("ij,ij->i", diffs @ grams.M2, diffs)
     out = []
-    for deriv, const in ((False, 1.0 - kernel.l), (True, kernel.value(0.0))):
-        wts, sub = _history_conv(history, kernel, state.t, deriv=deriv)
-        if deriv:
-            wts = -wts
-        diffs = state.g - history.snapshots[: len(sub)]
+    for wts, const in (
+        (memory.weights(sub, state.t, kernel.value), 1.0 - kernel.l),
+        (-memory.weights(sub, state.t, kernel.deriv), kernel.value(0.0)),
+    ):
         conv = wts @ diffs
         lhs = float(conv @ (grams.M2 @ conv))
-        scal = float(wts @ np.einsum("ij,ij->i", diffs @ grams.M2, diffs))
-        out.append(const * scal - lhs)
+        out.append(const * float(wts @ q) - lhs)
     return tuple(out)
 
 
@@ -624,19 +569,14 @@ def damping_diag(
     M = 0.0
     tail_lhs = tail_rhs = tail_ok = None
     if not kernel.is_zero and len(history) > 1:
-        n = int(round(t / history.dt))
-        if abs(t - n * history.dt) > 1e-9 * max(history.dt, 1.0) or n >= len(history):
-            raise InputError("state time is not on the history grid")
         # nodes with lag >= t1, i.e. s <= t - t1 (t1 snapped to the grid)
-        m_idx = int(math.floor((t - t1) / history.dt + 1e-9))
-        if m_idx >= 1:
-            sub = history.times[: m_idx + 1]
+        sub = history.upto(t)[: int(math.floor((t - t1) / history.dt + 1e-9)) + 1]
+        if len(sub) >= 2:
             lap_t = state.g @ basis.lap
-            lap_s = history.snapshots[: m_idx + 1] @ basis.lap
+            lap_s = history.snapshots[: len(sub)] @ basis.lap
             q = ((lap_s - lap_t) ** 2) @ qw
-            w = _trap_weights(sub)
-            M = float(w @ (-kernel.deriv(t - sub) * q))
-            tail_lhs = float(w @ (kernel.value(t - sub) * q))
+            M = float(-memory.weights(sub, t, kernel.deriv) @ q)
+            tail_lhs = float(memory.weights(sub, t, kernel.value) @ q)
             if modulus is not None and xi is not None:
                 mod = modulus
                 if mod.form != "linear" and mod.ext is None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from . import memory
 from .errors import DivergedError, InputError
 from .kernels import DampingLaw, RelaxationKernel
 from .spectral import Basis, GramSet, assemble_grams
@@ -118,14 +119,14 @@ class HistoryBuffer:
     def times(self) -> np.ndarray:
         return np.arange(self._len) * self.dt
 
-
-def _trap_weights(times: np.ndarray) -> np.ndarray:
-    w = np.empty(times.shape[0])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    if times.shape[0] > 2:
-        w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    return w
+    def upto(self, t: float) -> np.ndarray:
+        """Node times 0, dt, ..., t; t must be a stored grid time."""
+        n = int(round(t / self.dt))
+        if abs(n * self.dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise InputError(f"time {t} is not on the uniform history grid")
+        if not 0 <= n < self._len:
+            raise InputError(f"history holds {self._len} nodes, cannot reach t = {t}")
+        return np.arange(n + 1) * self.dt
 
 
 def memory_term(history: HistoryBuffer, kernel: RelaxationKernel, grams: GramSet, t: float) -> np.ndarray:
@@ -133,16 +134,8 @@ def memory_term(history: HistoryBuffer, kernel: RelaxationKernel, grams: GramSet
     m = history.snapshots.shape[1] if len(history) else 0
     if kernel.is_zero or len(history) == 0:
         return np.zeros(m)
-    n = int(round(t / history.dt))
-    if abs(n * history.dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise InputError(f"time {t} is not on the uniform history grid")
-    if n + 1 > len(history):
-        raise InputError(f"history holds {len(history)} nodes, cannot reach t = {t}")
-    if n == 0:
-        return np.zeros(m)
-    s = np.arange(n + 1) * history.dt
-    w = _trap_weights(s) * kernel.value(t - s)
-    conv = history.snapshots[: n + 1].T @ w
+    s = history.upto(t)
+    conv = history.snapshots[: len(s)].T @ memory.weights(s, t, kernel.value)
     return grams.M2 @ conv
 
 
@@ -279,8 +272,7 @@ def _substep_solve(
     t_new = prev_t + dt
     use_memory = not params.kernel.is_zero
     if use_memory:
-        full = np.append(node_times, t_new)
-        w = _trap_weights(full) * params.kernel.value(t_new - full)
+        w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
         conv_const = node_g.T @ w[:-1]
         w_end = w[-1]
     g_c = prev_g + dt * prev_v + dt * dt * (0.5 - NEWMARK_BETA) * prev_a

@@ -255,11 +255,7 @@ def parse_scenario_text(text: str, origin: str = "<config>") -> Scenario:
             _set_field(kwargs, errors, section, key, raw)
     if errors:
         raise ScenarioError("; ".join(errors))
-    scn = Scenario(**kwargs)
-    problems = scn.validate()
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    return scn
+    return with_overrides(Scenario(), **kwargs)
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -332,4 +328,9 @@ def load_scenario(name_or_path: str) -> Scenario:
 
 
 def with_overrides(scn: Scenario, **kwargs) -> Scenario:
-    return replace(scn, **kwargs)
+    """scn with the given fields replaced; ScenarioError lists every problem."""
+    out = replace(scn, **kwargs)
+    problems = out.validate()
+    if problems:
+        raise ScenarioError("; ".join(problems))
+    return out

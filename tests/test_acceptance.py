@@ -222,12 +222,14 @@ def test_c06_scalar_log_inequality_constant_sweep():
 
 
 def test_c07_memory_quadrature_oracle_and_cs_gaps(catalog):
-    traj, _ = catalog["exp-linear"]
+    traj, bundle = catalog["exp-linear"]
     kernel = PRESETS["exp-linear"].physical_params().kernel
     rng = np.random.RandomState(1234)
     idx = rng.choice(np.arange(2, len(traj)), 10, replace=False)
     worst = 0.0
     scale = 1.0
+    series_worst = 0.0
+    series_scale = 0.0
     gap_min = 0.0
     for i in idx:
         i = int(i)
@@ -240,16 +242,30 @@ def test_c07_memory_quadrature_oracle_and_cs_gaps(catalog):
         w[1:] += 0.5 * np.diff(tt)
         w[:-1] += 0.5 * np.diff(tt)
         conv = np.zeros(traj.basis.dim)
+        scal = {"memory": 0.0, "memory_deriv": 0.0}
         for j in range(i + 1):
             conv += w[j] * float(kernel.value(t - tt[j])) * traj.g[j]
+            d = traj.g[i] - traj.g[j]
+            q = float(d @ (traj.grams.M2 @ d))
+            scal["memory"] += w[j] * float(kernel.value(t - tt[j])) * q
+            scal["memory_deriv"] += w[j] * float(kernel.deriv(t - tt[j])) * q
         brute = traj.grams.M2 @ conv
         worst = max(worst, float(np.max(np.abs(mem - brute))))
         scale = max(scale, float(np.max(np.abs(brute))))
+        # the run-length series in the analyzed bundle: same quadrature
+        for name, ref in scal.items():
+            series_worst = max(series_worst, abs(float(getattr(bundle, name)[i]) - ref))
+            series_scale = max(series_scale, abs(ref))
         gb, gdb = dg.memory_cs_check(traj.state(i), hist, kernel, traj.grams)
         gap_min = min(gap_min, gb, gdb)
-    ok = worst <= 1e-13 * scale and gap_min >= -1e-10
+    ok = (
+        worst <= 1e-13 * scale
+        and series_worst <= 1e-12 * series_scale
+        and gap_min >= -1e-10
+    )
     _check(7, ok,
            f"brute-force mismatch {worst:.2e} <= 1e-13*{scale:.1f}; "
+           f"series mismatch {series_worst:.2e} <= 1e-12*{series_scale:.3g}; "
            f"memory CS gap min {gap_min:.2e} >= -1e-10")
 
 

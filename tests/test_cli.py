@@ -143,6 +143,14 @@ def test_csv_schema_and_stride(tmp_path):
     assert e0 == rep["energy"]["E0"]
 
 
+def test_negative_stride_exits_two_before_running(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out, "--stride", "-1"]) == 2
+    assert "output.stride must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_dump_grams(tmp_path):
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "out")
@@ -291,6 +299,26 @@ def test_sweep_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
     assert main(["sweep", cfg, "--axis", "k=0.5", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "VISCOPLATE_THREADS" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "axis, problem",
+    [
+        ("lyap_eps=0.01,0", "diagnostics.lyap_eps must be positive"),
+        ("dt=0.01,-1", "time.dt must be positive"),
+        ("stride=1,0", "output.stride must be >= 1"),
+        ("delta=0.5,1.5", "diagnostics.delta must lie in (0, 1)"),
+    ],
+)
+def test_sweep_validates_every_cell_before_running(tmp_path, monkeypatch, capsys, axis, problem):
+    # cell 0 is valid, cell 1 is not: nothing may run or be created
+    monkeypatch.setenv("VISCOPLATE_THREADS", "1")
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--axis", axis, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cell-001" in err and problem in err
     assert not os.path.exists(out)
 
 

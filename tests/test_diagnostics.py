@@ -20,6 +20,7 @@ from viscoplate.kernels import (
     XiWeight,
     envelope_linear_B,
 )
+from viscoplate.scenario import Scenario
 from viscoplate.spectral import _mode_tables, assemble_grams, build_basis, estimate_cp
 
 MODE1_LOG_INTEGRAL = 0.24920705743221752  # int w1^2 ln|w1| for the normalized first mode
@@ -138,6 +139,31 @@ def test_energy_monotone_dissipative(dissipative_bundle):
     E = dissipative_bundle.E
     assert np.max(np.diff(E)) <= 1e-10
     assert E[-1] < 0.5 * E[0]
+
+
+def test_plate_2d_energy_ledger_and_memory_series():
+    scn = Scenario(
+        spatial_dim=2, n=4, dt=1e-2, T=3.0, kernel="exp(0.5,1.0)", damping="damp-linear(1)",
+        initial_u="mode(1,0.04)+mode(6,0.02)",
+    )
+    traj = run(scn)
+    b = dg.analyze(traj)
+    assert np.max(np.diff(b.E)) <= 1e-10
+    assert b.E[-1] < b.E[0]
+    hist = traj.history()
+    for i in (0, 150, 300):
+        es = dg.energy(traj.state(i), traj.params, traj.grams, traj.basis, history=hist)
+        assert abs(es.E - b.E[i]) < 1e-12
+        assert abs(es.memory - b.memory[i]) < 1e-12
+    # brute force: every row re-summed over its own nodes
+    ker, M2, t = traj.params.kernel, traj.grams.M2, traj.times
+    ref = np.zeros(len(t))
+    for n in range(1, len(t)):
+        w = np.full(n + 1, traj.dt)
+        w[0] = w[-1] = 0.5 * traj.dt
+        d = traj.g[n] - traj.g[: n + 1]
+        ref[n] = (w * ker.value(t[n] - t[: n + 1])) @ np.einsum("ij,jk,ik->i", d, M2, d)
+    assert np.max(np.abs(b.memory - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # --- rate residual -------------------------------------------------------

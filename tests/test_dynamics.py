@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from viscoplate import memory
 from viscoplate.dynamics import (
     HistoryBuffer,
     PhysicalParams,
     PlateState,
     Trajectory,
-    _trap_weights,
     initial_state,
     inertia_mass,
     memory_term,
@@ -70,7 +70,7 @@ def test_history_growth_and_views():
 
 
 def test_trap_weights_nonuniform():
-    w = _trap_weights(np.array([0.0, 1.0, 2.0, 2.5]))
+    w = memory.weights(np.array([0.0, 1.0, 2.0, 2.5]), 2.5, np.ones_like)
     assert np.allclose(w, [0.5, 1.0, 0.75, 0.25], atol=1e-15)
     assert abs(w.sum() - 2.5) < 1e-15
 
@@ -309,7 +309,7 @@ def test_split_memory_matches_full_recomputation():
         st = step(st, params, grams, basis, 0.01, history=hist)
     full = memory_term(hist, params.kernel, grams, st.t)
     s = hist.times
-    w = _trap_weights(s) * params.kernel.value(st.t - s)
+    w = memory.weights(s, st.t, params.kernel.value)
     split = grams.M2 @ (hist.snapshots[:-1].T @ w[:-1]) + w[-1] * (grams.M2 @ hist.snapshots[-1])
     assert np.max(np.abs(full - split)) <= 1e-13
 

@@ -1,0 +1,102 @@
+"""Property tests for the run-length memory series.
+
+The oracle is the product-trapezoid sum written out row by row: for each
+sample t_n, the nodes t_i with lag t_n - t_i >= lag_min, trapezoid weights
+from their spacing, and the kernel at each lag.  It shares no code with the
+FFT evaluation in viscoplate.memory.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viscoplate import memory
+from viscoplate.kernels import RelaxationKernel
+from viscoplate.spectral import assemble_grams, build_basis
+
+LAG_TOL = 1e-9
+
+
+@functools.cache
+def bending_gram(cols: int) -> np.ndarray:
+    # 1 and 8 columns: 1D bases; 64 columns: the 2D n = 8 basis
+    basis = build_basis(2, 8) if cols == 64 else build_basis(1, cols)
+    return assemble_grams(basis).M2
+
+
+def brute_series(times, G, M2, fn, dt, lag_min):
+    """(scal, C, Bw, nodes per row, absolute weight sum per row)."""
+    N = len(times)
+    scal, C, Bw = np.zeros(N), np.zeros_like(G), np.zeros(N)
+    count, absw = np.zeros(N, dtype=int), np.zeros(N)
+    for n in range(N):
+        idx = np.flatnonzero(times[n] - times[: n + 1] >= lag_min - LAG_TOL * max(dt, 1.0))
+        count[n] = len(idx)
+        if len(idx) < 2:
+            continue
+        s = times[idx]
+        w = np.zeros(len(idx))
+        w[1:] += 0.5 * np.diff(s)
+        w[:-1] += 0.5 * np.diff(s)
+        wb = w * fn(times[n] - s)
+        d = G[n] - G[idx]
+        scal[n] = wb @ np.einsum("ij,jk,ik->i", d, M2, d)
+        C[n] = wb @ G[idx]
+        Bw[n] = wb.sum()
+        absw[n] = np.abs(wb).sum()
+    return scal, C, Bw, count, absw
+
+
+@st.composite
+def cases(draw):
+    N = draw(st.integers(2, 400))
+    dt = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    times = np.arange(N) * dt
+    cols = draw(st.sampled_from([1, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((N, cols)) * 10.0 ** draw(st.integers(-3, 1))
+    family = draw(st.sampled_from(["exponential", "power", "tabulated"]))
+    if family == "exponential":
+        kernel = RelaxationKernel.exponential(draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 20.0)))
+    elif family == "power":
+        kernel = RelaxationKernel.power_law(draw(st.floats(0.1, 2.0)), draw(st.floats(1.1, 4.0)))
+    else:
+        # a jump on a node would be decided by the rounding of t_n - t_i,
+        # so the horizon sits midway between grid lags, inside the run
+        horizon = (draw(st.integers(0, N - 2)) + 0.5) * dt
+        table_t = np.linspace(0.0, draw(st.floats(0.5, 2.0)) * (times[-1] + dt), 7)
+        kernel = RelaxationKernel.tabulated(table_t, rng.uniform(0.0, 1.0, 7), horizon=horizon)
+    where = draw(st.sampled_from(["zero", "on grid", "off grid", "past the end"]))
+    j = draw(st.integers(0, N - 1))
+    if where == "zero":
+        lag_min = 0.0
+    elif where == "on grid":
+        lag_min = times[j]
+    elif where == "off grid":
+        lag_min = (j + draw(st.floats(0.05, 0.95))) * dt
+    else:
+        lag_min = times[-1] + draw(st.sampled_from([0.0, 0.3 * dt, 10.0]))
+    return times, G, kernel, dt, lag_min, where
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_series_matches_brute_force_product_trapezoid(case):
+    times, G, kernel, dt, lag_min, where = case
+    M2 = bending_gram(G.shape[1])
+    p = np.einsum("ij,jk,ik->i", G, M2, G)
+    for fn in (kernel.value, kernel.deriv):
+        scal, C, Bw = memory.series(times, G, M2, fn, dt, lag_min=lag_min)
+        ref_scal, ref_C, ref_Bw, count, absw = brute_series(times, G, M2, fn, dt, lag_min)
+        # error scales: sums of |w b| times the largest term of each column
+        scale_B = float(absw.max())
+        assert np.max(np.abs(Bw - ref_Bw)) <= 1e-12 * scale_B
+        assert np.max(np.abs(C - ref_C)) <= 1e-12 * scale_B * float(np.abs(G).max())
+        assert np.max(np.abs(scal - ref_scal)) <= 1e-12 * scale_B * 4.0 * float(p.max())
+        short = count < 2
+        assert np.all(scal[short] == 0.0) and np.all(Bw[short] == 0.0)
+        assert np.all(C[short] == 0.0)
+        if where == "past the end":
+            assert short.all()
