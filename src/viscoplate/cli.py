@@ -34,7 +34,7 @@ from .kernels import (
     validate_h2,
     validate_h3,
 )
-from .scenario import PRESETS, Scenario, effective_config, load_scenario, with_overrides
+from .scenario import PRESETS, Scenario, effective_config, load_scenario, parse_field, with_overrides
 from .spectral import assemble_grams, estimate_cp
 
 CSV_HEADER = (
@@ -74,19 +74,11 @@ def _hypotheses(scn: Scenario, params) -> dict:
     else:
         rep = validate_h1(params.kernel, grid)
         out["H1"] = {"verdict": "pass" if rep.passed else "fail", "violations": rep.violations}
-        modulus = scn.memory_modulus()
-        xi = scn.xi_weight()
-        if modulus is None or xi is None:
-            out["H2"] = {"verdict": "n/a", "note": "no decay modulus/weight configured"}
-        else:
-            try:
-                rep2 = validate_h2(params.kernel, modulus, xi, grid)
-                out["H2"] = {
-                    "verdict": "pass" if rep2.passed else "fail",
-                    "violations": rep2.violations,
-                }
-            except (DomainError, InputError) as exc:
-                out["H2"] = {"verdict": "fail", "violations": [str(exc)]}
+        try:
+            rep2 = validate_h2(params.kernel, scn.memory_modulus(), scn.xi_weight(), grid)
+            out["H2"] = {"verdict": "pass" if rep2.passed else "fail", "violations": rep2.violations}
+        except (DomainError, InputError) as exc:
+            out["H2"] = {"verdict": "fail", "violations": [str(exc)]}
     if params.damping.is_none:
         out["H3"] = {"verdict": "n/a"}
     else:
@@ -98,10 +90,7 @@ def _hypotheses(scn: Scenario, params) -> dict:
 def _decay_case(scn: Scenario, params) -> str:
     if params.kernel.is_zero:
         return "none"
-    modulus = scn.memory_modulus()
-    if modulus is None:
-        return "none"
-    b_linear = modulus.form == "linear"
+    b_linear = scn.memory_modulus().is_linear
     h_linear = params.damping.is_none or params.damping.h1_is_linear
     if b_linear and h_linear:
         return "linear"
@@ -374,18 +363,6 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
 # --- sweep ---------------------------------------------------------------
 
 
-def _axis_value(raw: str):
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 def _cell_name(idx: int, assignment: dict) -> str:
     parts = [f"{k}={v}" for k, v in assignment.items()]
     safe = "_".join(parts).replace(os.sep, "-").replace(" ", "")
@@ -486,7 +463,7 @@ def _parse_axes(specs) -> dict:
         key = key.strip()
         if key not in valid:
             raise InputError(f"unknown sweep axis {key!r}")
-        values = [_axis_value(v) for v in _split_values(rest)]
+        values = [parse_field(key, v) for v in _split_values(rest)]
         if not values:
             raise InputError(f"axis {key!r} has no values")
         axes[key] = values

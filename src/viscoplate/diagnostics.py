@@ -82,7 +82,6 @@ class WellConstants:
     d_positive: bool
     window: tuple
     window_nonempty: bool
-    window_alt_upper: float
 
 
 @dataclass(frozen=True)
@@ -262,6 +261,7 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
 
     bt = np.asarray(params.kernel.value(times), dtype=float)
     rate = 0.5 * memp - 0.5 * bt * bend - diss
+    # central-difference dE/dt minus the rate identity; nan at both ends
     rate_residual = np.full(len(times), np.nan)
     if len(times) >= 3:
         rate_residual[1:-1] = (E[2:] - E[:-2]) / (2.0 * dt) - rate[1:-1]
@@ -277,16 +277,6 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
         psi2=psi2, dissipation=diss, damping_avg=damping_avg, rate=rate,
         rate_residual=rate_residual, memory_tail=tail,
     )
-
-
-def energy_rate_residual(trajectory: Trajectory) -> np.ndarray:
-    """Central-difference dE/dt minus the dissipation identity, per sample.
-
-    Endpoints carry nan (no centered stencil there).
-    """
-    if len(trajectory) < 3:
-        raise InputError("rate residual needs at least 3 samples")
-    return analyze(trajectory).rate_residual
 
 
 def zero_crossings(trajectory: Trajectory) -> np.ndarray:
@@ -402,7 +392,6 @@ def well_constants(params: PhysicalParams, cp: float, a: float | None = None) ->
     return WellConstants(
         a=a, Q0=Q0, rho_bar=rho_bar, d=d, k0=k0, d_positive=d > 0.0,
         window=(lo, hi), window_nonempty=nonempty,
-        window_alt_upper=math.sqrt(2.0 * math.pi * cp * l / k),
     )
 
 

@@ -22,7 +22,6 @@ union of the stored grid and the pending substep nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,31 +163,30 @@ def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: B
 
 
 def residual(
-    a_trial: np.ndarray,
-    state: PlateState,
+    a: np.ndarray,
+    g: np.ndarray,
+    v: np.ndarray,
     params: PhysicalParams,
     grams: GramSet,
     basis: Basis,
-    history: HistoryBuffer | None = None,
     memory: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Galerkin residual R(a) at the state's (t, g, v) with trial acceleration.
+    """Galerkin residual R(a) at coefficients (g, v) with trial acceleration a.
 
-    The memory load can be passed precomputed (`memory`); otherwise it is
-    derived from `history` when given, and taken as zero when absent.
+    `memory` is the convolution load M2 (b * g)(t), zero when absent.  Any
+    non-finite entry, from the coefficients or from overflow, raises
+    DivergedError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        uq = state.g @ basis.phi
-        vq = state.v @ basis.phi
-        aq = a_trial @ basis.phi
+        uq = g @ basis.phi
+        vq = v @ basis.phi
+        aq = a @ basis.phi
         wrho = _inertia_weight(vq, params)
         R = basis.phi @ (basis.qw * (wrho * aq))
-        R += grams.M2 @ (a_trial + state.g)
-        R += grams.M0 @ state.g
+        R += grams.M2 @ (a + g)
+        R += grams.M0 @ g
         if memory is not None:
             R -= memory
-        elif history is not None and not params.kernel.is_zero:
-            R -= memory_term(history, params.kernel, grams, state.t)
         if not params.damping.is_none:
             R += basis.phi @ (basis.qw * params.damping.h(vq))
         if params.k != 0.0:
@@ -212,33 +210,6 @@ def _newton_loop(res_fn, jac_fn, a0: np.ndarray, tol: float):
     raise DivergedError(f"Newton stalled above tolerance {tol}")
 
 
-def newton_solve_accel(
-    state: PlateState,
-    params: PhysicalParams,
-    grams: GramSet,
-    basis: Basis,
-    tol: float = NEWTON_TOL,
-    history: HistoryBuffer | None = None,
-    memory: np.ndarray | None = None,
-) -> np.ndarray:
-    """Acceleration solving R(a) = 0 at the state's frozen (t, g, v).
-
-    R is affine in a there, and N(v) + M2 is its exact Jacobian, so this
-    converges in one iteration up to rounding.
-    """
-    mem = memory
-    if mem is None and history is not None and not params.kernel.is_zero:
-        mem = memory_term(history, params.kernel, grams, state.t)
-
-    def res_fn(a):
-        return residual(a, state, params, grams, basis, memory=mem)
-
-    def jac_fn(_a):
-        return inertia_mass(state.v, params, grams, basis) + grams.M2
-
-    return _newton_loop(res_fn, jac_fn, state.a, tol)
-
-
 def initial_state(
     g0: np.ndarray,
     v0: np.ndarray,
@@ -247,11 +218,21 @@ def initial_state(
     basis: Basis,
     tol: float = NEWTON_TOL,
 ) -> PlateState:
-    """State at t = 0 with the acceleration consistent with the system."""
+    """State at t = 0 with the acceleration solving R(a) = 0 at (g0, v0).
+
+    The memory load vanishes at t = 0, R is affine in a, and N(v0) + M2 is
+    its exact Jacobian, so Newton converges in one iteration up to rounding.
+    """
     g0 = np.asarray(g0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    seed = PlateState(t=0.0, g=g0, v=v0, a=np.zeros_like(g0), step_index=0)
-    a0 = newton_solve_accel(seed, params, grams, basis, tol)
+
+    def res_fn(a):
+        return residual(a, g0, v0, params, grams, basis)
+
+    def jac_fn(_a):
+        return inertia_mass(v0, params, grams, basis) + grams.M2
+
+    a0 = _newton_loop(res_fn, jac_fn, np.zeros_like(g0), tol)
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
 
 
@@ -283,9 +264,8 @@ def _substep_solve(
 
     def res_fn(a):
         g_new, v_new = predict(a)
-        trial = PlateState(t=t_new, g=g_new, v=v_new, a=a, step_index=0)
         mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
-        return residual(a, trial, params, grams, basis, memory=mem)
+        return residual(a, g_new, v_new, params, grams, basis, memory=mem)
 
     def jac_fn(a):
         _, v_new = predict(a)

@@ -11,21 +11,23 @@ either linear or strictly convex with B(0) = B'(0) = 0.  The frictional
 damping h(s) is nondecreasing with a profile h1 near the origin whose
 convexifier H(s) = sqrt(s) * h1(sqrt(s)) drives the nonlinear decay rates.
 
-This module represents those families, validates the admissibility
+This module represents the families that the catalog spec strings build
+(exponential and power kernels, constant and rational weights, linear and
+power moduli, linear and cubic damping), validates the admissibility
 conditions on grids, extends moduli to the whole half line, computes convex
 conjugates, and builds the explicit energy-decay envelope curves implied by
-the decay law.  All scalar inversions are by bisection (absolute tolerance
-1e-12, 200 iterations), trading speed for robustness on monotone functions.
+the decay law.  Moduli and origin profiles are inverted in closed form; the
+remaining scalar inversions are by bisection (absolute tolerance 1e-12, 200
+iterations), trading speed for robustness on monotone functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InputError
 
@@ -81,19 +83,13 @@ class RelaxationKernel:
     """Fading-memory kernel b(t) with its integral deficit l.
 
     Families: exponential b0*exp(-rate*t), power b0*(1+t)^(-q) with q > 1,
-    tabulated samples (linear interpolation, zero beyond `horizon`), and the
-    degenerate zero kernel used for memory-free runs.
+    and the degenerate zero kernel used for memory-free runs.
     """
 
     family: str
     b0: float = 0.0
     rate: float = 0.0
     q: float = 0.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
-    horizon: float = math.inf
-    _dvalues: np.ndarray | None = field(default=None, repr=False)
-    _cumint: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def exponential(cls, b0: float, rate: float) -> "RelaxationKernel":
@@ -111,26 +107,6 @@ class RelaxationKernel:
         return cls("power", b0=float(b0), q=float(q))
 
     @classmethod
-    def tabulated(cls, times, values, horizon: float | None = None) -> "RelaxationKernel":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise InputError("tabulated kernel needs matching 1-d times/values with >= 2 samples")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise InputError("tabulated kernel times must strictly increase from 0")
-        dv = np.gradient(v, t)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
-        return cls(
-            "tabulated",
-            b0=float(v[0]),
-            times=t,
-            values=v,
-            horizon=float(horizon) if horizon is not None else float(t[-1]),
-            _dvalues=dv,
-            _cumint=cum,
-        )
-
-    @classmethod
     def zero(cls) -> "RelaxationKernel":
         return cls("zero")
 
@@ -144,9 +120,6 @@ class RelaxationKernel:
             return self.b0 * np.exp(-self.rate * t)
         if self.family == "power":
             return self.b0 * (1.0 + t) ** (-self.q)
-        if self.family == "tabulated":
-            out = np.interp(t, self.times, self.values)
-            return np.where(t > self.horizon, 0.0, out)
         return np.zeros_like(t)
 
     def deriv(self, t):
@@ -155,9 +128,6 @@ class RelaxationKernel:
             return -self.rate * self.value(t)
         if self.family == "power":
             return -self.q * self.b0 * (1.0 + t) ** (-self.q - 1.0)
-        if self.family == "tabulated":
-            out = np.interp(t, self.times, self._dvalues)
-            return np.where(t > self.horizon, 0.0, out)
         return np.zeros_like(t)
 
     def integral_to(self, t):
@@ -167,9 +137,6 @@ class RelaxationKernel:
             return (self.b0 / self.rate) * (1.0 - np.exp(-self.rate * t))
         if self.family == "power":
             return self.b0 / (self.q - 1.0) * (1.0 - (1.0 + t) ** (1.0 - self.q))
-        if self.family == "tabulated":
-            tc = np.minimum(t, self.horizon)
-            return np.interp(tc, self.times, self._cumint)
         return np.zeros_like(t)
 
     @property
@@ -178,8 +145,6 @@ class RelaxationKernel:
             return self.b0 / self.rate
         if self.family == "power":
             return self.b0 / (self.q - 1.0)
-        if self.family == "tabulated":
-            return float(self._cumint[np.searchsorted(self.times, self.horizon, side="right") - 1])
         return 0.0
 
     @property
@@ -212,7 +177,7 @@ class RelaxationKernel:
 class ConvexModulus:
     """Convexity modulus B on (0, r1], optionally extended past r1.
 
-    Forms: linear slope*s, power coef*s**p with p > 1, or custom callables.
+    Forms: linear slope*s or power coef*s**p with p > 1.
     An extension (set by `extend_modulus`) continues B quadratically beyond
     r1 with matching value and first derivative and curvature at least
     CURVATURE_FLOOR, keeping the extension strictly convex.
@@ -223,9 +188,6 @@ class ConvexModulus:
     coef: float = 1.0
     p: float = 2.0
     r1: float = 1.0
-    fn: Callable | None = None
-    dfn: Callable | None = None
-    d2fn: Callable | None = None
     ext: tuple | None = None  # (B(r1), B'(r1), curvature)
 
     @classmethod
@@ -240,10 +202,6 @@ class ConvexModulus:
             raise InputError("power modulus needs p > 1 and coef > 0")
         return cls("power", coef=float(coef), p=float(p), r1=float(r1))
 
-    @classmethod
-    def custom(cls, fn, dfn, d2fn=None, r1: float = 1.0) -> "ConvexModulus":
-        return cls("custom", fn=fn, dfn=dfn, d2fn=d2fn, r1=float(r1))
-
     @property
     def is_linear(self) -> bool:
         return self.form == "linear"
@@ -253,17 +211,12 @@ class ConvexModulus:
             if order == 0:
                 return self.slope * s
             return self.slope if order == 1 else 0.0
-        if self.form == "power":
-            c, p = self.coef, self.p
-            if order == 0:
-                return c * s**p
-            if order == 1:
-                return c * p * s ** (p - 1.0)
-            return c * p * (p - 1.0) * s ** (p - 2.0)
-        f = (self.fn, self.dfn, self.d2fn)[order]
-        if f is None:
-            raise DomainError("custom modulus lacks the requested derivative")
-        return float(f(s))
+        c, p = self.coef, self.p
+        if order == 0:
+            return c * s**p
+        if order == 1:
+            return c * p * s ** (p - 1.0)
+        return c * p * (p - 1.0) * s ** (p - 2.0)
 
     def _eval_scalar(self, s: float, order: int) -> float:
         if s <= self.r1 * (1.0 + _REL_TOL) or self.is_linear:
@@ -294,11 +247,8 @@ class ConvexModulus:
     def deriv(self, s):
         return self._eval(s, 1)
 
-    def second_deriv(self, s):
-        return self._eval(s, 2)
-
     def inverse(self, y: float) -> float:
-        """Inverse of B; closed form for linear/power/extension, bisection otherwise."""
+        """Inverse of B in closed form (linear, power, or the extension)."""
         y = float(y)
         if self.is_linear:
             return y / self.slope
@@ -310,9 +260,7 @@ class ConvexModulus:
                 raise DomainError(f"inverse target {y} above B(r1)")
             v1, d1, kap = self.ext
             return self.r1 + (math.sqrt(d1 * d1 + 2.0 * kap * (y - v1)) - d1) / kap
-        if self.form == "power":
-            return (y / self.coef) ** (1.0 / self.p)
-        return invert_increasing(lambda s: self._eval_scalar(s, 0), y, 0.0, self.r1)
+        return (y / self.coef) ** (1.0 / self.p)
 
     def deriv_inverse(self, y: float, hi: float | None = None) -> float:
         """Inverse of B' by bisection (used for convex conjugates)."""
@@ -335,12 +283,7 @@ def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
     r1 = float(modulus.r1)
     v1 = modulus._base_scalar(r1, 0)
     d1 = modulus._base_scalar(r1, 1)
-    try:
-        d2 = modulus._base_scalar(r1, 2)
-    except DomainError:
-        # fall back to a centered difference when no second derivative is supplied
-        h = 1e-6 * r1
-        d2 = (modulus._base_scalar(r1 + h, 1) - modulus._base_scalar(r1 - h, 1)) / (2 * h)
+    d2 = modulus._base_scalar(r1, 2)
     if not np.isfinite(d2):
         raise DomainError("modulus second derivative not finite at r1")
     return replace(modulus, ext=(v1, d1, max(d2, CURVATURE_FLOOR)))
@@ -371,8 +314,6 @@ class XiWeight:
     form: str
     xi0: float = 1.0
     theta: float = 1.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     @classmethod
     def constant(cls, xi0: float) -> "XiWeight":
@@ -388,38 +329,23 @@ class XiWeight:
             raise InputError("rational weight must be positive")
         return cls("rational", xi0=float(xi0), theta=float(theta))
 
-    @classmethod
-    def tabulated(cls, times, values) -> "XiWeight":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise InputError("tabulated weight needs matching 1-d arrays with >= 2 samples")
-        if np.any(np.diff(t) <= 0) or np.any(v <= 0):
-            raise InputError("tabulated weight needs increasing times and positive values")
-        return cls("tabulated", xi0=float(v[0]), times=t, values=v)
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         if self.form == "constant":
             return np.full_like(t, self.xi0)
-        if self.form == "rational":
-            return self.xi0 * (1.0 + t) ** (-self.theta)
-        return np.interp(t, self.times, self.values)  # holds last value beyond table
+        return self.xi0 * (1.0 + t) ** (-self.theta)
 
     def integral_power(self, t0: float, t: float, power: float = 1.0) -> float:
-        """int_{t0}^{t} xi(s)**power ds, closed form where available."""
+        """int_{t0}^{t} xi(s)**power ds in closed form."""
         if t < t0:
             raise DomainError("integral upper limit below lower limit")
         if self.form == "constant":
             return self.xi0**power * (t - t0)
-        if self.form == "rational":
-            mu = self.theta * power
-            scale = self.xi0**power
-            if abs(mu - 1.0) < 1e-14:
-                return scale * math.log((1.0 + t) / (1.0 + t0))
-            return scale * ((1.0 + t) ** (1.0 - mu) - (1.0 + t0) ** (1.0 - mu)) / (1.0 - mu)
-        val, _ = quad(lambda s: float(self.value(s)) ** power, t0, t, limit=200)
-        return val
+        mu = self.theta * power
+        scale = self.xi0**power
+        if abs(mu - 1.0) < 1e-14:
+            return scale * math.log((1.0 + t) / (1.0 + t0))
+        return scale * ((1.0 + t) ** (1.0 - mu) - (1.0 + t0) ** (1.0 - mu)) / (1.0 - mu)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +368,6 @@ class DampingLaw:
     c1: float = 1.0
     c2: float = 1.0
     r2: float = 1.0
-    fn: Callable | None = None
 
     @classmethod
     def linear(cls, c: float, eps: float = 1.0) -> "DampingLaw":
@@ -456,10 +381,6 @@ class DampingLaw:
             raise InputError("origin-power damping needs p > 1 and eps in (0, 1]")
         c1 = eps ** (p - 1.0)
         return cls("origin_power", p=float(p), eps=float(eps), c1=c1, c2=p * c1, r2=float(eps) ** 2)
-
-    @classmethod
-    def custom(cls, fn, c1: float = 1.0, c2: float = 1.0, eps: float = 1.0) -> "DampingLaw":
-        return cls("custom", fn=fn, c1=float(c1), c2=float(c2), eps=float(eps), r2=float(eps) ** 2)
 
     @classmethod
     def none(cls) -> "DampingLaw":
@@ -478,8 +399,6 @@ class DampingLaw:
             inner = a ** (self.p - 1.0) * s
             outer = np.sign(s) * (self.eps**self.p + self.p * self.eps ** (self.p - 1.0) * (a - self.eps))
             return np.where(a <= self.eps, inner, outer)
-        if self.form == "custom":
-            return np.vectorize(self.fn)(s)
         return np.zeros_like(s)
 
     def h1(self, s):
@@ -494,7 +413,9 @@ class DampingLaw:
     def h1_inverse(self, y: float) -> float:
         if self.form == "linear":
             return float(y) / min(self.c, 1.0 / self.c)
-        return invert_increasing(lambda s: float(self.h1(s)), float(y), 0.0, None)
+        if self.form == "origin_power":
+            return float(y) ** (1.0 / self.p)
+        raise DomainError(f"damping form {self.form!r} has no origin profile")
 
     @property
     def h1_is_linear(self) -> bool:
@@ -606,7 +527,7 @@ def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> Validation
         if np.any(habs > hi * (1.0 + 1e-9) + 1e-15):
             violations.append("upper sandwich |h(s)| <= h1^{-1}(|s|) violated near origin")
     except DomainError:
-        pass  # custom forms without an origin profile skip the sandwich
+        pass  # the zero law has no origin profile to sandwich
 
     big = np.abs(grid) >= damping.eps
     if np.any(big):
@@ -618,15 +539,11 @@ def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> Validation
             violations.append("linear upper bound |h(s)| <= c2|s| violated")
 
     if not damping.h1_is_linear and damping.form != "none":
-        try:
-            H = damping.convexifier()
-            s = np.linspace(damping.r2 / 64.0, damping.r2, 65)
-            Hv = H.value(s)
-            second = Hv[2:] - 2.0 * Hv[1:-1] + Hv[:-2]
-            if np.any(second <= 0):
-                violations.append("convexifier H fails strict convexity on (0, r2]")
-        except DomainError:
-            pass
+        s = np.linspace(damping.r2 / 64.0, damping.r2, 65)
+        Hv = damping.convexifier().value(s)
+        second = Hv[2:] - 2.0 * Hv[1:-1] + Hv[:-2]
+        if np.any(second <= 0):
+            violations.append("convexifier H fails strict convexity on (0, r2]")
     return ValidationReport(not violations, violations, {"c1": damping.c1, "c2": damping.c2})
 
 
@@ -840,9 +757,12 @@ def _parse_args(spec: str, name: str, count: tuple) -> list[float]:
     if len(parts) not in count:
         raise InputError(f"{name!r} expects {' or '.join(map(str, count))} arguments, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"non-numeric argument in {spec!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"non-finite argument in {spec!r}")
+    return values
 
 
 def parse_kernel_spec(spec: str) -> RelaxationKernel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,7 @@ _FIELD_OF = {
     ("diagnostics", "delta"): "delta",
     ("diagnostics", "lyap_eps"): "lyap_eps",
 }
+_KEY_OF = {fname: section_key for section_key, fname in _FIELD_OF.items()}
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,13 @@ class Scenario:
 
     def validate(self) -> list:
         """Collect every semantic problem; empty list means valid."""
-        errs = []
+        errs = [
+            f"{section}.{key} must be finite"
+            for (section, key), fname in _FIELD_OF.items()
+            if _SCHEMA[section][key] is float
+            and getattr(self, fname) is not None
+            and not math.isfinite(getattr(self, fname))
+        ]
         if self.spatial_dim not in (1, 2):
             errs.append("space.dim must be 1 or 2")
         if self.n < 1:
@@ -195,9 +203,11 @@ def _check_initial_spec(spec: str, dim: int) -> None:
         if len(args) != 2:
             raise ScenarioError(f"mode term needs (index, amplitude), got {part!r}")
         j = int(args[0])
-        float(args[1])
+        amplitude = float(args[1])
         if not 1 <= j <= dim:
             raise ScenarioError(f"mode index {j} outside 1..{dim}")
+        if not math.isfinite(amplitude):
+            raise ScenarioError(f"mode amplitude in {part!r} must be finite")
 
 
 def _initial_vector(spec: str, basis, grams) -> np.ndarray:
@@ -224,18 +234,25 @@ def _initial_vector(spec: str, basis, grams) -> np.ndarray:
 # --- parsing ------------------------------------------------------------
 
 
+def parse_field(field: str, raw: str):
+    """raw as a value of the Scenario field, typed as the config file types it."""
+    section, key = _KEY_OF[field]
+    typ = _SCHEMA[section][key]
+    try:
+        return raw.strip() if typ is str else typ(raw.strip())
+    except ValueError:
+        raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from None
+
+
 def _set_field(kwargs: dict, errors: list, section: str, key: str, raw: str) -> None:
-    schema = _SCHEMA.get(section)
-    if schema is None or key not in schema:
+    if key not in _SCHEMA.get(section, ()):
         errors.append(f"unknown key [{section}] {key}")
         return
-    typ = schema[key]
+    fname = _FIELD_OF[(section, key)]
     try:
-        value = raw.strip() if typ is str else typ(raw.strip())
-    except ValueError:
-        errors.append(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}")
-        return
-    kwargs[_FIELD_OF[(section, key)]] = value
+        kwargs[fname] = parse_field(fname, raw)
+    except ScenarioError as exc:
+        errors.append(str(exc))
 
 
 def parse_scenario_text(text: str, origin: str = "<config>") -> Scenario:

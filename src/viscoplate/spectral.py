@@ -97,8 +97,6 @@ class Basis:
     beam_roots: np.ndarray
     L: float
     quad_order: int
-    quad_nodes: np.ndarray
-    quad_weights: np.ndarray
     axis_scale: np.ndarray
     phi: np.ndarray
     lap: np.ndarray
@@ -159,8 +157,6 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
         beam_roots=roots,
         L=float(L),
         quad_order=quad_order,
-        quad_nodes=x,
-        quad_weights=wx,
         axis_scale=scale,
         phi=phi,
         lap=lap,
@@ -177,7 +173,6 @@ class GramSet:
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
-    cond_m2: float
     _cho_m0: tuple = field(repr=False, default=None)
     _cho_m2: tuple = field(repr=False, default=None)
 
@@ -207,7 +202,7 @@ def assemble_grams(basis: Basis) -> GramSet:
         raise AssemblyError(f"Gram matrix not positive definite: {exc}") from exc
     except ValueError as exc:
         raise AssemblyError(f"Gram assembly produced invalid entries: {exc}") from exc
-    return GramSet(M0=M0, M1=M1, M2=M2, cond_m2=float(np.linalg.cond(M2)), _cho_m0=cho0, _cho_m2=cho2)
+    return GramSet(M0=M0, M1=M1, M2=M2, _cho_m0=cho0, _cho_m2=cho2)
 
 
 def project_initial(fieldfun, basis: Basis, grams: GramSet) -> np.ndarray:

@@ -1,10 +1,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import viscoplate
 import viscoplate.diagnostics as dg
 from viscoplate.cli import CSV_HEADER, _parse_axes, _split_values, main, run_scenario
 from viscoplate.errors import InputError
@@ -97,6 +100,30 @@ def test_divergence_exits_two_with_flagged_report(tmp_path):
     rep = read_report(out)
     assert rep["diverged"] is True
     assert "diverge" in rep["note"]
+
+
+def test_overflowing_step_exits_two_with_flagged_report(tmp_path):
+    # dt = T = 1e10: every trial state overflows, also after the substep retries
+    scn = with_overrides(
+        load_scenario(write_cfg(tmp_path, DISSIPATIVE)), dt=1e10, T=1e10, out_dir=str(tmp_path / "out")
+    )
+    report, code = run_scenario(scn)
+    assert code == 2
+    rep = read_report(scn.out_dir)
+    assert rep["diverged"] is True
+    assert rep["note"].startswith("simulation diverged:")
+    assert not os.path.exists(os.path.join(scn.out_dir, "timeseries.csv"))
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no scenario integrates by quadrature, so start-up need not load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(viscoplate.__file__)))
+    probe = "import sys, viscoplate.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_config_exits_two(tmp_path, capsys):
@@ -309,16 +336,20 @@ def test_sweep_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
         ("dt=0.01,-1", "time.dt must be positive"),
         ("stride=1,0", "output.stride must be >= 1"),
         ("delta=0.5,1.5", "diagnostics.delta must lie in (0, 1)"),
+        ("dt=0.01,abc", "[time] dt: cannot parse 'abc' as float"),
+        ("n=6,2.5", "[space] n: cannot parse '2.5' as int"),
     ],
 )
 def test_sweep_validates_every_cell_before_running(tmp_path, monkeypatch, capsys, axis, problem):
-    # cell 0 is valid, cell 1 is not: nothing may run or be created
+    # cell 0 is valid, cell 1 is not: nothing may run or be created.  A value
+    # of the wrong type is refused while the axis is parsed, before any cell.
     monkeypatch.setenv("VISCOPLATE_THREADS", "1")
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "sw")
     assert main(["sweep", cfg, "--axis", axis, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "cell-001" in err and problem in err
+    assert err.startswith("error:") and problem in err
+    assert "cannot parse" in problem or "cell-001" in err
     assert not os.path.exists(out)
 
 

@@ -173,7 +173,7 @@ def test_rate_residual_conservative_small():
     g0 = np.zeros(4)
     g0[0] = 0.1
     traj = run(Scn(CONSERVATIVE, 1e-3, 2.0, g0, np.zeros(4), n=4))
-    rr = dg.energy_rate_residual(traj)
+    rr = dg.analyze(traj).rate_residual
     assert math.isnan(rr[0]) and math.isnan(rr[-1])
     assert np.nanmax(np.abs(rr)) < 1e-6
 
@@ -187,7 +187,7 @@ def test_rate_residual_second_order():
     worst = {}
     for dt in (2e-3, 1e-3):
         traj = run(Scn(params, dt, 1.6, g0, np.zeros(6)))
-        worst[dt] = np.nanmax(np.abs(dg.energy_rate_residual(traj)))
+        worst[dt] = np.nanmax(np.abs(dg.analyze(traj).rate_residual))
     ratio = worst[2e-3] / worst[1e-3]
     assert 3.2 < ratio < 4.8
 
@@ -197,12 +197,6 @@ def test_rate_nonpositive_along_run(dissipative_bundle):
     assert np.max(b.rate) <= 1e-12
     assert np.max(b.memory_deriv) <= 1e-14  # b' <= 0 makes this term nonpositive
     assert np.min(b.dissipation) >= -1e-14
-
-
-def test_rate_residual_needs_three_samples():
-    traj = run(Scn(CONSERVATIVE, 0.01, 0.0, np.zeros(4), np.zeros(4), n=4))
-    with pytest.raises(InputError):
-        dg.energy_rate_residual(traj)
 
 
 # --- logarithmic Sobolev -------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,25 @@ T = -2
 def test_nonpositive_lyap_eps_rejected(value):
     with pytest.raises(ScenarioError, match="diagnostics.lyap_eps must be positive"):
         parse_scenario_text(MINIMAL + f"[diagnostics]\nlyap_eps = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, problem",
+    [
+        ("time", "dt", "nan", "time.dt must be finite"),
+        ("time", "T", "inf", "time.T must be finite"),
+        ("physics", "k", "nan", "physics.k must be finite"),
+        ("diagnostics", "a", "-inf", "diagnostics.a must be finite"),
+        ("physics", "kernel", "exp(nan,1.0)", "physics.kernel: non-finite argument"),
+        ("physics", "kernel", "exp(0.5,inf)", "physics.kernel: non-finite argument"),
+        ("physics", "damping", "damp-linear(nan)", "physics.damping: non-finite argument"),
+        ("physics", "xi", "const(inf)", "physics.xi: non-finite argument"),
+        ("initial", "u", "mode(1,nan)", "initial.u: mode amplitude"),
+    ],
+)
+def test_non_finite_number_rejected(section, key, value, problem):
+    with pytest.raises(ScenarioError, match=re.escape(problem)):
+        parse_scenario_text(f"[{section}]\n{key} = {value}\n")
 
 
 def test_type_error_names_section_and_key():

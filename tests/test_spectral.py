@@ -155,11 +155,6 @@ def test_m1_exactly_symmetric(grams8, grams2d):
     assert np.max(np.abs(grams2d.M1 - grams2d.M1.T)) == 0.0
 
 
-def test_gram_condition_number(grams8, basis8):
-    expect = (basis8.beam_roots[-1] / basis8.beam_roots[0]) ** 4
-    assert abs(grams8.cond_m2 - expect) / expect < 1e-6
-
-
 def test_degenerate_basis_raises_assembly_error(basis8):
     phi = basis8.phi.copy()
     phi[1] = phi[0]  # duplicated mode makes M0 singular
