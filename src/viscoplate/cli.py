@@ -272,18 +272,10 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
         verdicts["well"] = "n/a"
         report["well"] = {"certified": False, "reason": "k = 0: no well argument"}
 
-    # logarithmic Sobolev gap along the run (vector form of the gap)
+    # logarithmic Sobolev gap along the run
     a_used = scn.a if scn.a is not None else (wc.a if wc is not None else None)
     if a_used is not None:
-        m = bundle.mass
-        safe_m = np.where(m > 0.0, m, 1.0)
-        gaps = np.where(
-            m > 0.0,
-            0.5 * m * np.log(safe_m) + (cp * a_used**2 / (2.0 * math.pi)) * bundle.bend
-            - (1.0 + math.log(a_used)) * m - bundle.logterm,
-            0.0,
-        )
-        gap_min = float(np.min(gaps))
+        gap_min = float(np.min(dg.log_sobolev_series(bundle, a_used, cp)))
         verdicts["log_sobolev"] = "pass" if gap_min >= -dg.GAP_TOL else "fail"
         report["log_sobolev"] = {"a": a_used, "gap_min": _num(gap_min)}
     else:

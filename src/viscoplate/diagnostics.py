@@ -323,6 +323,18 @@ def log_sobolev_gap(state, a: float, cp: float, basis: Basis) -> float:
     return rhs - lhs
 
 
+def log_sobolev_series(bundle: SeriesBundle, a: float, cp: float) -> np.ndarray:
+    """log_sobolev_gap at every sample of the run, from the bundle's series."""
+    m = bundle.mass
+    safe_m = np.where(m > 0.0, m, 1.0)
+    return np.where(
+        m > 0.0,
+        0.5 * m * np.log(safe_m) + (cp * a**2 / (2.0 * math.pi)) * bundle.bend
+        - (1.0 + math.log(a)) * m - bundle.logterm,
+        0.0,
+    )
+
+
 def s_log_constant(eps0: float) -> float:
     """Best constant d with s|ln s| <= s^2 + d s^(1-eps0) for s > 0.
 

@@ -263,8 +263,10 @@ def _substep_solve(
         return g_c + dt * dt * NEWMARK_BETA * a, v_c + dt * NEWMARK_GAMMA * a
 
     def res_fn(a):
-        g_new, v_new = predict(a)
-        mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
+        # a diverging iterate overflows here; residual's finite check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_new, v_new = predict(a)
+            mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
         return residual(a, g_new, v_new, params, grams, basis, memory=mem)
 
     def jac_fn(a):

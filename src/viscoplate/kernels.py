@@ -16,9 +16,9 @@ This module represents the families that the catalog spec strings build
 power moduli, linear and cubic damping), validates the admissibility
 conditions on grids, extends moduli to the whole half line, computes convex
 conjugates, and builds the explicit energy-decay envelope curves implied by
-the decay law.  Moduli and origin profiles are inverted in closed form; the
-remaining scalar inversions are by bisection (absolute tolerance 1e-12, 200
-iterations), trading speed for robustness on monotone functions.
+the decay law.  Moduli and origin profiles are inverted in closed form; a
+nonlinear envelope costs one scalar bisection per point, as does a convex
+conjugate (absolute tolerance 1e-12, 200 iterations).
 """
 
 from __future__ import annotations
@@ -555,23 +555,13 @@ def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> Validation
 class DecayEnvelope:
     """Callable upper-bound curve for the energy, built from the decay law.
 
-    `case` is one of "linear-B", "nonlinear-B", "nonlinear-both".  Evaluation
-    below `validity_start` raises DomainError.  The curve is positive on its
-    validity domain; the multiplicative constant c is meant to be fitted.
+    Evaluation below `validity_start` raises DomainError.  The curve is
+    positive on its validity domain; its multiplicative constant is meant to
+    be fitted.
     """
 
-    case: str
-    c: float
-    eps0: float
-    t0: float
     validity_start: float
-    xi: XiWeight
-    c1: float = 1.0
-    eps1: float = 1.0
-    t1: float = 0.0
-    modulus: ConvexModulus | None = None
-    damping_modulus: ConvexModulus | None = None
-    _eval: Callable = None
+    _eval: Callable[[float], float]
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -595,28 +585,19 @@ def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEn
         acc = xi.integral_power(t0, t, 1.0 + eps0)
         return c * (1.0 + acc) ** (-1.0 / eps0)
 
-    return DecayEnvelope(
-        "linear-B", c=c, eps0=eps0, t0=t0, validity_start=t0, xi=xi, _eval=_eval
-    )
+    return DecayEnvelope(t0, _eval)
 
 
-def _make_K(modulus: ConvexModulus, eps0: float):
-    """K(t) = Bbar(t^(1+eps0)) and its derivative, from the extended modulus.
-
-    This is the inverse of y -> (Bbar^{-1}(y))^(1/(1+eps0)) in closed
-    composition form, avoiding one bisection level.
-    """
+def _make_dK(modulus: ConvexModulus, eps0: float):
+    """K'(t) for K(t) = Bbar(t^(1+eps0)), the inverse of y -> Bbar^{-1}(y)^(1/(1+eps0))."""
     Bbar = extend_modulus(modulus)
-
-    def K(t: float) -> float:
-        return Bbar._eval_scalar(t ** (1.0 + eps0), 0)
 
     def dK(t: float) -> float:
         if t <= 0.0:
             return 0.0
         return (1.0 + eps0) * t**eps0 * Bbar._eval_scalar(t ** (1.0 + eps0), 1)
 
-    return K, dK
+    return dK
 
 
 def envelope_nonlinear_B(
@@ -640,7 +621,7 @@ def envelope_nonlinear_B(
         raise InputError("need t1 > t0")
     if eps0 <= 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    _, dK = _make_K(modulus, eps0)
+    dK = _make_dK(modulus, eps0)
 
     def K1(t: float) -> float:
         return t * dK(eps1 * t)
@@ -654,19 +635,7 @@ def envelope_nonlinear_B(
         root = invert_increasing(K1, y, 0.0, None)
         return c * tau * root
 
-    env = DecayEnvelope(
-        "nonlinear-B",
-        c=c,
-        eps0=eps0,
-        t0=t0,
-        validity_start=t1,
-        xi=xi,
-        c1=c1,
-        eps1=eps1,
-        t1=t1,
-        modulus=modulus,
-        _eval=_eval,
-    )
+    env = DecayEnvelope(t1, _eval)
     # expose the intermediate map for verification against closed forms
     object.__setattr__(env, "K1", K1)
     return env
@@ -683,9 +652,11 @@ def envelope_nonlinear_both(
 ) -> DecayEnvelope:
     """Envelope when kernel modulus and damping convexifier are both nonlinear.
 
-    W inverts the sum of the two root-composed inverse moduli; the curve is
-    c (t-t0)^(1/(1+eps)) W2^{-1}(c / ((t-t0)^(1/(1+eps)) int_{t0}^t xi)) with
-    W2(t) = t W'(eps1 t).
+    With phi(y) = Bbar^{-1}(y)^(1/(1+eps)) + Hbar^{-1}(y)^(1/(1+eps)) and
+    W = phi^{-1}, the curve is c tau W2^{-1}(c / (tau int_{t0}^t xi)), where
+    tau = (t-t0)^(1/(1+eps)) and W2(s) = s W'(eps1 s).  At s = phi(y)/eps1,
+    W2(s) = phi(y) / (eps1 phi'(y)), which increases in y; so one bisection
+    in y finds the root, and the root is phi(y)/eps1.
     """
     if modulusB.is_linear or dampingH.is_linear:
         raise InputError("both moduli must be strictly convex for this envelope")
@@ -695,19 +666,10 @@ def envelope_nonlinear_both(
     Hbar = extend_modulus(dampingH)
     expo = 1.0 / (1.0 + eps)
 
-    def summed_roots(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
+    def phi(y: float) -> float:
         return Bbar.inverse(y) ** expo + Hbar.inverse(y) ** expo
 
-    def W(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return invert_increasing(summed_roots, t, 0.0, None)
-
-    def dW(t: float) -> float:
-        # W' = 1 / phi'(W(t)) with phi the summed-roots map
-        y = W(t)
+    def W2_of_y(y: float) -> float:
         if y <= 0.0:
             return 0.0
         rb, rh = Bbar.inverse(y), Hbar.inverse(y)
@@ -715,36 +677,17 @@ def envelope_nonlinear_both(
             rb ** (expo - 1.0) / Bbar._eval_scalar(rb, 1)
             + rh ** (expo - 1.0) / Hbar._eval_scalar(rh, 1)
         )
-        return 1.0 / phi_p
-
-    def W2(t: float) -> float:
-        return t * dW(eps1 * t)
+        return (rb**expo + rh**expo) / (eps1 * phi_p)
 
     def _eval(t: float) -> float:
         tau = (t - t0) ** expo
         acc = xi.integral_power(t0, t, 1.0)
         if acc <= 0.0:
             raise DomainError("weight integral vanishes on the evaluation window")
-        y = c / (tau * acc)
-        root = invert_increasing(W2, y, 0.0, None)
-        return c * tau * root
+        y = invert_increasing(W2_of_y, c / (tau * acc), 0.0, None)
+        return c * tau * phi(y) / eps1
 
-    env = DecayEnvelope(
-        "nonlinear-both",
-        c=c,
-        eps0=eps,
-        t0=t0,
-        validity_start=t0,
-        xi=xi,
-        eps1=eps1,
-        modulus=modulusB,
-        damping_modulus=dampingH,
-        _eval=_eval,
-    )
-    # expose the intermediate maps for verification against closed forms
-    object.__setattr__(env, "W", W)
-    object.__setattr__(env, "W2", W2)
-    return env
+    return DecayEnvelope(t0, _eval)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -131,7 +131,22 @@ class Scenario:
         )
 
     def validate(self) -> list:
-        """Collect every semantic problem; empty list means valid."""
+        """Collect every semantic problem; empty list means valid.
+
+        A field of the wrong type (a float field takes int or float, an int
+        field int, a str field str) is reported alone, before any comparison.
+        """
+        optional = {f.name for f in fields(self) if f.default is None}
+        wrong = []
+        for (section, key), fname in _FIELD_OF.items():
+            kind, value = _SCHEMA[section][key], getattr(self, fname)
+            if value is None and fname in optional:
+                continue
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                wrong.append(f"{section}.{key} must be {kind.__name__}, got {value!r}")
+        if wrong:
+            return wrong
         errs = [
             f"{section}.{key} must be finite"
             for (section, key), fname in _FIELD_OF.items()

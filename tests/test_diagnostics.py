@@ -247,6 +247,16 @@ def test_log_sobolev_random_vectors_at_preset_a(setup6):
         assert dg.log_sobolev_gap(g, 0.25, cp, basis) >= -1e-8
 
 
+def test_log_sobolev_series_matches_per_state_gap(dissipative_run, dissipative_bundle):
+    traj, b = dissipative_run, dissipative_bundle
+    cp = estimate_cp(traj.grams)
+    gaps = dg.log_sobolev_series(b, 0.25, cp)
+    assert gaps.shape == b.times.shape
+    for i in np.linspace(0, len(b.times) - 1, 10).astype(int):
+        scale = b.mass[i] + b.bend[i] + abs(b.logterm[i])
+        assert abs(gaps[i] - dg.log_sobolev_gap(traj.g[i], 0.25, cp, traj.basis)) <= 1e-12 * scale
+
+
 # --- s log constant ------------------------------------------------------
 
 

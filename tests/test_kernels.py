@@ -383,14 +383,74 @@ def test_envelope_both_closed_form():
     eps1, c = 0.61, 1.7
     sq = ConvexModulus.power(2.0, r1=1.0)
     env = envelope_nonlinear_both(XiWeight.constant(1.0), 1.0, eps1, c, 0.0, sq, sq)
-    for t in (1.0, 2.0, 3.0):
-        assert abs(env.W(t) - (t / 2.0) ** 4) < 1e-10
-        assert abs(env.W2(t) - eps1**3 * t**4 / 4.0) < 1e-9 * max(t**4, 1.0)
-    assert env.W2(0.0) == 0.0
-    for t in (2.0, 4.0, 8.0):
+    for t in (1.0, 2.0, 3.0, 4.0, 8.0):
         tau = math.sqrt(t)
         expected = c * tau * (4.0 * (c / (tau * t)) / eps1**3) ** 0.25
         assert abs(env(t) - expected) < 1e-9 * expected
+
+
+def _bisect_to_ulp(f, y):
+    """Solve f(s) = y for increasing f on [0, inf) until the bracket is adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while f(hi) < y:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _two_level_both(xi, eps, eps1, c, t0, modB, modH, t):
+    """The nonlinear-both envelope by nested bisection: W = phi^{-1}, then W2^{-1}.
+
+    Returns the envelope value and y = W(eps1 * root), the modulus value at
+    which Bbar and Hbar were inverted.
+    """
+    Bbar, Hbar = extend_modulus(modB), extend_modulus(modH)
+    e = 1.0 / (1.0 + eps)
+
+    def phi(y):
+        return Bbar.inverse(y) ** e + Hbar.inverse(y) ** e
+
+    def W2(s):
+        y = _bisect_to_ulp(phi, eps1 * s)
+        if y <= 0.0:
+            return 0.0
+        rb, rh = Bbar.inverse(y), Hbar.inverse(y)
+        dphi = e * (rb ** (e - 1.0) / Bbar.deriv(rb) + rh ** (e - 1.0) / Hbar.deriv(rh))
+        return s / dphi
+
+    tau = (t - t0) ** e
+    root = _bisect_to_ulp(W2, c / (tau * xi.integral_power(t0, t)))
+    return c * tau * root, _bisect_to_ulp(phi, eps1 * root)
+
+
+def test_envelope_both_matches_two_level_bisection():
+    # one bisection in y against the nested form on random power moduli; the
+    # small r1 and the early evaluation point reach the quadratic extensions
+    rng = np.random.default_rng(20240607)
+    worst, extended = 0.0, 0
+    for draw in range(10):
+        pB, pH = rng.uniform(1.1, 3.0, 2)
+        r1B, r1H = rng.uniform(0.02, 0.3, 2)
+        eps, eps1, c = rng.uniform(0.1, 1.5), rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
+        t0 = rng.uniform(0.0, 1.0)
+        if draw % 2:
+            xi = XiWeight.rational(rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0))
+        else:
+            xi = XiWeight.constant(rng.uniform(0.5, 2.0))
+        modB, modH = ConvexModulus.power(pB, r1=r1B), ConvexModulus.power(pH, r1=r1H)
+        env = envelope_nonlinear_both(xi, eps, eps1, c, t0, modB, modH)
+        for t in (t0 + 0.05, t0 + 4.0):
+            ref, y = _two_level_both(xi, eps, eps1, c, t0, modB, modH, t)
+            worst = max(worst, abs(env(t) - ref) / ref)
+            extended += y > min(r1B**pB, r1H**pH)
+    assert worst < 1e-8
+    assert 0 < extended < 20
 
 
 def test_envelope_both_positive_decreasing():

@@ -187,6 +187,22 @@ def test_with_overrides():
     assert scn.kernel == base.kernel
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"dt": "abc"}, "time.dt must be float, got 'abc'"),
+        ({"n": 2.5}, "space.n must be int, got 2.5"),
+        ({"kernel": 3}, "physics.kernel must be str, got 3"),
+        ({"stride": 1.5}, "output.stride must be int, got 1.5"),
+    ],
+    ids=["dt", "n", "kernel", "stride"],
+)
+def test_with_overrides_rejects_wrong_type(override, message):
+    with pytest.raises(ScenarioError) as err:
+        with_overrides(PRESETS["exp-linear"], **override)
+    assert str(err.value) == message
+
+
 def test_presets_all_valid():
     for name, scn in PRESETS.items():
         assert scn.validate() == [], name
