@@ -211,7 +211,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     if dump_grams:
         np.savez(os.path.join(scn.out_dir, "grams.npz"), M0=grams.M0, M1=grams.M1, M2=grams.M2)
 
-    k0 = 2.0 * math.pi * params.kernel.l * math.e**3 / cp
+    k0 = dg.log_source_bound(params, cp)
     if params.k > 0.0:
         verdicts["H4"] = "pass" if params.k < k0 else "fail"
     else:

@@ -78,7 +78,6 @@ class WellConstants:
     Q0: float
     rho_bar: float
     d: float
-    k0: float
     d_positive: bool
     window: tuple
     window_nonempty: bool
@@ -376,8 +375,13 @@ def s_log_constant(eps0: float) -> float:
 # --- potential well ------------------------------------------------------
 
 
+def log_source_bound(params: PhysicalParams, cp: float) -> float:
+    """k0 = 2 pi l e^3 / cp; the well argument needs the source k < k0 (H4)."""
+    return 2.0 * math.pi * params.kernel.l * math.e**3 / cp
+
+
 def well_constants(params: PhysicalParams, cp: float, a: float | None = None) -> WellConstants:
-    """Constants (Q0, rho_bar, d, k0) of the potential-well argument.
+    """Constants (Q0, rho_bar, d) of the potential-well argument.
 
     a defaults to the midpoint of the admissible window
     (e^{-3/2}, sqrt(2 pi l / (k cp))); pass a explicitly to override.
@@ -388,7 +392,7 @@ def well_constants(params: PhysicalParams, cp: float, a: float | None = None) ->
     if cp <= 0:
         raise InputError("cp must be positive")
     l = params.kernel.l
-    k0 = 2.0 * math.pi * l * math.e**3 / cp
+    k0 = log_source_bound(params, cp)
     if k >= k0:
         raise HypothesisError(f"k = {k} violates the smallness bound k < k0 = {k0:.6g}")
     lo = math.exp(-1.5)
@@ -402,7 +406,7 @@ def well_constants(params: PhysicalParams, cp: float, a: float | None = None) ->
     rho_bar = math.exp((2.0 * Q0 - k) / k)
     d = 0.5 * Q0 * rho_bar**2 - 0.25 * k * rho_bar**2 * math.log(rho_bar**2)
     return WellConstants(
-        a=a, Q0=Q0, rho_bar=rho_bar, d=d, k0=k0, d_positive=d > 0.0,
+        a=a, Q0=Q0, rho_bar=rho_bar, d=d, d_positive=d > 0.0,
         window=(lo, hi), window_nonempty=nonempty,
     )
 

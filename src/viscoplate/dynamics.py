@@ -12,12 +12,15 @@ shared quadrature rule.  Using one quadrature rule for every term is what
 makes the discrete energy identity exact up to time-integration error.
 
 Stepping is Newmark average acceleration (gamma = 1/2, beta = 1/4), solved
-by a modified Newton iteration whose Jacobian keeps only the dominant
-N(v) + M2 block; the neglected predictor couplings are O(dt), so the
-iteration contracts fast at practical step sizes.  The convolution history
-is stored densely on the uniform grid; when Newton fails the step is
-re-tried with 2, 4, then 8 substeps whose memory integrals run over the
-union of the stored grid and the pending substep nodes.
+by a modified Newton iteration on the dominant N(v) + M2 block, built and
+Cholesky-factored once per solve at the velocity predicted from the last
+acceleration; the neglected couplings are O(dt), so the iteration
+contracts fast at practical step sizes.  The residual and the matrix are
+each checked once for finite values, so scipy's own checks are off.  The
+convolution history is stored densely on the uniform grid; when Newton
+fails the step is re-tried with 2, 4, then 8 substeps whose memory
+integrals run over the union of the stored grid and the pending substep
+nodes.
 """
 
 from __future__ import annotations
@@ -80,24 +83,22 @@ class PlateState:
 
 
 class HistoryBuffer:
-    """Dense g-history on the uniform step grid, capacity-doubling."""
+    """Dense g-history on the uniform step grid, capacity-doubling.
 
-    def __init__(self, dt: float, g0: np.ndarray):
-        if dt <= 0:
-            raise InputError("history spacing must be positive")
-        g0 = np.asarray(g0, dtype=float)
-        self.dt = float(dt)
-        self._data = np.empty((64, g0.shape[0]))
-        self._data[0] = g0
-        self._len = 1
+    snapshots is one coefficient vector g_0 (1-D) or the rows g_0, g_1, ...
+    (2-D) at spacing dt.
+    """
 
-    @classmethod
-    def from_array(cls, dt: float, snapshots: np.ndarray) -> "HistoryBuffer":
-        buf = cls.__new__(cls)
-        buf.dt = float(dt)
-        buf._data = np.asarray(snapshots, dtype=float)
-        buf._len = buf._data.shape[0]
-        return buf
+    def __init__(self, dt: float, snapshots: np.ndarray):
+        dt = float(dt)
+        if not (np.isfinite(dt) and dt > 0):
+            raise InputError("history spacing must be finite and positive")
+        data = np.atleast_2d(np.asarray(snapshots, dtype=float))
+        if data.ndim != 2:
+            raise InputError("history snapshots must be one vector or a 2-D array")
+        self.dt = dt
+        self._data = data
+        self._len = data.shape[0]
 
     def append(self, g: np.ndarray):
         if self._len == self._data.shape[0]:
@@ -196,17 +197,22 @@ def residual(
     return R
 
 
-def _newton_loop(res_fn, jac_fn, a0: np.ndarray, tol: float):
+def _newton_loop(res_fn, v_pred: np.ndarray, a0: np.ndarray, params, grams, basis, tol: float):
+    """Modified Newton on res_fn(a) = 0 with N(v_pred) + M2 factored once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = inertia_mass(v_pred, params, grams, basis) + grams.M2
+    if not np.all(np.isfinite(J)):
+        raise DivergedError("Newton matrix has non-finite entries")
+    try:
+        factor = cho_factor(J, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise DivergedError(f"Jacobian factorization failed: {exc}") from exc
     a = a0.copy()
     for _ in range(NEWTON_MAX_ITER):
         R = res_fn(a)
         if np.max(np.abs(R)) <= tol:
             return a
-        try:
-            J = cho_factor(jac_fn(a))
-        except np.linalg.LinAlgError as exc:
-            raise DivergedError(f"Jacobian factorization failed: {exc}") from exc
-        a = a - cho_solve(J, R)
+        a = a - cho_solve(factor, R, check_finite=False)
     raise DivergedError(f"Newton stalled above tolerance {tol}")
 
 
@@ -229,10 +235,7 @@ def initial_state(
     def res_fn(a):
         return residual(a, g0, v0, params, grams, basis)
 
-    def jac_fn(_a):
-        return inertia_mass(v0, params, grams, basis) + grams.M2
-
-    a0 = _newton_loop(res_fn, jac_fn, np.zeros_like(g0), tol)
+    a0 = _newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis, tol)
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
 
 
@@ -269,11 +272,9 @@ def _substep_solve(
             mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
         return residual(a, g_new, v_new, params, grams, basis, memory=mem)
 
-    def jac_fn(a):
-        _, v_new = predict(a)
-        return inertia_mass(v_new, params, grams, basis) + grams.M2
-
-    a_new = _newton_loop(res_fn, jac_fn, prev_a, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_pred = predict(prev_a)[1]
+    a_new = _newton_loop(res_fn, v_pred, prev_a, params, grams, basis, tol)
     g_new, v_new = predict(a_new)
     return t_new, g_new, v_new, a_new
 
@@ -354,17 +355,16 @@ class Trajectory:
             t=float(self.times[i]), g=self.g[i], v=self.v[i], a=self.a[i], step_index=i
         )
 
-    def history(self, upto: int | None = None) -> HistoryBuffer:
-        end = len(self) if upto is None else int(upto) + 1
-        return HistoryBuffer.from_array(self.dt, self.g[:end])
+    def history(self) -> HistoryBuffer:
+        return HistoryBuffer(self.dt, self.g)
 
 
-def run(scenario, basis: Basis | None = None, grams: GramSet | None = None, on_sample=None) -> Trajectory:
+def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> Trajectory:
     """Integrate a validated scenario from t = 0 to T.
 
     The scenario supplies the discretization, physics, and initial data
-    (see the scenario module); on_sample, when given, is invoked with each
-    accepted state.  The loop is deterministic: no randomness anywhere.
+    (see the scenario module).  The loop is deterministic: no randomness
+    anywhere.
     """
     if basis is None:
         basis = scenario.make_basis()
@@ -385,22 +385,14 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None, on_s
     accs = np.empty((n_steps + 1, m))
     hist = HistoryBuffer(dt, cur.g) if not params.kernel.is_zero else None
 
-    def record(i, st):
-        times[i] = st.t
-        gs[i] = st.g
-        vs[i] = st.v
-        accs[i] = st.a
-        if on_sample is not None:
-            on_sample(st)
-
-    record(0, cur)
-    for i in range(1, n_steps + 1):
-        try:
-            cur = step(cur, params, grams, basis, dt, history=hist)
-        except DivergedError as exc:
-            exc.last_state = cur
-            raise
-        record(i, cur)
+    for i in range(n_steps + 1):
+        if i > 0:
+            try:
+                cur = step(cur, params, grams, basis, dt, history=hist)
+            except DivergedError as exc:
+                exc.last_state = cur
+                raise
+        times[i], gs[i], vs[i], accs[i] = cur.t, cur.g, cur.v, cur.a
     return Trajectory(
         times=times, g=gs, v=vs, a=accs, dt=dt, params=params, basis=basis, grams=grams
     )

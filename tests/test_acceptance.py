@@ -233,7 +233,7 @@ def test_c07_memory_quadrature_oracle_and_cs_gaps(catalog):
     gap_min = 0.0
     for i in idx:
         i = int(i)
-        hist = HistoryBuffer.from_array(traj.dt, traj.g[: i + 1])
+        hist = HistoryBuffer(traj.dt, traj.g[: i + 1])
         t = traj.times[i]
         mem = memory_term(hist, kernel, traj.grams, t)
         # brute force: per-node trapezoid weights, plain python accumulation

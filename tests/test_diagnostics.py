@@ -497,7 +497,7 @@ def test_find_lyapunov_N_gives_up_beyond_2_to_10(coarse_dissipative_bundle):
 def test_memory_cs_constant_history(setup6):
     basis, grams = setup6
     g = 0.1 * np.ones(6)
-    hist = HistoryBuffer.from_array(0.01, np.tile(g, (101, 1)))
+    hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(6), np.zeros(6))
     gap_b, gap_db = dg.memory_cs_check(st, hist, RelaxationKernel.exponential(0.5, 1.0), grams)
     assert abs(gap_b) < 1e-15 and abs(gap_db) < 1e-15
@@ -520,7 +520,7 @@ def test_memory_cs_quadratic_homogeneity(dissipative_run):
     import dataclasses
 
     st2 = dataclasses.replace(st, g=2.0 * st.g)
-    hist2 = HistoryBuffer.from_array(hist.dt, 2.0 * hist.snapshots.copy())
+    hist2 = HistoryBuffer(hist.dt, 2.0 * hist.snapshots.copy())
     g2 = dg.memory_cs_check(st2, hist2, traj.params.kernel, traj.grams)
     for x, y in zip(g1, g2):
         assert abs(y - 4.0 * x) < 1e-12 * max(1.0, abs(y))
@@ -533,7 +533,7 @@ def test_damping_diag_rest_state(setup6):
     basis, grams = setup6
     params = PhysicalParams(0.0, 0.5, RelaxationKernel.zero(), DampingLaw.origin_power(3.0, 0.5), 0.0)
     g = 0.1 * np.ones(6)
-    hist = HistoryBuffer.from_array(0.01, np.tile(g, (101, 1)))
+    hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(6), np.zeros(6))
     dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.25)
     assert dd.G == 0.0 and dd.dissipation == 0.0
@@ -546,7 +546,7 @@ def test_damping_diag_rest_state_2d():
     basis = build_basis(2, 4)
     params = PhysicalParams(0.0, 0.5, RelaxationKernel.zero(), DampingLaw.origin_power(3.0, 0.5), 0.0)
     g = 0.1 * np.ones(basis.dim)
-    hist = HistoryBuffer.from_array(0.01, np.tile(g, (101, 1)))
+    hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(basis.dim), np.zeros(basis.dim))
     dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.25)
     assert dd.G == 0.0 and dd.dissipation == 0.0
@@ -558,7 +558,7 @@ def test_damping_diag_constant_history_tail(setup6):
     ker = RelaxationKernel.exponential(0.5, 1.0)
     params = PhysicalParams(0.0, 0.5, ker, DampingLaw.linear(1.0), 0.0)
     g = 0.1 * np.ones(6)
-    hist = HistoryBuffer.from_array(0.01, np.tile(g, (101, 1)))
+    hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(6), np.zeros(6))
     dd = dg.damping_diag(
         st, params, basis, hist, ker, t1=0.25,
@@ -596,7 +596,7 @@ def test_damping_none_reports_empty(setup6):
     basis, grams = setup6
     params = PhysicalParams(0.0, 0.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
     st = PlateState(1.0, np.zeros(6), np.zeros(6), np.zeros(6))
-    hist = HistoryBuffer.from_array(0.01, np.zeros((101, 6)))
+    hist = HistoryBuffer(0.01, np.zeros((101, 6)))
     dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.5)
     assert dd.G == 0.0 and dd.dissipation == 0.0 and dd.omega1_empty
 

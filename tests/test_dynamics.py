@@ -7,12 +7,14 @@ under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from viscoplate import memory
+from viscoplate import dynamics, memory
 from viscoplate.dynamics import (
+    NEWTON_TOL,
     HistoryBuffer,
     PhysicalParams,
     PlateState,
@@ -22,6 +24,7 @@ from viscoplate.dynamics import (
     memory_term,
     residual,
     run,
+    _substep_solve,
     step,
 )
 from viscoplate.errors import DivergedError, InputError
@@ -68,6 +71,19 @@ def test_history_growth_and_views():
     assert buf.snapshots[150, 0] == 150.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_history_rejects_bad_spacing(dt):
+    with pytest.raises(InputError):
+        HistoryBuffer(dt, np.zeros((3, 2)))
+
+
+def test_history_snapshot_shapes():
+    assert HistoryBuffer(0.01, np.zeros(4)).snapshots.shape == (1, 4)
+    assert HistoryBuffer(0.01, np.zeros((3, 4))).snapshots.shape == (3, 4)
+    with pytest.raises(InputError):
+        HistoryBuffer(0.01, np.zeros((2, 3, 4)))
+
+
 def test_trap_weights_nonuniform():
     w = memory.weights(np.array([0.0, 1.0, 2.0, 2.5]), 2.5, np.ones_like)
     assert np.allclose(w, [0.5, 1.0, 0.75, 0.25], atol=1e-15)
@@ -86,7 +102,7 @@ def test_memory_constant_history_closed_form():
     rng = np.random.RandomState(0)
     g0 = 0.01 * rng.standard_normal(6)
     dt = 1e-3
-    buf = HistoryBuffer.from_array(dt, np.tile(g0, (1001, 1)))
+    buf = HistoryBuffer(dt, np.tile(g0, (1001, 1)))
     ker = RelaxationKernel.exponential(1.0, 1.0)
     got = memory_term(buf, ker, grams, 1.0)
     expect = (1.0 - math.exp(-1.0)) * (grams.M2 @ g0)
@@ -109,7 +125,7 @@ def test_memory_matches_brute_force():
     dt = 5e-3
     decay = 0.01 / (1.0 + np.arange(6)) ** 4
     snaps = rng.standard_normal((1001, 6)) * decay
-    buf = HistoryBuffer.from_array(dt, snaps)
+    buf = HistoryBuffer(dt, snaps)
     ker = RelaxationKernel.exponential(0.5, 1.3)
     for idx in rng.randint(1, 1001, 10):
         t = idx * dt
@@ -120,7 +136,7 @@ def test_memory_matches_brute_force():
 
 def test_memory_off_grid_time_rejected():
     basis, grams = make_setup()
-    buf = HistoryBuffer.from_array(0.01, np.zeros((11, 6)))
+    buf = HistoryBuffer(0.01, np.zeros((11, 6)))
     with pytest.raises(InputError):
         memory_term(buf, RelaxationKernel.exponential(0.5, 1.0), grams, 0.0551)
     with pytest.raises(InputError):
@@ -290,20 +306,71 @@ def test_step_divergence_attaches_state():
 
 
 def test_split_memory_matches_full_recomputation():
-    # the in-step endpoint split must agree with a fresh full-grid pass
+    # the stepper's in-step endpoint split of the memory load must agree with
+    # the full-grid memory_term oracle: every accepted state solves R = 0 under it
     basis, grams = make_setup()
-    params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(0.5), 0.0)
     rng = np.random.RandomState(17)
     g0 = 0.02 * rng.standard_normal(6)
+    for rho in (0.0, 1.0):
+        params = PhysicalParams(rho, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(0.5), 0.0)
+        st = initial_state(g0, np.zeros(6), params, grams, basis)
+        hist = HistoryBuffer(0.01, st.g)
+        for _ in range(50):
+            st = step(st, params, grams, basis, 0.01, history=hist)
+            mem = memory_term(hist, params.kernel, grams, st.t)
+            R = residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
+            assert np.max(np.abs(R)) <= NEWTON_TOL
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_substep_fallback_rescues_stalled_step(rho):
+    basis, grams = make_setup()
+    params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
+    g0 = np.zeros(6)
+    g0[0] = 0.04
     st = initial_state(g0, np.zeros(6), params, grams, basis)
-    hist = HistoryBuffer(0.01, st.g)
-    for _ in range(50):
-        st = step(st, params, grams, basis, 0.01, history=hist)
-    full = memory_term(hist, params.kernel, grams, st.t)
-    s = hist.times
-    w = memory.weights(s, st.t, params.kernel.value)
-    split = grams.M2 @ (hist.snapshots[:-1].T @ w[:-1]) + w[-1] * (grams.M2 @ hist.snapshots[-1])
-    assert np.max(np.abs(full - split)) <= 1e-13
+    with pytest.raises(DivergedError, match="Newton stalled"):
+        _substep_solve(
+            st.t, st.g, st.v, st.a, 2.0, np.array([st.t]), st.g[None, :],
+            params, grams, basis, NEWTON_TOL,
+        )
+    whole = step(st, params, grams, basis, 2.0, history=HistoryBuffer(2.0, st.g))
+    hist = HistoryBuffer(1.0, st.g)
+    halves = step(step(st, params, grams, basis, 1.0, history=hist), params, grams, basis, 1.0, history=hist)
+    assert whole.step_index == 1 and whole.t == halves.t == 2.0
+    assert np.array_equal(whole.g, halves.g)
+    assert np.array_equal(whole.v, halves.v)
+    assert np.array_equal(whole.a, halves.a)
+
+
+def test_step_diverges_on_non_finite_newton_matrix():
+    # the predictor overflows the inertia weight before any residual is evaluated
+    basis, grams = make_setup()
+    params = PhysicalParams(1.0, 0.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
+    st = PlateState(t=0.0, g=np.zeros(6), v=np.full(6, 1e200), a=np.zeros(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError):
+            step(st, params, grams, basis, 0.01)
+
+
+def test_one_newton_matrix_and_factor_per_solve(monkeypatch):
+    counts = {"factor": 0, "matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "cho_factor", counted("factor", dynamics.cho_factor))
+    monkeypatch.setattr(dynamics, "inertia_mass", counted("matrix", dynamics.inertia_mass))
+    params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0)
+    scn = OneShotScenario(params, 0.01, 0.5, np.array([0.05, 0.01, 0.0, 0.0]), np.array([0.0, 0.2, 0.0, 0.0]))
+    traj = run(scn)
+    assert len(traj) == 51
+    assert counts == {"factor": 51, "matrix": 51}
 
 
 # --- run -----------------------------------------------------------------
@@ -332,14 +399,6 @@ def test_run_with_memory_is_deterministic():
     assert np.array_equal(t1.v, t2.v)
     assert np.array_equal(t1.a, t2.a)
     assert len(t1) == 201
-
-
-def test_run_invokes_sampler_per_state():
-    seen = []
-    scn = OneShotScenario(CONSERVATIVE, 0.01, 0.1, 0.01 * np.ones(4), np.zeros(4))
-    run(scn, on_sample=lambda st: seen.append(st.t))
-    assert len(seen) == 11
-    assert seen[0] == 0.0
 
 
 def test_trajectory_state_and_history_roundtrip():
