@@ -427,17 +427,15 @@ def check_well(bundle: SeriesBundle, wc: WellConstants) -> WellReport:
         reason = "initial energy not inside (0, d)"
     if reason is not None:
         return WellReport(False, reason, [], None, False, e0, u0)
-    violations = []
-    rb2 = wc.rho_bar**2
-    for i, t in enumerate(bundle.times):
-        if not bundle.mass[i] < rb2:
-            violations.append((float(t), "mass"))
-        if not bundle.I[i] > 0.0:
-            violations.append((float(t), "nehari"))
-        if not bundle.kin_rho[i] <= e0:
-            violations.append((float(t), "kinetic"))
-        if not bundle.bend_rate[i] <= 2.0 * e0:
-            violations.append((float(t), "bend_rate"))
+    held = np.column_stack([
+        bundle.mass < wc.rho_bar**2,
+        bundle.I > 0.0,
+        bundle.kin_rho <= e0,
+        bundle.bend_rate <= 2.0 * e0,
+    ])
+    rows, cols = np.nonzero(~held)  # row-major: by time, then condition
+    names = ("mass", "nehari", "kinetic", "bend_rate")
+    violations = [(float(bundle.times[i]), names[j]) for i, j in zip(rows, cols)]
     first = violations[0][0] if violations else None
     return WellReport(True, None, violations, first, not violations, e0, u0)
 

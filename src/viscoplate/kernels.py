@@ -16,14 +16,14 @@ This module represents the families that the catalog spec strings build
 power moduli, linear and cubic damping), validates the admissibility
 conditions on grids, extends moduli to the whole half line, computes convex
 conjugates, and builds the explicit energy-decay envelope curves implied by
-the decay law.  Moduli and origin profiles are inverted in closed form; a
-nonlinear envelope costs one scalar bisection per point, as does a convex
-conjugate (absolute tolerance 1e-12, 200 iterations).
+the decay law.  Moduli, weights, origin profiles and envelopes evaluate
+arrays elementwise; moduli and origin profiles invert in closed form, and a
+nonlinear envelope costs one elementwise bisection over all its points, as
+does a convex conjugate (absolute tolerance 1e-12, at most 200 halvings).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -37,41 +37,52 @@ CURVATURE_FLOOR = 1e-8  # strict-convexity floor for modulus extensions
 _REL_TOL = 1e-12
 
 
-def invert_increasing(f, y, lo=0.0, hi=None, tol=INVERSION_TOL, max_iter=INVERSION_MAX_ITER):
-    """Solve f(s) = y for an increasing scalar function by bisection.
+def _vector(x) -> np.ndarray:
+    """x as a float array with at least one axis.  numpy's scalar pow and log
+    differ in the last bit from its array kernels, so scalars take the array path."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
-    If `hi` is None the upper bracket is grown geometrically until f(hi) >= y.
-    Raises DomainError when y cannot be bracketed.
+
+def _result(out: np.ndarray, *inputs):
+    """out as a Python float when every input is a scalar; else the array."""
+    return float(out[0]) if all(np.ndim(x) == 0 for x in inputs) else out
+
+
+def invert_increasing(f, y, lo=0.0, hi=None):
+    """Solve f(s) = y elementwise by bisection, for an increasing elementwise f.
+
+    y is a scalar or an array of targets; lo and hi broadcast against it.  If
+    hi is None, each upper bracket doubles from max(1, 2 lo) until f(hi) >= y.
+    Each element is halved at least once and until its bracket is at most
+    INVERSION_TOL wide, then frozen, so its root has the bits of a scalar
+    bisection.  Overflow in f reads as +inf; an unbracketable y raises DomainError.
     """
-    if not np.isfinite(y):
+    target, y, lo = y, _vector(y), _vector(lo)
+    if not np.isfinite(y).all():
         raise DomainError(f"cannot invert at non-finite target {y!r}")
-
-    def fs(s):
-        try:
-            return f(s)
-        except OverflowError:
-            return math.inf
-
-    if hi is None:
-        hi = max(1.0, 2.0 * lo)
-        for _ in range(600):
-            if fs(hi) >= y:
+    with np.errstate(over="ignore"):
+        if hi is None:
+            hi = np.maximum(1.0, 2.0 * lo)
+            for _ in range(600):
+                short = ~(f(hi) >= y)  # a nan keeps growing, as in a failed check
+                if not short.any():
+                    break
+                hi = np.where(short, 2.0 * hi, hi)
+            else:
+                raise DomainError(f"target {y!r} not reachable while expanding bracket")
+        flo = f(lo)
+        if (flo > y).any():
+            raise DomainError(f"target {y!r} below f({lo}) = {flo}")
+        active = np.ones(y.shape, dtype=bool)
+        for _ in range(INVERSION_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            below = f(mid) < y
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+            active &= hi - lo > INVERSION_TOL
+            if not active.any():
                 break
-            hi *= 2.0
-        else:
-            raise DomainError(f"target {y!r} not reachable while expanding bracket")
-    flo = fs(lo)
-    if flo > y:
-        raise DomainError(f"target {y!r} below f({lo}) = {flo}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if fs(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return _result(0.5 * (lo + hi), target)
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +217,26 @@ class ConvexModulus:
     def is_linear(self) -> bool:
         return self.form == "linear"
 
-    def _base_scalar(self, s: float, order: int) -> float:
-        if self.form == "linear":
-            if order == 0:
-                return self.slope * s
-            return self.slope if order == 1 else 0.0
-        c, p = self.coef, self.p
-        if order == 0:
-            return c * s**p
-        if order == 1:
-            return c * p * s ** (p - 1.0)
-        return c * p * (p - 1.0) * s ** (p - 2.0)
-
-    def _eval_scalar(self, s: float, order: int) -> float:
-        if s <= self.r1 * (1.0 + _REL_TOL) or self.is_linear:
-            return self._base_scalar(s, order)
-        if self.ext is None:
+    def _eval(self, x, order):
+        """B (order 0), B' (1) or B'' (2) elementwise; a scalar gives a float."""
+        s = _vector(x)
+        if self.is_linear:
+            return _result((self.slope * s, np.full_like(s, self.slope), np.zeros_like(s))[order], x)
+        inside = s <= self.r1 * (1.0 + _REL_TOL)
+        if self.ext is None and not inside.all():
             raise DomainError(
-                f"modulus evaluated at {s} beyond domain edge {self.r1} "
+                f"modulus evaluated at {np.max(s)} beyond domain edge {self.r1} "
                 "(call extend_modulus first)"
             )
-        v1, d1, kap = self.ext
-        ds = s - self.r1
-        if order == 0:
-            return v1 + d1 * ds + 0.5 * kap * ds * ds
-        return d1 + kap * ds if order == 1 else kap
-
-    def _eval(self, s, order):
-        if isinstance(s, (float, int)):
-            return self._eval_scalar(float(s), order)
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._eval_scalar(float(s), order)
-        out = np.array([self._eval_scalar(v, order) for v in s.ravel()])
-        return out.reshape(s.shape)
+        c, p = self.coef, self.p
+        # s**(p - 2) divides at s = 0, and far past r1 the unselected power form overflows
+        with np.errstate(over="ignore", divide="ignore"):
+            out = (c, c * p, c * p * (p - 1.0))[order] * s ** (p - order)
+        if self.ext is not None:
+            v1, d1, kap = self.ext
+            ds = s - self.r1
+            out = np.where(inside, out, (v1 + d1 * ds + 0.5 * kap * ds * ds, d1 + kap * ds, kap)[order])
+        return _result(out, x)
 
     def value(self, s):
         return self._eval(s, 0)
@@ -247,20 +244,21 @@ class ConvexModulus:
     def deriv(self, s):
         return self._eval(s, 1)
 
-    def inverse(self, y: float) -> float:
-        """Inverse of B in closed form (linear, power, or the extension)."""
-        y = float(y)
+    def inverse(self, y):
+        """Inverse of B elementwise in closed form (linear, power, or the extension)."""
+        target, y = y, _vector(y)
         if self.is_linear:
-            return y / self.slope
-        if y <= 0.0:
-            return 0.0
-        edge = self._base_scalar(self.r1, 0)
-        if y > edge * (1.0 + _REL_TOL):
-            if self.ext is None:
-                raise DomainError(f"inverse target {y} above B(r1)")
+            return _result(y / self.slope, target)
+        above = y > self.value(self.r1) * (1.0 + _REL_TOL)
+        if self.ext is None and above.any():
+            raise DomainError(f"inverse target {np.max(y)} above B(r1)")
+        out = (np.maximum(y, 0.0) / self.coef) ** (1.0 / self.p)  # 0 for y <= 0
+        if self.ext is not None:
             v1, d1, kap = self.ext
-            return self.r1 + (math.sqrt(d1 * d1 + 2.0 * kap * (y - v1)) - d1) / kap
-        return (y / self.coef) ** (1.0 / self.p)
+            # y >= v1 wherever the extension is selected
+            root = np.sqrt(d1 * d1 + 2.0 * kap * (np.maximum(y, v1) - v1))
+            out = np.where(above, self.r1 + (root - d1) / kap, out)
+        return _result(out, target)
 
     def deriv_inverse(self, y: float, hi: float | None = None) -> float:
         """Inverse of B' by bisection (used for convex conjugates)."""
@@ -268,7 +266,7 @@ class ConvexModulus:
             raise DomainError("derivative of a linear modulus is not invertible")
         if hi is None:
             hi = None if self.ext is not None else self.r1
-        return invert_increasing(lambda s: self._eval_scalar(s, 1), float(y), 0.0, hi)
+        return invert_increasing(self.deriv, y, 0.0, hi)
 
 
 def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
@@ -281,9 +279,7 @@ def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
     if modulus.is_linear:
         return modulus
     r1 = float(modulus.r1)
-    v1 = modulus._base_scalar(r1, 0)
-    d1 = modulus._base_scalar(r1, 1)
-    d2 = modulus._base_scalar(r1, 2)
+    v1, d1, d2 = (modulus._eval(r1, order) for order in range(3))
     if not np.isfinite(d2):
         raise DomainError("modulus second derivative not finite at r1")
     return replace(modulus, ext=(v1, d1, max(d2, CURVATURE_FLOOR)))
@@ -296,11 +292,11 @@ def convex_conjugate(K: ConvexModulus, tau: float, r: float | None = None) -> fl
     """
     if r is None:
         r = K.r1
-    klim = K._eval_scalar(float(r), 1)
+    klim = K.deriv(r)
     if not 0.0 < tau < klim:
         raise DomainError(f"conjugate argument {tau} outside (0, {klim})")
     s_star = K.deriv_inverse(tau, hi=r)
-    return tau * s_star - K._eval_scalar(s_star, 0)
+    return tau * s_star - K.value(s_star)
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +331,20 @@ class XiWeight:
             return np.full_like(t, self.xi0)
         return self.xi0 * (1.0 + t) ** (-self.theta)
 
-    def integral_power(self, t0: float, t: float, power: float = 1.0) -> float:
-        """int_{t0}^{t} xi(s)**power ds in closed form."""
-        if t < t0:
+    def integral_power(self, t0, t, power: float = 1.0):
+        """int_{t0}^{t} xi(s)**power ds elementwise in closed form."""
+        lo, hi = _vector(t0), _vector(t)
+        if (hi < lo).any():
             raise DomainError("integral upper limit below lower limit")
-        if self.form == "constant":
-            return self.xi0**power * (t - t0)
         mu = self.theta * power
         scale = self.xi0**power
-        if abs(mu - 1.0) < 1e-14:
-            return scale * math.log((1.0 + t) / (1.0 + t0))
-        return scale * ((1.0 + t) ** (1.0 - mu) - (1.0 + t0) ** (1.0 - mu)) / (1.0 - mu)
+        if self.form == "constant":
+            out = scale * (hi - lo)
+        elif abs(mu - 1.0) < 1e-14:
+            out = scale * np.log((1.0 + hi) / (1.0 + lo))
+        else:
+            out = scale * ((1.0 + hi) ** (1.0 - mu) - (1.0 + lo) ** (1.0 - mu)) / (1.0 - mu)
+        return _result(out, t0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +409,12 @@ class DampingLaw:
             return s**self.p
         raise DomainError(f"damping form {self.form!r} has no origin profile")
 
-    def h1_inverse(self, y: float) -> float:
+    def h1_inverse(self, y):
+        target, y = y, _vector(y)
         if self.form == "linear":
-            return float(y) / min(self.c, 1.0 / self.c)
+            return _result(y / min(self.c, 1.0 / self.c), target)
         if self.form == "origin_power":
-            return float(y) ** (1.0 / self.p)
+            return _result(y ** (1.0 / self.p), target)
         raise DomainError(f"damping form {self.form!r} has no origin profile")
 
     @property
@@ -521,7 +521,7 @@ def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> Validation
         s_small = np.abs(grid[nz][small])
         habs = np.abs(hv[nz][small])
         lo = damping.h1(s_small)
-        hi = np.array([damping.h1_inverse(v) for v in s_small])
+        hi = damping.h1_inverse(s_small)
         if np.any(habs < lo * (1.0 - 1e-9) - 1e-15):
             violations.append("lower sandwich h1(|s|) <= |h(s)| violated near origin")
         if np.any(habs > hi * (1.0 + 1e-9) + 1e-15):
@@ -561,17 +561,16 @@ class DecayEnvelope:
     """
 
     validity_start: float
-    _eval: Callable[[float], float]
+    _eval: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = _vector(t)
         if np.any(t_arr < self.validity_start - 1e-15):
             raise DomainError(
                 f"envelope evaluated at t = {float(np.min(t_arr))} before validity start "
                 f"{self.validity_start}"
             )
-        out = np.array([self._eval(float(ti)) for ti in t_arr])
-        return out if np.ndim(t) else float(out[0])
+        return _result(self._eval(t_arr), t)
 
 
 def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEnvelope:
@@ -581,23 +580,11 @@ def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEn
     if c <= 0 or t0 < 0:
         raise InputError("need c > 0 and t0 >= 0")
 
-    def _eval(t: float) -> float:
+    def _eval(t):
         acc = xi.integral_power(t0, t, 1.0 + eps0)
         return c * (1.0 + acc) ** (-1.0 / eps0)
 
     return DecayEnvelope(t0, _eval)
-
-
-def _make_dK(modulus: ConvexModulus, eps0: float):
-    """K'(t) for K(t) = Bbar(t^(1+eps0)), the inverse of y -> Bbar^{-1}(y)^(1/(1+eps0))."""
-    Bbar = extend_modulus(modulus)
-
-    def dK(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return (1.0 + eps0) * t**eps0 * Bbar._eval_scalar(t ** (1.0 + eps0), 1)
-
-    return dK
 
 
 def envelope_nonlinear_B(
@@ -621,18 +608,20 @@ def envelope_nonlinear_B(
         raise InputError("need t1 > t0")
     if eps0 <= 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    dK = _make_dK(modulus, eps0)
+    Bbar = extend_modulus(modulus)
 
-    def K1(t: float) -> float:
-        return t * dK(eps1 * t)
+    def K1(t):
+        # t K'(eps1 t) for K(u) = Bbar(u^(1+eps0)), the inverse of y -> Bbar^{-1}(y)^(1/(1+eps0))
+        s = _vector(t)
+        u = np.maximum(eps1 * s, 0.0)  # K' vanishes at and below 0
+        return _result(s * ((1.0 + eps0) * u**eps0 * Bbar.deriv(u ** (1.0 + eps0))), t)
 
-    def _eval(t: float) -> float:
-        tau = (t - t0) ** (1.0 / (1.0 + eps0))
+    def _eval(t):
         acc = xi.integral_power(t1, t, 1.0)
-        if acc <= 0.0:
+        if np.any(acc <= 0.0):
             raise DomainError("weight integral vanishes on the evaluation window")
-        y = c1 / (tau * acc)
-        root = invert_increasing(K1, y, 0.0, None)
+        tau = (t - t0) ** (1.0 / (1.0 + eps0))
+        root = invert_increasing(K1, c1 / (tau * acc))
         return c * tau * root
 
     env = DecayEnvelope(t1, _eval)
@@ -666,25 +655,22 @@ def envelope_nonlinear_both(
     Hbar = extend_modulus(dampingH)
     expo = 1.0 / (1.0 + eps)
 
-    def phi(y: float) -> float:
+    def phi(y):
         return Bbar.inverse(y) ** expo + Hbar.inverse(y) ** expo
 
-    def W2_of_y(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
+    def W2_of_y(y):
         rb, rh = Bbar.inverse(y), Hbar.inverse(y)
-        phi_p = expo * (
-            rb ** (expo - 1.0) / Bbar._eval_scalar(rb, 1)
-            + rh ** (expo - 1.0) / Hbar._eval_scalar(rh, 1)
-        )
-        return (rb**expo + rh**expo) / (eps1 * phi_p)
+        # rb = rh = 0 at y = 0, where W2 is 0 and the quotient is not used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_p = expo * (rb ** (expo - 1.0) / Bbar.deriv(rb) + rh ** (expo - 1.0) / Hbar.deriv(rh))
+            return np.where(y > 0.0, (rb**expo + rh**expo) / (eps1 * phi_p), 0.0)
 
-    def _eval(t: float) -> float:
-        tau = (t - t0) ** expo
+    def _eval(t):
         acc = xi.integral_power(t0, t, 1.0)
-        if acc <= 0.0:
+        if np.any(acc <= 0.0):
             raise DomainError("weight integral vanishes on the evaluation window")
-        y = invert_increasing(W2_of_y, c / (tau * acc), 0.0, None)
+        tau = (t - t0) ** expo
+        y = invert_increasing(W2_of_y, c / (tau * acc))
         return c * tau * phi(y) / eps1
 
     return DecayEnvelope(t0, _eval)
@@ -703,7 +689,7 @@ def _parse_args(spec: str, name: str, count: tuple) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"non-numeric argument in {spec!r}") from exc
-    if not all(math.isfinite(v) for v in values):
+    if not np.isfinite(values).all():
         raise InputError(f"non-finite argument in {spec!r}")
     return values
 

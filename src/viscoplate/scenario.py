@@ -195,7 +195,7 @@ class Scenario:
         dim = self.n**self.spatial_dim
         for name, spec in (("initial.u", self.initial_u), ("initial.v", self.initial_v)):
             try:
-                _check_initial_spec(spec, dim)
+                _parse_initial(spec, self.spatial_dim, dim)
             except Exception as exc:
                 errs.append(f"{name}: {exc}")
         return errs
@@ -204,12 +204,30 @@ class Scenario:
 # --- initial data -------------------------------------------------------
 
 
-def _check_initial_spec(spec: str, dim: int) -> None:
+def _parse_initial(spec: str, spatial_dim: int, dim: int):
+    """Parse an initial-data spec: zero, a sum of mode(j, amplitude) terms, or table(path).
+
+    Returns the (rows, 2) array of (x, value) samples for a table, and the
+    list of (j, amplitude) pairs otherwise.  The table file is read here, so
+    a missing or malformed file is a ScenarioError.
+    """
     spec = spec.strip()
     if spec == "zero":
-        return
+        return []
     if spec.startswith("table(") and spec.endswith(")"):
-        return
+        path = spec[6:-1].strip()
+        if spatial_dim != 1:
+            raise ScenarioError("tabulated initial data is one-dimensional only")
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"cannot read table {path!r}: {exc}") from None
+        if data.shape[1] != 2:
+            raise ScenarioError("tabulated initial data needs two columns (x, value)")
+        if not np.isfinite(data).all():
+            raise ScenarioError(f"table {path!r} holds a non-finite number")
+        return data
+    terms = []
     for part in spec.split("+"):
         part = part.strip()
         if not (part.startswith("mode(") and part.endswith(")")):
@@ -223,26 +241,18 @@ def _check_initial_spec(spec: str, dim: int) -> None:
             raise ScenarioError(f"mode index {j} outside 1..{dim}")
         if not math.isfinite(amplitude):
             raise ScenarioError(f"mode amplitude in {part!r} must be finite")
+        terms.append((j, amplitude))
+    return terms
 
 
 def _initial_vector(spec: str, basis, grams) -> np.ndarray:
-    spec = spec.strip()
-    g = np.zeros(basis.dim)
-    if spec == "zero":
-        return g
-    if spec.startswith("table(") and spec.endswith(")"):
-        path = spec[6:-1].strip()
-        if basis.spatial_dim != 1:
-            raise ScenarioError("tabulated initial data is one-dimensional only")
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        if data.shape[1] != 2:
-            raise ScenarioError("tabulated initial data needs two columns (x, value)")
-        xs, vals = data[:, 0], data[:, 1]
+    parsed = _parse_initial(spec, basis.spatial_dim, basis.dim)
+    if isinstance(parsed, np.ndarray):
+        xs, vals = parsed[:, 0], parsed[:, 1]
         return project_initial(lambda x: np.interp(x, xs, vals), basis, grams)
-    for part in spec.split("+"):
-        part = part.strip()
-        args = part[5:-1].split(",")
-        g[int(args[0]) - 1] += float(args[1])
+    g = np.zeros(basis.dim)
+    for j, amplitude in parsed:
+        g[j - 1] += amplitude
     return g
 
 

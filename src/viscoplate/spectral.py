@@ -22,37 +22,26 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AssemblyError, InputError
+from .kernels import invert_increasing
 
-ROOT_TOL = 1e-12
 CP_TOL = 1e-10
 
 
 def beam_roots(count: int) -> np.ndarray:
     """First `count` positive roots of cos(b) cosh(b) = 1.
 
-    Bisection on the brackets ((j + 1/4) pi, (j + 3/4) pi); the stable
-    residual cos(b) - sech(b) avoids cosh overflow.
+    One elementwise bisection on the brackets ((j + 1/4) pi, (j + 3/4) pi) of
+    cos(b) - sech(b), signed per bracket to increase; sech avoids cosh overflow.
     """
     if count < 1:
         raise InputError("need at least one root")
+    j = np.arange(1, count + 1)
+    sign = np.where(j % 2 == 1, 1.0, -1.0)  # cos((j + 1/4) pi) has the sign of (-1)^j
 
-    def f(b: float) -> float:
-        return math.cos(b) - 1.0 / math.cosh(b)
+    def f(b):
+        return sign * (np.cos(b) - 1.0 / np.cosh(b))
 
-    roots = np.empty(count)
-    for j in range(1, count + 1):
-        lo, hi = (j + 0.25) * math.pi, (j + 0.75) * math.pi
-        flo = f(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (f(mid) < 0.0) == (flo < 0.0):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= ROOT_TOL:
-                break
-        roots[j - 1] = 0.5 * (lo + hi)
-    return roots
+    return invert_increasing(f, np.zeros(count), (j + 0.25) * math.pi, (j + 0.75) * math.pi)
 
 
 def _one_minus_sigma(beta: np.ndarray) -> np.ndarray:

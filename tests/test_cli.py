@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing", "unparsable", "non-finite", "three-columns", "two-dimensional"])
+def test_bad_initial_table_refused_before_running(tmp_path, capsys, case):
+    table = tmp_path / "profile.csv"
+    if case == "unparsable":
+        table.write_text("0.0,0.0\nhalf,0.1\n1.0,0.0\n")
+    elif case == "non-finite":
+        table.write_text("0.0,0.0\n0.5,nan\n1.0,0.0\n")
+    elif case == "three-columns":
+        table.write_text("0.0,0.0,1\n0.5,0.1,1\n1.0,0.0,1\n")
+    elif case == "two-dimensional":
+        table.write_text("0.0,0.0\n0.5,0.1\n1.0,0.0\n")
+    text = DISSIPATIVE.replace("u = mode(1,0.04)", f"u = table({table})")
+    if case == "two-dimensional":
+        text = text.replace("dim = 1", "dim = 2")
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text + f"[output]\ndir = {out}\n")
+    assert main(["run", cfg]) == 2
+    assert "error: initial.u" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_two(capsys):
     assert main(["run", "definitely-not-a-preset"]) == 2
     assert "preset" in capsys.readouterr().err.lower()
@@ -141,11 +163,11 @@ def test_rerun_identical_bytes_except_wall_clock(tmp_path):
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "out")
     assert main(["run", cfg, "--out", out]) == 0
-    csv1 = open(os.path.join(out, "timeseries.csv"), "rb").read()
-    rep1 = open(os.path.join(out, "report.json")).readlines()
+    csv1 = Path(out, "timeseries.csv").read_bytes()
+    rep1 = Path(out, "report.json").read_text().splitlines(keepends=True)
     assert main(["run", cfg, "--out", out]) == 0
-    csv2 = open(os.path.join(out, "timeseries.csv"), "rb").read()
-    rep2 = open(os.path.join(out, "report.json")).readlines()
+    csv2 = Path(out, "timeseries.csv").read_bytes()
+    rep2 = Path(out, "report.json").read_text().splitlines(keepends=True)
     assert csv1 == csv2
     kept1 = [l for l in rep1 if "wall_clock" not in l]
     kept2 = [l for l in rep2 if "wall_clock" not in l]
@@ -156,7 +178,7 @@ def test_csv_schema_and_stride(tmp_path):
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "out")
     assert main(["run", cfg, "--out", out, "--stride", "10"]) == 0
-    lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
+    lines = Path(out, "timeseries.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) - 1 == 11  # rows 0,10,...,100 of 101 samples
     first = lines[1].split(",")
@@ -270,7 +292,7 @@ def test_sweep_single_cell_matches_run(tmp_path, monkeypatch):
         os.path.join(run_out, "timeseries.csv"),
         shallow=False,
     )
-    lines = open(os.path.join(sweep_out, "summary.csv")).read().splitlines()
+    lines = Path(sweep_out, "summary.csv").read_text().splitlines()
     assert len(lines) == 2
 
 
@@ -283,7 +305,7 @@ def test_sweep_three_cells_with_summary(tmp_path, monkeypatch):
     assert len(cells) == 3
     for cell in cells:
         assert os.path.exists(os.path.join(out, cell, "report.json"))
-    lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+    lines = Path(out, "summary.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("cell,exit_code,k,")
 
@@ -294,7 +316,7 @@ def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
     out = str(tmp_path / "sw")
     # middle cell trips the H4 guard, others succeed
     assert main(["sweep", cfg, "--axis", "k=0.5,5000,1.0", "--out", out]) == 1
-    rows = open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+    rows = Path(out, "summary.csv").read_text().splitlines()[1:]
     codes = [int(r.split(",")[1]) for r in rows]
     assert codes == [0, 1, 0]
 
@@ -312,7 +334,7 @@ def test_sweep_kernel_rate_ordering(tmp_path, monkeypatch):
         "--out", out,
     ])
     assert code == 0
-    rows = open(os.path.join(out, "summary.csv")).read().splitlines()[1:]
+    rows = Path(out, "summary.csv").read_text().splitlines()[1:]
     exponents = [float(r.split(",")[-1]) for r in rows]
     assert len(exponents) == 3
     assert exponents[0] > exponents[1] > exponents[2] > 0.0

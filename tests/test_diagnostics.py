@@ -6,6 +6,7 @@ closed-form envelopes for the decay fits.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -367,6 +368,37 @@ def test_check_well_certified_trajectory(certified_run):
     assert rep.certified and rep.passed
     assert rep.violations == [] and rep.first_violation_time is None
     assert 0.0 < rep.e0 < wc.d and rep.u0_norm < wc.rho_bar
+
+
+def _well_violations_by_loop(bundle, wc):
+    """The per-sample loop check_well ran before it vectorised: the oracle for its order."""
+    e0, rb2, out = float(bundle.E[0]), wc.rho_bar**2, []
+    for i, t in enumerate(bundle.times):
+        if not bundle.mass[i] < rb2:
+            out.append((float(t), "mass"))
+        if not bundle.I[i] > 0.0:
+            out.append((float(t), "nehari"))
+        if not bundle.kin_rho[i] <= e0:
+            out.append((float(t), "kinetic"))
+        if not bundle.bend_rate[i] <= 2.0 * e0:
+            out.append((float(t), "bend_rate"))
+    return out
+
+
+def test_check_well_reports_violations_in_time_order(certified_run):
+    traj = certified_run
+    wc = dg.well_constants(traj.params, estimate_cp(traj.grams), a=0.25)
+    b = dg.analyze(traj)
+    I, mass = b.I.copy(), b.mass.copy()
+    I[[40, 700, 1500]] = -1e-3
+    mass[[700, 1200]] = 1.5 * wc.rho_bar**2
+    bad = replace(b, I=I, mass=mass)
+    rep = dg.check_well(bad, wc)
+    expected = _well_violations_by_loop(bad, wc)
+    assert [name for _, name in expected] == ["nehari", "mass", "nehari", "mass", "nehari"]
+    assert rep.certified and not rep.passed
+    assert rep.violations == expected
+    assert rep.first_violation_time == expected[0][0] == float(b.times[40])
 
 
 # --- Lyapunov ------------------------------------------------------------

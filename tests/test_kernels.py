@@ -464,6 +464,129 @@ def test_envelope_both_positive_decreasing():
     assert np.all(np.diff(vals) <= 1e-12)
 
 
+# --- one array path: arrays give the bits of per-element scalar calls ----
+
+
+def _each(fn, xs):
+    out = [fn(float(x)) for x in xs]
+    assert all(type(v) is float for v in out)
+    return np.array(out)
+
+
+R1 = 0.5
+INSIDE = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.01, R1, 24), [R1, R1 * (1.0 + 1e-13)]])
+BEYOND = np.concatenate([[R1 * (1.0 + 1e-11)], np.linspace(0.6, 40.0, 23)])
+MODULI = {
+    "linear": (ConvexModulus.linear(2.0, r1=R1), np.concatenate([INSIDE, BEYOND])),
+    "power": (ConvexModulus.power(1.5, coef=0.7, r1=R1), INSIDE),
+    "extended-power": (extend_modulus(ConvexModulus.power(2.5, r1=R1)), np.concatenate([INSIDE, BEYOND])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULI))
+def test_modulus_arrays_match_scalar_calls(name):
+    mod, s = MODULI[name]
+    for fn in (mod.value, mod.deriv):
+        assert np.array_equal(fn(s), _each(fn, s))
+    beyond = [1e3] if mod.ext is not None or mod.is_linear else []
+    y = np.concatenate([[-1.0, 0.0], mod.value(s), beyond])
+    assert np.array_equal(mod.inverse(y), _each(mod.inverse, y))
+    assert np.allclose(mod.inverse(mod.value(s)), s, rtol=1e-12, atol=1e-12)
+
+
+def test_unextended_modulus_array_raises_beyond_edge():
+    mod = ConvexModulus.power(1.5, coef=0.7, r1=R1)
+    with pytest.raises(DomainError):
+        mod.value(np.array([0.1, 0.7]))
+    with pytest.raises(DomainError):
+        mod.inverse(np.array([0.1, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "xi, power",
+    [
+        (XiWeight.constant(1.3), 1.5),
+        (XiWeight.rational(0.5, 2.0), 1.5),
+        (XiWeight.rational(0.5, 2.0), 2.0),  # mu = 1: the logarithmic branch
+        (XiWeight.rational(1.0), 1.0),
+    ],
+)
+def test_xi_integral_power_arrays_match_scalar_calls(xi, power):
+    t = np.linspace(0.3, 50.0, 60)
+    each = _each(lambda ti: xi.integral_power(0.3, ti, power), t)
+    assert np.array_equal(xi.integral_power(0.3, t, power), each)
+    t0 = 0.5 * t
+    pairs = [xi.integral_power(float(a), float(b), power) for a, b in zip(t0, t)]
+    assert np.array_equal(xi.integral_power(t0, t, power), np.array(pairs))
+    with pytest.raises(DomainError):
+        xi.integral_power(1.0, np.array([2.0, 0.5]), power)
+
+
+@pytest.mark.parametrize("law", [DampingLaw.linear(4.0), DampingLaw.origin_power(3.0, 0.5)])
+def test_h1_inverse_arrays_match_scalar_calls(law):
+    y = np.linspace(0.0, 0.5, 51)
+    assert np.array_equal(law.h1_inverse(y), _each(law.h1_inverse, y))
+
+
+def _envelopes():
+    mod = ConvexModulus.power(1.5, r1=0.3)
+    return {
+        "linear": envelope_linear_B(XiWeight.rational(0.7), 0.5, 2.0, 1.0),
+        "nonlinear-B": envelope_nonlinear_B(XiWeight.constant(1.0), 0.5, 0.5, 1.0, 1.0, 0.0, 1.0, mod),
+        "nonlinear-both": envelope_nonlinear_both(
+            XiWeight.rational(0.6, 1.5), 0.5, 0.5, 1.0, 0.0, mod, ConvexModulus.power(2.0, r1=0.05)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "nonlinear-B", "nonlinear-both"])
+def test_envelope_arrays_match_scalar_calls(name):
+    env = _envelopes()[name]
+    t = np.linspace(env.validity_start + 1e-3, 60.0, 64)
+    vals = env(t)
+    assert np.array_equal(vals, _each(env, t))
+    assert np.all(vals > 0)
+
+
+def _scalar_bisection(f, y, lo, hi=None):
+    """The Python-float loop invert_increasing ran before it vectorised.
+
+    Returns the root with the number of bracket doublings and halvings.
+    """
+    doublings = 0
+    if hi is None:
+        hi = max(1.0, 2.0 * lo)
+        while f(hi) < y:
+            hi *= 2.0
+            doublings += 1
+    for halvings in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi), doublings, halvings
+
+
+def test_invert_increasing_array_matches_scalar_loop():
+    # s^3 + s is the same arithmetic on floats and arrays; the targets need
+    # 0 to 7 bracket doublings, and lo varies, so elements stop at different halvings
+    def f(s):
+        return s * s * s + s
+
+    y = np.array([1e-9, 0.3, 2.0, 9.5, 700.0, 3e5, 5.0])
+    lo = np.array([0.0, 0.0, 0.5, 0.0, 2.0, 0.0, 0.9])
+    ref = [_scalar_bisection(f, float(v), float(l)) for v, l in zip(y, lo)]
+    assert {d for _, d, _ in ref} >= {0, 1, 7}
+    assert len({h for _, _, h in ref}) >= 3
+    roots = invert_increasing(f, y, lo)
+    assert np.array_equal(roots, [r for r, _, _ in ref])
+    assert np.array_equal(roots, [invert_increasing(f, float(v), float(l)) for v, l in zip(y, lo)])
+    assert type(invert_increasing(f, 2.0)) is float
+
+
 # --- catalog strings -----------------------------------------------------
 
 

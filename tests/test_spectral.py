@@ -50,6 +50,32 @@ def test_roots_match_brentq_oracle():
     assert np.max(np.abs(r - oracle_roots(20))) < 1e-10
 
 
+def _scalar_bisection_roots(count):
+    """Per-root scalar bisection on Python floats: the loop beam_roots ran before it vectorised."""
+    def f(b):
+        return math.cos(b) - 1.0 / math.cosh(b)
+
+    roots = []
+    for j in range(1, count + 1):
+        lo, hi = (j + 0.25) * math.pi, (j + 0.75) * math.pi
+        flo = f(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (f(mid) < 0.0) == (flo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12:
+                break
+        roots.append(0.5 * (lo + hi))
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("count", [1, 8, 48, 100])
+def test_roots_bit_identical_to_scalar_bisection(count):
+    assert np.array_equal(beam_roots(count), _scalar_bisection_roots(count))
+
+
 def test_roots_approach_half_integer_multiples():
     # the true gap behaves like 2 e^{-beta}; below the 1e-12 root tolerance
     # it is indistinguishable from rounding, so monotonicity is only asserted
