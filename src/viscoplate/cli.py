@@ -123,19 +123,16 @@ def _build_envelope(case: str, scn: Scenario, params):
 
 
 def _write_csv(path: str, bundle, L: np.ndarray, stride: int) -> None:
-    tail = bundle.memory_tail
+    tail = bundle.memory_tail if bundle.memory_tail is not None else np.full_like(bundle.times, math.nan)
+    cols = (
+        bundle.times, bundle.E, bundle.J, bundle.I, bundle.kin_rho, bundle.bend, bundle.bend_rate,
+        bundle.mass, bundle.logterm, bundle.memory, bundle.psi1, bundle.psi2, L,
+        bundle.damping_avg, tail, bundle.dissipation, bundle.rate_residual,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i in range(0, len(bundle.times), stride):
-            row = (
-                bundle.times[i], bundle.E[i], bundle.J[i], bundle.I[i],
-                bundle.kin_rho[i], bundle.bend[i], bundle.bend_rate[i],
-                bundle.mass[i], bundle.logterm[i], bundle.memory[i],
-                bundle.psi1[i], bundle.psi2[i], L[i], bundle.damping_avg[i],
-                tail[i] if tail is not None else math.nan,
-                bundle.dissipation[i], bundle.rate_residual[i],
-            )
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        np.savetxt(
+            fh, np.column_stack(cols)[::stride], fmt="%.17g", delimiter=",", header=CSV_HEADER, comments=""
+        )
 
 
 def _distance_to_nearest(times: np.ndarray, points: np.ndarray) -> np.ndarray:

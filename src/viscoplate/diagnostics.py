@@ -35,6 +35,7 @@ from .kernels import (
     RelaxationKernel,
     XiWeight,
     extend_modulus,
+    invert_increasing,
 )
 from .spectral import Basis, GramSet
 
@@ -337,39 +338,15 @@ def log_sobolev_series(bundle: SeriesBundle, a: float, cp: float) -> np.ndarray:
 def s_log_constant(eps0: float) -> float:
     """Best constant d with s|ln s| <= s^2 + d s^(1-eps0) for s > 0.
 
-    The supremum of (s|ln s| - s^2) / s^(1-eps0) lives on (0,1]: for s > 1
-    the numerator is s(ln s - s) < 0.  The objective is unimodal there
-    (its log-derivative factor -eps0 ln s - 1 - (1+eps0)s is strictly
-    decreasing), so golden-section search converges.
+    d is the maximum of F(s) = s^eps0 (-ln s - s); for s >= 1, s ln s < s^2.
+    The sign of F' is that of -eps0 ln s - (1+eps0) s - 1, which strictly
+    decreases, so the peak is the root u = ln s of eps0 u + (1+eps0) e^u = -1,
+    bracketed by [-1/eps0 - 1, 0].
     """
     if not 0.0 < eps0 < 1.0:
         raise DomainError("eps0 must lie in (0, 1)")
-
-    def f(s: float) -> float:
-        return (-s * math.log(s) - s * s) / s ** (1.0 - eps0)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-12, 1.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):
-        if hi - lo < 1e-14:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    d = max(f(0.5 * (lo + hi)), 0.0)
-    # sanity: no competing supremum on (1, inf)
-    s = np.linspace(1.0, 50.0, 512)
-    if np.any(s * np.log(s) - s * s > 0.0):
-        raise DomainError("unexpected positive excess beyond s = 1")
-    return d
+    u = invert_increasing(lambda u: eps0 * u + (1.0 + eps0) * np.exp(u), -1.0, -1.0 / eps0 - 1.0, 0.0)
+    return max(math.exp(eps0 * u) * (-u - math.exp(u)), 0.0)
 
 
 # --- potential well ------------------------------------------------------

@@ -197,7 +197,7 @@ def residual(
     return R
 
 
-def _newton_loop(res_fn, v_pred: np.ndarray, a0: np.ndarray, params, grams, basis, tol: float):
+def _newton_loop(res_fn, v_pred: np.ndarray, a0: np.ndarray, params, grams, basis):
     """Modified Newton on res_fn(a) = 0 with N(v_pred) + M2 factored once."""
     with np.errstate(over="ignore", invalid="ignore"):
         J = inertia_mass(v_pred, params, grams, basis) + grams.M2
@@ -210,10 +210,10 @@ def _newton_loop(res_fn, v_pred: np.ndarray, a0: np.ndarray, params, grams, basi
     a = a0.copy()
     for _ in range(NEWTON_MAX_ITER):
         R = res_fn(a)
-        if np.max(np.abs(R)) <= tol:
+        if np.max(np.abs(R)) <= NEWTON_TOL:
             return a
         a = a - cho_solve(factor, R, check_finite=False)
-    raise DivergedError(f"Newton stalled above tolerance {tol}")
+    raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
 
 def initial_state(
@@ -222,7 +222,6 @@ def initial_state(
     params: PhysicalParams,
     grams: GramSet,
     basis: Basis,
-    tol: float = NEWTON_TOL,
 ) -> PlateState:
     """State at t = 0 with the acceleration solving R(a) = 0 at (g0, v0).
 
@@ -235,7 +234,7 @@ def initial_state(
     def res_fn(a):
         return residual(a, g0, v0, params, grams, basis)
 
-    a0 = _newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis, tol)
+    a0 = _newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis)
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
 
 
@@ -250,7 +249,6 @@ def _substep_solve(
     params: PhysicalParams,
     grams: GramSet,
     basis: Basis,
-    tol: float,
 ):
     """One Newmark solve to prev_t + dt given the past memory nodes."""
     t_new = prev_t + dt
@@ -274,7 +272,7 @@ def _substep_solve(
 
     with np.errstate(over="ignore", invalid="ignore"):
         v_pred = predict(prev_a)[1]
-    a_new = _newton_loop(res_fn, v_pred, prev_a, params, grams, basis, tol)
+    a_new = _newton_loop(res_fn, v_pred, prev_a, params, grams, basis)
     g_new, v_new = predict(a_new)
     return t_new, g_new, v_new, a_new
 
@@ -286,7 +284,6 @@ def step(
     basis: Basis,
     dt: float,
     history: HistoryBuffer | None = None,
-    tol: float = NEWTON_TOL,
 ) -> PlateState:
     """Advance one uniform step; falls back to 2/4/8 substeps on failure.
 
@@ -301,6 +298,8 @@ def step(
             raise InputError("a memory kernel requires the step history")
         if len(history) != state.step_index + 1:
             raise InputError("history length does not match the state's step index")
+        if history.dt != dt:
+            raise InputError(f"history spacing {history.dt} differs from the step size {dt}")
     base_times = history.times if history is not None else np.array([state.t])
     base_g = history.snapshots if history is not None else state.g[None, :]
 
@@ -313,7 +312,7 @@ def step(
             for j in range(pieces):
                 t_cur, g_cur, v_cur, a_cur = _substep_solve(
                     t_cur, g_cur, v_cur, a_cur, sub_dt, times_ext, g_ext,
-                    params, grams, basis, tol,
+                    params, grams, basis,
                 )
                 if j < pieces - 1:
                     times_ext = np.append(times_ext, t_cur)

@@ -16,10 +16,11 @@ This module represents the families that the catalog spec strings build
 power moduli, linear and cubic damping), validates the admissibility
 conditions on grids, extends moduli to the whole half line, computes convex
 conjugates, and builds the explicit energy-decay envelope curves implied by
-the decay law.  Moduli, weights, origin profiles and envelopes evaluate
-arrays elementwise; moduli and origin profiles invert in closed form, and a
-nonlinear envelope costs one elementwise bisection over all its points, as
-does a convex conjugate (absolute tolerance 1e-12, at most 200 halvings).
+the decay law.  Moduli, weights, origin profiles, conjugates and envelopes
+evaluate arrays elementwise.  Moduli, their derivatives and origin profiles
+invert in closed form, so a convex conjugate is closed form too; a nonlinear
+envelope costs one elementwise bisection over all its points (absolute
+tolerance 1e-12, at most 200 halvings).
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ def _result(out: np.ndarray, *inputs):
 def invert_increasing(f, y, lo=0.0, hi=None):
     """Solve f(s) = y elementwise by bisection, for an increasing elementwise f.
 
-    y is a scalar or an array of targets; lo and hi broadcast against it.  If
-    hi is None, each upper bracket doubles from max(1, 2 lo) until f(hi) >= y.
-    Each element is halved at least once and until its bracket is at most
+    For maps without a closed-form inverse: the nonlinear envelopes, the beam
+    roots and the peak of the s-log bound.  y is a scalar or an array of
+    targets; lo and hi broadcast against it.  If hi is None, each upper bracket
+    doubles from max(1, 2 lo) until f(hi) >= y; a given hi must already satisfy
+    it.  Each element is halved at least once and until its bracket is at most
     INVERSION_TOL wide, then frozen, so its root has the bits of a scalar
     bisection.  Overflow in f reads as +inf; an unbracketable y raises DomainError.
     """
@@ -70,6 +73,8 @@ def invert_increasing(f, y, lo=0.0, hi=None):
                 hi = np.where(short, 2.0 * hi, hi)
             else:
                 raise DomainError(f"target {y!r} not reachable while expanding bracket")
+        elif not (f(hi) >= y).all():  # a nan fails too, as in the expansion
+            raise DomainError(f"target {y!r} above f({hi}) = {f(hi)}")
         flo = f(lo)
         if (flo > y).any():
             raise DomainError(f"target {y!r} below f({lo}) = {flo}")
@@ -244,29 +249,37 @@ class ConvexModulus:
     def deriv(self, s):
         return self._eval(s, 1)
 
-    def inverse(self, y):
-        """Inverse of B elementwise in closed form (linear, power, or the extension)."""
+    def _invert(self, y, order):
+        """Inverse of B (order 0) or B' (order 1) elementwise in closed form."""
         target, y = y, _vector(y)
         if self.is_linear:
+            if order:
+                raise DomainError("derivative of a linear modulus is not invertible")
             return _result(y / self.slope, target)
-        above = y > self.value(self.r1) * (1.0 + _REL_TOL)
+        above = y > self._eval(self.r1, order) * (1.0 + _REL_TOL)
         if self.ext is None and above.any():
-            raise DomainError(f"inverse target {np.max(y)} above B(r1)")
-        out = (np.maximum(y, 0.0) / self.coef) ** (1.0 / self.p)  # 0 for y <= 0
+            name = "B'" if order else "B"
+            raise DomainError(f"inverse target {np.max(y)} above {name}(r1)")
+        c, p = self.coef, self.p
+        with np.errstate(over="ignore"):  # far past B'(r1) the unselected power form overflows
+            out = (np.maximum(y, 0.0) / (c, c * p)[order]) ** (1.0 / (p - order))  # 0 for y <= 0
         if self.ext is not None:
             v1, d1, kap = self.ext
-            # y >= v1 wherever the extension is selected
-            root = np.sqrt(d1 * d1 + 2.0 * kap * (np.maximum(y, v1) - v1))
-            out = np.where(above, self.r1 + (root - d1) / kap, out)
+            if order:
+                beyond = self.r1 + (y - d1) / kap
+            else:
+                # y >= v1 wherever the extension is selected
+                beyond = self.r1 + (np.sqrt(d1 * d1 + 2.0 * kap * (np.maximum(y, v1) - v1)) - d1) / kap
+            out = np.where(above, beyond, out)
         return _result(out, target)
 
-    def deriv_inverse(self, y: float, hi: float | None = None) -> float:
-        """Inverse of B' by bisection (used for convex conjugates)."""
-        if self.is_linear:
-            raise DomainError("derivative of a linear modulus is not invertible")
-        if hi is None:
-            hi = None if self.ext is not None else self.r1
-        return invert_increasing(self.deriv, y, 0.0, hi)
+    def inverse(self, y):
+        """Inverse of B elementwise in closed form (linear, power, or the extension)."""
+        return self._invert(y, 0)
+
+    def deriv_inverse(self, y):
+        """Inverse of B' elementwise in closed form (power or the extension)."""
+        return self._invert(y, 1)
 
 
 def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
@@ -285,18 +298,19 @@ def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
     return replace(modulus, ext=(v1, d1, max(d2, CURVATURE_FLOOR)))
 
 
-def convex_conjugate(K: ConvexModulus, tau: float, r: float | None = None) -> float:
-    """Convex conjugate K*(tau) = tau*s - K(s) at s = (K')^{-1}(tau).
+def convex_conjugate(K: ConvexModulus, tau, r: float | None = None):
+    """Convex conjugate K*(tau) = tau*s - K(s) at s = (K')^{-1}(tau), elementwise.
 
-    Valid for tau in (0, K'(r)); the derivative is inverted by bisection.
+    Valid for tau in (0, K'(r)); a scalar tau gives a float.
     """
     if r is None:
         r = K.r1
+    t = _vector(tau)
     klim = K.deriv(r)
-    if not 0.0 < tau < klim:
+    if not ((0.0 < t) & (t < klim)).all():
         raise DomainError(f"conjugate argument {tau} outside (0, {klim})")
-    s_star = K.deriv_inverse(tau, hi=r)
-    return tau * s_star - K.value(s_star)
+    s_star = K.deriv_inverse(t)
+    return _result(t * s_star - K.value(s_star), tau)
 
 
 # ---------------------------------------------------------------------------

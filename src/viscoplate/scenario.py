@@ -12,6 +12,8 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -218,17 +220,21 @@ def _parse_initial(spec: str, spatial_dim: int, dim: int):
         path = spec[6:-1].strip()
         if spatial_dim != 1:
             raise ScenarioError("tabulated initial data is one-dimensional only")
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ScenarioError(f"cannot read table {path!r}: {exc}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # how loadtxt reports a file with no data
+            try:
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
+            except UserWarning:
+                raise ScenarioError(f"table {path!r} holds no data") from None
+            except (OSError, ValueError) as exc:
+                raise ScenarioError(f"cannot read table {path!r}: {exc}") from None
         if data.shape[1] != 2:
             raise ScenarioError("tabulated initial data needs two columns (x, value)")
         if not np.isfinite(data).all():
             raise ScenarioError(f"table {path!r} holds a non-finite number")
         return data
     terms = []
-    for part in spec.split("+"):
+    for part in re.split(r"\+(?![^(]*\))", spec):  # a "+" inside mode(...) is an exponent sign
         part = part.strip()
         if not (part.startswith("mode(") and part.endswith(")")):
             raise ScenarioError(f"unrecognized initial-data term {part!r}")

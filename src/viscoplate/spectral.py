@@ -1,5 +1,5 @@
 """Galerkin space for the clamped plate: beam-mode basis, Gram matrices,
-projections, and the embedding-constant estimate.
+projections, and the embedding constant.
 
 The basis realizes the abstract separable space concretely: clamped-clamped
 Euler beam eigenfunctions on (0, L) in 1D and their tensor products on the
@@ -15,16 +15,14 @@ form so that (1 - sigma) e^z stays O(1) even for beta ~ 100.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import AssemblyError, InputError
 from .kernels import invert_increasing
-
-CP_TOL = 1e-10
 
 
 def beam_roots(count: int) -> np.ndarray:
@@ -157,19 +155,11 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
 
 @dataclass(frozen=True, eq=False)
 class GramSet:
-    """Mass, gradient, and bending Gram matrices with cached factorizations."""
+    """Mass, gradient, and bending Gram matrices."""
 
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
-    _cho_m0: tuple = field(repr=False, default=None)
-    _cho_m2: tuple = field(repr=False, default=None)
-
-    def solve_m0(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho_m0, rhs)
-
-    def solve_m2(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho_m2, rhs)
 
 
 def assemble_grams(basis: Basis) -> GramSet:
@@ -184,14 +174,13 @@ def assemble_grams(basis: Basis) -> GramSet:
     M1 = 0.5 * (M1 + M1.T)
     M2 = 0.5 * (M2 + M2.T)
     try:
-        cho0 = cho_factor(M0)
-        cho_factor(M1)
-        cho2 = cho_factor(M2)
+        for M in (M0, M1, M2):
+            cho_factor(M)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(f"Gram matrix not positive definite: {exc}") from exc
     except ValueError as exc:
         raise AssemblyError(f"Gram assembly produced invalid entries: {exc}") from exc
-    return GramSet(M0=M0, M1=M1, M2=M2, _cho_m0=cho0, _cho_m2=cho2)
+    return GramSet(M0=M0, M1=M1, M2=M2)
 
 
 def project_initial(fieldfun, basis: Basis, grams: GramSet) -> np.ndarray:
@@ -204,32 +193,19 @@ def project_initial(fieldfun, basis: Basis, grams: GramSet) -> np.ndarray:
     except TypeError:
         vals = np.array([float(fieldfun(*p)) for p in basis.qpts])
     load = basis.phi @ (basis.qw * vals)
-    coeffs = grams.solve_m0(load)
+    coeffs = cho_solve(cho_factor(grams.M0), load)
     if not np.all(np.isfinite(coeffs)):
         raise AssemblyError("projection produced non-finite coefficients")
     return coeffs
 
 
-def estimate_cp(grams: GramSet, tol: float = CP_TOL, max_iter: int = 20000) -> float:
-    """Largest generalized eigenvalue of M1 x = lambda M2 x by power iteration.
+def estimate_cp(grams: GramSet) -> float:
+    """Largest generalized eigenvalue of M1 x = lambda M2 x, by a dense solve.
 
     This is the subspace Poincare-type constant tying the gradient norm to
     the bending norm; it underestimates the true constant and grows with m.
     """
-    m = grams.M1.shape[0]
-    x = np.ones(m) / math.sqrt(m)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = grams.solve_m2(grams.M1 @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise AssemblyError("power iteration collapsed to the null vector")
-        x_new = y / ny
-        lam_new = float(x_new @ grams.M1 @ x_new) / float(x_new @ grams.M2 @ x_new)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam, x = lam_new, x_new
-    return lam
+    return float(eigh(grams.M1, grams.M2, eigvals_only=True)[-1])
 
 
 def _point_tables(basis: Basis, points: np.ndarray):

@@ -133,10 +133,14 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["missing", "unparsable", "non-finite", "three-columns", "two-dimensional"])
-def test_bad_initial_table_refused_before_running(tmp_path, capsys, case):
+@pytest.mark.parametrize(
+    "case", ["missing", "empty", "unparsable", "non-finite", "three-columns", "two-dimensional"]
+)
+def test_bad_initial_table_refused_before_running(tmp_path, capsys, recwarn, case):
     table = tmp_path / "profile.csv"
-    if case == "unparsable":
+    if case == "empty":
+        table.write_text("")
+    elif case == "unparsable":
         table.write_text("0.0,0.0\nhalf,0.1\n1.0,0.0\n")
     elif case == "non-finite":
         table.write_text("0.0,0.0\n0.5,nan\n1.0,0.0\n")
@@ -152,6 +156,7 @@ def test_bad_initial_table_refused_before_running(tmp_path, capsys, case):
     assert main(["run", cfg]) == 2
     assert "error: initial.u" in capsys.readouterr().err
     assert not out.exists()
+    assert not recwarn.list
 
 
 def test_unknown_preset_exits_two(capsys):

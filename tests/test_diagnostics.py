@@ -286,6 +286,16 @@ def test_s_log_property_sweep():
     assert 1.0 * abs(math.log(1.0)) <= 1.0 + dg.s_log_constant(0.5)
 
 
+@pytest.mark.parametrize("eps0", [0.01, 0.02, 0.03])
+def test_s_log_constant_holds_at_small_eps0(eps0):
+    # the peak of (s|ln s| - s^2) / s^(1-eps0) lies near exp(-1/eps0), far below 1e-12
+    d = dg.s_log_constant(eps0)
+    s = np.logspace(-60, 3, 200_001)
+    lhs = s * np.abs(np.log(s))
+    rhs = s * s + d * s ** (1.0 - eps0)
+    assert np.all(lhs <= rhs * (1.0 + 1e-12))
+
+
 def test_s_log_constant_domain():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(DomainError):

@@ -295,6 +295,15 @@ def test_step_requires_consistent_history():
         step(st, params, grams, basis, 0.01, history=buf)
 
 
+def test_step_rejects_history_at_other_spacing():
+    # the memory load integrates over the history's nodes, so they must lie on the step grid
+    basis, grams = make_setup()
+    params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
+    st = initial_state(np.full(6, 0.01), np.zeros(6), params, grams, basis)
+    with pytest.raises(InputError, match="spacing"):
+        step(st, params, grams, basis, 0.02, history=HistoryBuffer(0.01, st.g))
+
+
 def test_step_divergence_attaches_state():
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 1.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
@@ -332,7 +341,7 @@ def test_substep_fallback_rescues_stalled_step(rho):
     with pytest.raises(DivergedError, match="Newton stalled"):
         _substep_solve(
             st.t, st.g, st.v, st.a, 2.0, np.array([st.t]), st.g[None, :],
-            params, grams, basis, NEWTON_TOL,
+            params, grams, basis,
         )
     whole = step(st, params, grams, basis, 2.0, history=HistoryBuffer(2.0, st.g))
     hist = HistoryBuffer(1.0, st.g)

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from viscoplate.errors import DomainError, InputError
@@ -47,6 +49,11 @@ def test_invert_increasing_cube_root():
 def test_invert_increasing_below_bracket():
     with pytest.raises(DomainError):
         invert_increasing(lambda s: s + 1.0, 0.5, lo=0.0, hi=4.0)
+
+
+def test_invert_increasing_above_explicit_bracket():
+    with pytest.raises(DomainError, match="above"):
+        invert_increasing(lambda s: s**3, 100.0, 0.0, 2.0)
 
 
 # --- kernel admissibility ------------------------------------------------
@@ -284,8 +291,27 @@ def test_deriv_inverse_roundtrip():
                   (ConvexModulus.power(2.0, coef=0.5, r1=1.0), 1e-2)):
         kmax = K.deriv(1.0)
         for tau in rng.uniform(lo, 0.999, 150) * kmax:
-            s = K.deriv_inverse(tau, hi=1.0)
+            s = K.deriv_inverse(tau)
             assert abs(K.deriv(s) - tau) <= 1e-10 * tau
+
+
+def test_deriv_inverse_beyond_edge():
+    K = ConvexModulus.power(2.0)  # B'(1) = 2
+    with pytest.raises(DomainError, match="above B'"):
+        K.deriv_inverse(10.0)
+    # the extension B'(s) = 2 + 2 (s - 1) inverts past r1
+    assert extend_modulus(K).deriv_inverse(10.0) == 5.0
+
+
+@pytest.mark.parametrize(
+    "p, coef, r", [(1.5, 1.0, 1.0), (2.0, 0.5, 4.0), (3.0, 1.0 / 3.0, 2.0)], ids=["p1.5", "p2", "p3"]
+)
+def test_conjugate_arrays_match_scalar_calls(p, coef, r):
+    K = ConvexModulus.power(p, coef=coef, r1=r)
+    tau = np.geomspace(1e-6, 0.999, 257) * float(K.deriv(r))
+    out = convex_conjugate(K, tau)
+    assert np.array_equal(out, [convex_conjugate(K, float(t)) for t in tau])
+    assert type(convex_conjugate(K, float(tau[0]))) is float
 
 
 # --- xi weights ----------------------------------------------------------
@@ -619,3 +645,27 @@ def test_parse_xi_and_modulus_specs():
     assert parse_modulus_spec("linear(2)").slope == 2.0
     mod = parse_modulus_spec("pow(1.5, 0.5)")
     assert mod.p == 1.5 and mod.r1 == 0.5
+
+
+_SPEC_HEADS = ("exp", "power", "damp-linear", "damp-cubic", "const", "rational", "linear", "pow", "none")
+_ODD_ARGS = ["", " ", "nan", "-inf", "1e400", "1_0", "0x1", "(", "é"]
+_SPEC_ARG = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(_ODD_ARGS))
+_SPEC_TEXT = st.one_of(
+    # a fixed alphabet spares hypothesis building its unicode table, about 2 s on a cold cache
+    st.text("expowrdamlincubstna(),.;-+_ 019é\t\x00", max_size=24),
+    st.builds(
+        lambda head, args, sep, close: f"{head}({sep.join(map(str, args))}{close}",
+        st.sampled_from(_SPEC_HEADS), st.lists(_SPEC_ARG, max_size=3), st.sampled_from([",", ", ", ";"]),
+        st.sampled_from([")", "", "))"]),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_SPEC_TEXT)
+def test_spec_parsers_raise_only_input_error(text):
+    for parser in (parse_kernel_spec, parse_damping_spec, parse_xi_spec, parse_modulus_spec):
+        try:
+            parser(text)
+        except InputError:
+            pass

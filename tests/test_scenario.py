@@ -1,7 +1,10 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscoplate.errors import ScenarioError
 from viscoplate.scenario import (
@@ -120,6 +123,52 @@ def test_effective_config_round_trip_all_presets():
     for name, scn in PRESETS.items():
         again = parse_scenario_text(effective_config(scn))
         assert again == scn, name
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _spec(head, *args):
+    return st.tuples(*args).map(lambda vals: f"{head}({','.join(map(repr, vals))})")
+
+
+_ANY, _NONNEG = _finite(), _finite(min_value=0.0)
+_POS = _finite(min_value=0.0, exclude_min=True)
+_ABOVE_ONE = _finite(min_value=1.0, exclude_min=True)
+_UNIT = _finite(min_value=0.0, max_value=1.0, exclude_min=True)  # (0, 1]
+_OPEN_UNIT = _finite(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_MAYBE = st.none() | _ANY
+_KERNELS = st.just("none") | _spec("exp", _POS, _POS) | _spec("power", _POS, _ABOVE_ONE)
+_DAMPINGS = st.just("none") | _spec("damp-linear", _POS) | _spec("damp-cubic", _UNIT)
+_XIS = st.none() | _spec("const", _POS) | _spec("rational", _UNIT) | _spec("rational", _UNIT, _POS)
+_MODULI = st.none() | _spec("linear", _POS) | _spec("pow", _ABOVE_ONE) | _spec("pow", _ABOVE_ONE, _ANY)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A preset with every field redrawn from the values validate accepts."""
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 12))
+    mode = _spec("mode", st.integers(1, n**dim), _ANY)
+    initial = st.just("zero") | st.lists(mode, min_size=1, max_size=3).map("+".join)
+    return replace(
+        draw(st.sampled_from(list(PRESETS.values()))),
+        spatial_dim=dim, n=n, L=draw(_POS), quad_order=draw(st.none() | st.integers(2 * n + 4, 64)),
+        dt=draw(_POS), T=draw(_NONNEG),
+        rho=draw(_NONNEG), k=draw(_NONNEG), sigma=draw(_ANY),
+        kernel=draw(_KERNELS), damping=draw(_DAMPINGS), xi=draw(_XIS), modulus=draw(_MODULI),
+        initial_u=draw(initial), initial_v=draw(initial),
+        out_dir=draw(st.text("abz019/._-", min_size=1, max_size=12)), stride=draw(st.integers(1, 10**6)),
+        a=draw(_MAYBE), eps0=draw(_ANY), eps1=draw(_ANY), t0=draw(_ANY), t1=draw(_MAYBE),
+        delta=draw(_OPEN_UNIT), lyap_eps=draw(_POS),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(valid_scenarios())
+def test_effective_config_round_trip_random_scenarios(scn):
+    assert scn.validate() == []
+    assert parse_scenario_text(effective_config(scn)) == scn
 
 
 def test_initial_mode_sum():

@@ -254,6 +254,15 @@ def test_cp_matches_dense_eigensolver(grams8, grams2d):
         assert abs(estimate_cp(grams) - dense) < 1e-8 * dense
 
 
+def test_cp_matches_cholesky_reduced_oracle(grams8, grams2d):
+    # numpy's symmetric eigensolver on L^-1 M1 L^-T, L = cholesky(M2)
+    for grams in (grams8, grams2d):
+        L = np.linalg.cholesky(grams.M2)
+        reduced = np.linalg.solve(L, np.linalg.solve(L, grams.M1).T)
+        oracle = np.linalg.eigvalsh(reduced)[-1]
+        assert abs(estimate_cp(grams) - oracle) <= 1e-13 * oracle
+
+
 def test_cp_monotone_and_stable():
     vals = {}
     for m in (4, 8, 16, 32):
