@@ -15,20 +15,22 @@ Stepping is Newmark average acceleration (gamma = 1/2, beta = 1/4), solved
 by a modified Newton iteration on the dominant N(v) + M2 block, built and
 Cholesky-factored once per solve at the velocity predicted from the last
 acceleration; the neglected couplings are O(dt), so the iteration
-contracts fast at practical step sizes.  The residual and the matrix are
-each checked once for finite values, so scipy's own checks are off.  The
-convolution history is stored densely on the uniform grid; when Newton
-fails the step is re-tried with 2, 4, then 8 substeps whose memory
-integrals run over the union of the stored grid and the pending substep
-nodes.
+contracts fast at practical step sizes.  At rho = 0 the block is the
+constant M0 + M2, factored once per GramSet and reused by every solve and
+substep size.  LAPACK's potrf/potrs are called directly; the residual and
+the matrix are each checked once for finite values.  The convolution
+history is stored densely on the uniform grid; when Newton fails the step
+is re-tried with 2, 4, then 8 substeps whose memory integrals run over the
+union of the stored grid and the pending substep nodes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import memory
 from .errors import DivergedError, InputError
@@ -78,7 +80,7 @@ class PlateState:
 
     def __post_init__(self):
         for arr in (self.g, self.v, self.a):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InputError("state coefficients must be finite")
 
 
@@ -140,16 +142,14 @@ def memory_term(history: HistoryBuffer, kernel: RelaxationKernel, grams: GramSet
 
 
 def _log_source(u: np.ndarray) -> np.ndarray:
-    # u ln|u| with the continuous extension 0 ln 0 := 0
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    out[nz] = u[nz] * np.log(np.abs(u[nz]))
+    # u ln|u| with the continuous extension 0 ln 0 := +0.0
+    zero = u == 0.0
+    out = u * np.log(np.abs(u) + zero)
+    out[zero] = 0.0
     return out
 
 
 def _inertia_weight(vq: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    if params.rho == 0.0:
-        return np.ones_like(vq)
     return (vq * vq + params.sigma * params.sigma) ** (0.5 * params.rho)
 
 
@@ -178,41 +178,79 @@ def residual(
     non-finite entry, from the coefficients or from overflow, raises
     DivergedError.
     """
+    phi, qw = basis.phi, basis.qw
     with np.errstate(over="ignore", invalid="ignore"):
-        uq = g @ basis.phi
-        vq = v @ basis.phi
-        aq = a @ basis.phi
-        wrho = _inertia_weight(vq, params)
-        R = basis.phi @ (basis.qw * (wrho * aq))
+        vq = v @ phi
+        aq = a @ phi
+        if params.rho != 0.0:
+            aq = _inertia_weight(vq, params) * aq
+        R = phi @ (qw * aq)
         R += grams.M2 @ (a + g)
         R += grams.M0 @ g
         if memory is not None:
             R -= memory
         if not params.damping.is_none:
-            R += basis.phi @ (basis.qw * params.damping.h(vq))
+            R += phi @ (qw * params.damping.h(vq))
         if params.k != 0.0:
-            R -= params.k * (basis.phi @ (basis.qw * _log_source(uq)))
-    if not np.all(np.isfinite(R)):
+            R -= params.k * (phi @ (qw * _log_source(g @ phi)))
+    if not np.isfinite(R).all():
         raise DivergedError("residual evaluation produced non-finite values")
     return R
 
 
-def _newton_loop(res_fn, v_pred: np.ndarray, a0: np.ndarray, params, grams, basis):
-    """Modified Newton on res_fn(a) = 0 with N(v_pred) + M2 factored once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        J = inertia_mass(v_pred, params, grams, basis) + grams.M2
-    if not np.all(np.isfinite(J)):
+# GramSet -> factor of M0 + M2, the Newton matrix of every solve at rho = 0
+_CONSTANT_FACTORS = weakref.WeakKeyDictionary()
+
+
+def cho_factor(J: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of J; the stepper calls this and cho_solve by
+    their module names, so perfbench/tracing.py can wrap them."""
+    c, info = dpotrf(J, lower=0, clean=0)
+    if info != 0:
+        raise DivergedError(f"Jacobian factorization failed: LAPACK potrf info {info}")
+    return c
+
+
+def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
+    x, info = dpotrs(c, R, lower=0)
+    if info != 0:
+        raise DivergedError(f"Newton solve failed: LAPACK potrs info {info}")
+    return x
+
+
+def _newton_factor(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> np.ndarray:
+    """Factor of N(v) + M2; at rho = 0 the cached factor of M0 + M2."""
+    c = _CONSTANT_FACTORS.get(grams) if params.rho == 0.0 else None
+    if c is not None:
+        return c
+    J = inertia_mass(v, params, grams, basis) + grams.M2
+    if not np.isfinite(J).all():
         raise DivergedError("Newton matrix has non-finite entries")
-    try:
-        factor = cho_factor(J, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DivergedError(f"Jacobian factorization failed: {exc}") from exc
-    a = a0.copy()
-    for _ in range(NEWTON_MAX_ITER):
-        R = res_fn(a)
-        if np.max(np.abs(R)) <= NEWTON_TOL:
-            return a
-        a = a - cho_solve(factor, R, check_finite=False)
+    c = cho_factor(J)
+    if params.rho == 0.0:
+        _CONSTANT_FACTORS[grams] = c
+    return c
+
+
+def _newton(a, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
+    """Modified Newton on R(a) = 0 at g = g_c + cb a, v = v_c + cg a.
+
+    cb = None holds (g, v) at (g_c, v_c); the memory load is
+    M2 (conv + w_end g), absent when conv is None.  N(v) + M2 is factored
+    once, at the starting a.  Returns (g, v, a) at the root.
+    """
+    # a diverging iterate overflows here; residual's finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, v = (g_c, v_c) if cb is None else (g_c + cb * a, v_c + cg * a)
+        factor = _newton_factor(v, params, grams, basis)
+        for _ in range(NEWTON_MAX_ITER):
+            mem = None if conv is None else grams.M2 @ (conv + w_end * g)
+            R = residual(a, g, v, params, grams, basis, memory=mem)
+            if np.abs(R).max() <= NEWTON_TOL:
+                return g, v, a
+            a = a - cho_solve(factor, R)
+            if cb is not None:
+                g, v = g_c + cb * a, v_c + cg * a
     raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
 
@@ -230,11 +268,7 @@ def initial_state(
     """
     g0 = np.asarray(g0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-
-    def res_fn(a):
-        return residual(a, g0, v0, params, grams, basis)
-
-    a0 = _newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis)
+    a0 = _newton(np.zeros_like(g0), g0, v0, None, None, params, grams, basis)[2]
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
 
 
@@ -252,29 +286,14 @@ def _substep_solve(
 ):
     """One Newmark solve to prev_t + dt given the past memory nodes."""
     t_new = prev_t + dt
-    use_memory = not params.kernel.is_zero
-    if use_memory:
+    conv = w_end = None
+    if not params.kernel.is_zero:
         w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
-        conv_const = node_g.T @ w[:-1]
-        w_end = w[-1]
+        conv, w_end = node_g.T @ w[:-1], w[-1]
     g_c = prev_g + dt * prev_v + dt * dt * (0.5 - NEWMARK_BETA) * prev_a
     v_c = prev_v + dt * (1.0 - NEWMARK_GAMMA) * prev_a
-
-    def predict(a):
-        return g_c + dt * dt * NEWMARK_BETA * a, v_c + dt * NEWMARK_GAMMA * a
-
-    def res_fn(a):
-        # a diverging iterate overflows here; residual's finite check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_new, v_new = predict(a)
-            mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
-        return residual(a, g_new, v_new, params, grams, basis, memory=mem)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_pred = predict(prev_a)[1]
-    a_new = _newton_loop(res_fn, v_pred, prev_a, params, grams, basis)
-    g_new, v_new = predict(a_new)
-    return t_new, g_new, v_new, a_new
+    cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
+    return (t_new, *_newton(prev_a, g_c, v_c, cb, cg, params, grams, basis, conv, w_end))
 
 
 def step(

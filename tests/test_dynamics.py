@@ -28,7 +28,7 @@ from viscoplate.dynamics import (
     step,
 )
 from viscoplate.errors import DivergedError, InputError
-from viscoplate.kernels import DampingLaw, RelaxationKernel
+from viscoplate.kernels import DampingLaw, RelaxationKernel, parse_damping_spec, parse_kernel_spec
 from viscoplate.spectral import _mode_tables, assemble_grams, build_basis
 
 CONSERVATIVE = PhysicalParams(
@@ -363,7 +363,15 @@ def test_step_diverges_on_non_finite_newton_matrix():
             step(st, params, grams, basis, 0.01)
 
 
-def test_one_newton_matrix_and_factor_per_solve(monkeypatch):
+def test_failed_factorization_is_divergence():
+    # LAPACK reports a non-positive pivot through info; the stepper treats it as divergence
+    with pytest.raises(DivergedError, match="factorization failed"):
+        dynamics.cho_factor(np.diag([1.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_one_newton_matrix_and_factor_per_solve(monkeypatch, rho):
+    # at rho = 0 the Newton matrix is the constant M0 + M2: one factor per run
     counts = {"factor": 0, "matrix": 0}
 
     def counted(name, fn):
@@ -375,11 +383,12 @@ def test_one_newton_matrix_and_factor_per_solve(monkeypatch):
 
     monkeypatch.setattr(dynamics, "cho_factor", counted("factor", dynamics.cho_factor))
     monkeypatch.setattr(dynamics, "inertia_mass", counted("matrix", dynamics.inertia_mass))
-    params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0)
+    params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0)
     scn = OneShotScenario(params, 0.01, 0.5, np.array([0.05, 0.01, 0.0, 0.0]), np.array([0.0, 0.2, 0.0, 0.0]))
     traj = run(scn)
     assert len(traj) == 51
-    assert counts == {"factor": 51, "matrix": 51}
+    solves = 1 if rho == 0.0 else 51
+    assert counts == {"factor": solves, "matrix": solves}
 
 
 # --- run -----------------------------------------------------------------
@@ -420,3 +429,194 @@ def test_trajectory_state_and_history_roundtrip():
     hist = traj.history()
     assert len(hist) == len(traj)
     assert np.array_equal(hist.snapshots, traj.g)
+
+
+# --- bit identity with the closure-based stepper ---------------------------
+#
+# The stepper as it was before it called LAPACK directly: scipy's
+# cho_factor/cho_solve, N(v) + M2 built and factored for every solve at any
+# rho, the inertia weight always multiplied in, and predictor/residual
+# closures around a separate Newton loop.  The lean stepper must reproduce
+# its trajectories bit for bit.
+
+
+def _ref_log_source(u):
+    out = np.zeros_like(u)
+    nz = u != 0.0
+    out[nz] = u[nz] * np.log(np.abs(u[nz]))
+    return out
+
+
+def _ref_inertia_weight(vq, params):
+    if params.rho == 0.0:
+        return np.ones_like(vq)
+    return (vq * vq + params.sigma * params.sigma) ** (0.5 * params.rho)
+
+
+def _ref_inertia_mass(v, params, grams, basis):
+    if params.rho == 0.0:
+        return grams.M0
+    vq = v @ basis.phi
+    wq = _ref_inertia_weight(vq, params) * basis.qw
+    N = (basis.phi * wq) @ basis.phi.T
+    return 0.5 * (N + N.T)
+
+
+def _ref_residual(a, g, v, params, grams, basis, memory=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        uq = g @ basis.phi
+        vq = v @ basis.phi
+        aq = a @ basis.phi
+        wrho = _ref_inertia_weight(vq, params)
+        R = basis.phi @ (basis.qw * (wrho * aq))
+        R += grams.M2 @ (a + g)
+        R += grams.M0 @ g
+        if memory is not None:
+            R -= memory
+        if not params.damping.is_none:
+            R += basis.phi @ (basis.qw * params.damping.h(vq))
+        if params.k != 0.0:
+            R -= params.k * (basis.phi @ (basis.qw * _ref_log_source(uq)))
+    if not np.all(np.isfinite(R)):
+        raise DivergedError("residual evaluation produced non-finite values")
+    return R
+
+
+def _ref_newton_loop(res_fn, v_pred, a0, params, grams, basis):
+    from scipy.linalg import cho_factor, cho_solve
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = _ref_inertia_mass(v_pred, params, grams, basis) + grams.M2
+    if not np.all(np.isfinite(J)):
+        raise DivergedError("Newton matrix has non-finite entries")
+    try:
+        factor = cho_factor(J, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise DivergedError(f"Jacobian factorization failed: {exc}") from exc
+    a = a0.copy()
+    for _ in range(dynamics.NEWTON_MAX_ITER):
+        R = res_fn(a)
+        if np.max(np.abs(R)) <= NEWTON_TOL:
+            return a
+        a = a - cho_solve(factor, R, check_finite=False)
+    raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
+
+
+def _ref_substep_solve(prev_t, prev_g, prev_v, prev_a, dt, node_times, node_g, params, grams, basis):
+    beta, gamma = dynamics.NEWMARK_BETA, dynamics.NEWMARK_GAMMA
+    t_new = prev_t + dt
+    use_memory = not params.kernel.is_zero
+    if use_memory:
+        w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
+        conv_const = node_g.T @ w[:-1]
+        w_end = w[-1]
+    g_c = prev_g + dt * prev_v + dt * dt * (0.5 - beta) * prev_a
+    v_c = prev_v + dt * (1.0 - gamma) * prev_a
+
+    def predict(a):
+        return g_c + dt * dt * beta * a, v_c + dt * gamma * a
+
+    def res_fn(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_new, v_new = predict(a)
+            mem = grams.M2 @ (conv_const + w_end * g_new) if use_memory else None
+        return _ref_residual(a, g_new, v_new, params, grams, basis, memory=mem)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_pred = predict(prev_a)[1]
+    a_new = _ref_newton_loop(res_fn, v_pred, prev_a, params, grams, basis)
+    g_new, v_new = predict(a_new)
+    return t_new, g_new, v_new, a_new
+
+
+def _ref_step(state, params, grams, basis, dt, history):
+    base_times = history.times if history is not None else np.array([state.t])
+    base_g = history.snapshots if history is not None else state.g[None, :]
+    for pieces in (1, 2, 4, 8):
+        sub_dt = dt / pieces
+        t_cur, g_cur, v_cur, a_cur = state.t, state.g, state.v, state.a
+        times_ext, g_ext = base_times, base_g
+        try:
+            for j in range(pieces):
+                t_cur, g_cur, v_cur, a_cur = _ref_substep_solve(
+                    t_cur, g_cur, v_cur, a_cur, sub_dt, times_ext, g_ext, params, grams, basis
+                )
+                if j < pieces - 1:
+                    times_ext = np.append(times_ext, t_cur)
+                    g_ext = np.vstack([g_ext, g_cur[None, :]])
+        except DivergedError:
+            continue
+        new = PlateState(t=t_cur, g=g_cur, v=v_cur, a=a_cur, step_index=state.step_index + 1)
+        if history is not None:
+            history.append(new.g)
+        return new
+    raise DivergedError("reference step diverged even with 8 substeps")
+
+
+def _ref_run(scn):
+    basis = scn.make_basis()
+    grams = assemble_grams(basis)
+    params = scn.physical_params()
+    g0, v0 = scn.initial_coeffs(basis, grams)
+
+    def res_fn(a):
+        return _ref_residual(a, g0, v0, params, grams, basis)
+
+    a0 = _ref_newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis)
+    cur = PlateState(t=0.0, g=g0, v=v0, a=a0)
+    hist = HistoryBuffer(scn.dt, cur.g) if not params.kernel.is_zero else None
+    states = [cur]
+    for _ in range(int(round(scn.T / scn.dt))):
+        cur = _ref_step(cur, params, grams, basis, scn.dt, hist)
+        states.append(cur)
+    return tuple(np.array([getattr(s, f) for s in states]) for f in "gva")
+
+
+def _assert_bit_identical(traj, ref):
+    for got, want in zip((traj.g, traj.v, traj.a), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "kernel, damping",
+    [("exp(0.5,1.0)", "damp-linear(1)"), ("power(0.4,3.0)", "damp-cubic(0.5)")],
+)
+def test_run_bit_identical_to_closure_stepper(rho, kernel, damping):
+    params = PhysicalParams(rho, 0.5, parse_kernel_spec(kernel), parse_damping_spec(damping), 0.0)
+    g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
+    v0 = np.array([0.0, 0.2, 0.0, -0.05, 0.0, 0.0])
+    scn = OneShotScenario(params, 0.01, 1.0, g0, v0, n=6)
+    _assert_bit_identical(run(scn), _ref_run(scn))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_substep_fallback_bit_identical_to_closure_stepper(monkeypatch, rho):
+    # the first whole step stalls (see the rescue test above); at rho = 0 the
+    # substeps reuse the one factor of M0 + M2 whatever their size
+    sub_dts = []
+
+    def recorded(*args):
+        sub_dts.append(args[4])
+        return _substep_solve(*args)
+
+    monkeypatch.setattr(dynamics, "_substep_solve", recorded)
+    params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
+    g0 = np.zeros(6)
+    g0[0] = 0.04
+    scn = OneShotScenario(params, 2.0, 4.0, g0, np.zeros(6), n=6)
+    traj = run(scn)
+    assert min(sub_dts) < 2.0
+    _assert_bit_identical(traj, _ref_run(scn))
+
+
+def test_log_source_signed_zeros_and_bits():
+    rng = np.random.default_rng(7)
+    u = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 0.3], 0.05 * rng.standard_normal(40)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = dynamics._log_source(u)
+    zero = u == 0.0
+    assert np.all(out[zero] == 0.0) and not np.any(np.signbit(out[zero]))
+    nz = u[~zero]
+    assert np.array_equal(out[~zero].view(np.int64), (nz * np.log(np.abs(nz))).view(np.int64))

@@ -430,6 +430,19 @@ def _bisect_to_ulp(f, y):
             hi = mid
 
 
+def _float_inverse(mod):
+    """B^{-1} of an extended power modulus on plain floats: no numpy call per step."""
+    c, p, r1 = mod.coef, mod.p, mod.r1
+    v1, d1, kap = (float(x) for x in mod.ext)
+
+    def inverse(y):
+        if y <= v1:
+            return (max(y, 0.0) / c) ** (1.0 / p)
+        return r1 + (math.sqrt(d1 * d1 + 2.0 * kap * (y - v1)) - d1) / kap
+
+    return inverse
+
+
 def _two_level_both(xi, eps, eps1, c, t0, modB, modH, t):
     """The nonlinear-both envelope by nested bisection: W = phi^{-1}, then W2^{-1}.
 
@@ -438,9 +451,10 @@ def _two_level_both(xi, eps, eps1, c, t0, modB, modH, t):
     """
     Bbar, Hbar = extend_modulus(modB), extend_modulus(modH)
     e = 1.0 / (1.0 + eps)
+    binv, hinv = _float_inverse(Bbar), _float_inverse(Hbar)
 
     def phi(y):
-        return Bbar.inverse(y) ** e + Hbar.inverse(y) ** e
+        return binv(y) ** e + hinv(y) ** e
 
     def W2(s):
         y = _bisect_to_ulp(phi, eps1 * s)
