@@ -13,15 +13,27 @@ makes the discrete energy identity exact up to time-integration error.
 
 Stepping is Newmark average acceleration (gamma = 1/2, beta = 1/4), solved
 by a modified Newton iteration on the dominant N(v) + M2 block, built and
-Cholesky-factored once per solve at the velocity predicted from the last
-acceleration; the neglected couplings are O(dt), so the iteration
-contracts fast at practical step sizes.  At rho = 0 the block is the
-constant M0 + M2, factored once per GramSet and reused by every solve and
-substep size.  LAPACK's potrf/potrs are called directly; the residual and
-the matrix are each checked once for finite values.  The convolution
-history is stored densely on the uniform grid; when Newton fails the step
-is re-tried with 2, 4, then 8 substeps whose memory integrals run over the
-union of the stored grid and the pending substep nodes.
+Cholesky-factored once per solve at the velocity predicted from the
+starting acceleration; the neglected couplings are O(dt), so the iteration
+contracts fast at practical step sizes.  A whole step starts Newton at the
+extrapolated 2 a_n - a_{n-1}.  At rho = 0 the block is the constant
+M0 + M2, factored once per GramSet and reused by every solve and substep
+size.  LAPACK's potrf/potrs are called directly; the residual and the
+matrix are each checked once for finite values.
+
+The residual is fused: M0 + M2 (per GramSet) and the weighted table
+phi * qw (per Basis) are formed once, every pointwise term is summed at the
+quadrature points and projected by one product, and a field is synthesized
+at the points only when some term reads it.  At rho = 0 the inertia and
+stiffness terms are (M0 + M2)(a + g).
+
+The convolution history is stored densely on the uniform grid next to a
+lag table K[j] = dt b(j dt), rebuilt only when the buffer's capacity
+doubles.  The load of the step t_n -> t_n+1 is the product-trapezoid sum
+sum_i w_i K[n+1-i] g_i (w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1:
+one matrix-vector product over the history.  When Newton fails the step is
+re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
+union of the stored grid and the pending substep nodes with memory.weights.
 """
 
 from __future__ import annotations
@@ -77,6 +89,7 @@ class PlateState:
     v: np.ndarray
     a: np.ndarray
     step_index: int = 0
+    a_prev: np.ndarray | None = None  # the acceleration one step earlier, set by step
 
     def __post_init__(self):
         for arr in (self.g, self.v, self.a):
@@ -88,7 +101,8 @@ class HistoryBuffer:
     """Dense g-history on the uniform step grid, capacity-doubling.
 
     snapshots is one coefficient vector g_0 (1-D) or the rows g_0, g_1, ...
-    (2-D) at spacing dt.
+    (2-D) at spacing dt.  `lag_table(kernel)` samples the kernel at the
+    grid lags, once per capacity.
     """
 
     def __init__(self, dt: float, snapshots: np.ndarray):
@@ -101,6 +115,7 @@ class HistoryBuffer:
         self.dt = dt
         self._data = data
         self._len = data.shape[0]
+        self._lags = self._lag_kernel = None
 
     def append(self, g: np.ndarray):
         if self._len == self._data.shape[0]:
@@ -120,6 +135,19 @@ class HistoryBuffer:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self._len) * self.dt
+
+    def lag_table(self, kernel: RelaxationKernel) -> np.ndarray:
+        """Reversed lag table: entry capacity - j is dt b(j dt), j = 0 .. capacity.
+
+        The next step's lags n+1 .. 1 over the n+1 stored nodes are then the
+        contiguous slice [-n-2:-1].  Rebuilt only when the capacity grows or
+        the kernel changes.
+        """
+        cap = self._data.shape[0]
+        if self._lag_kernel is not kernel or self._lags.shape[0] != cap + 1:
+            self._lags = self.dt * kernel.value(np.arange(cap, -1, -1) * self.dt)
+            self._lag_kernel = kernel
+        return self._lags
 
     def upto(self, t: float) -> np.ndarray:
         """Node times 0, dt, ..., t; t must be a stored grid time."""
@@ -163,6 +191,14 @@ def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: B
     return 0.5 * (N + N.T)
 
 
+# Constant tables, each formed once and dropped with its owner:
+# GramSet -> M0 + M2, Basis -> phi * qw, and GramSet -> the factor of
+# M0 + M2, the Newton matrix of every solve at rho = 0
+_GRAM_SUMS = weakref.WeakKeyDictionary()
+_WEIGHTED_PHI = weakref.WeakKeyDictionary()
+_CONSTANT_FACTORS = weakref.WeakKeyDictionary()
+
+
 def residual(
     a: np.ndarray,
     g: np.ndarray,
@@ -174,32 +210,39 @@ def residual(
 ) -> np.ndarray:
     """Galerkin residual R(a) at coefficients (g, v) with trial acceleration a.
 
-    `memory` is the convolution load M2 (b * g)(t), zero when absent.  Any
-    non-finite entry, from the coefficients or from overflow, raises
-    DivergedError.
+    `memory` is the convolution load M2 (b * g)(t), zero when absent.  The
+    pointwise terms are summed at the quadrature points and projected by
+    one product with phi * qw.  Any non-finite entry, from the coefficients
+    or from overflow, raises DivergedError.
     """
-    phi, qw = basis.phi, basis.qw
+    S = _GRAM_SUMS.get(grams)
+    if S is None:
+        S = _GRAM_SUMS[grams] = grams.M0 + grams.M2
+    pq = _WEIGHTED_PHI.get(basis)
+    if pq is None:
+        pq = _WEIGHTED_PHI[basis] = basis.phi * basis.qw
+    phi = basis.phi
     with np.errstate(over="ignore", invalid="ignore"):
-        vq = v @ phi
-        aq = a @ phi
-        if params.rho != 0.0:
-            aq = _inertia_weight(vq, params) * aq
-        R = phi @ (qw * aq)
-        R += grams.M2 @ (a + g)
-        R += grams.M0 @ g
+        point = vq = None
+        if params.rho == 0.0:
+            R = S @ (a + g)
+        else:
+            vq = v @ phi
+            point = _inertia_weight(vq, params) * (a @ phi)
+            R = S @ g + grams.M2 @ a
+        if not params.damping.is_none:
+            h = params.damping.h(v @ phi if vq is None else vq)
+            point = h if point is None else point + h
+        if params.k != 0.0:
+            src = params.k * _log_source(g @ phi)
+            point = -src if point is None else point - src
+        if point is not None:
+            R += pq @ point
         if memory is not None:
             R -= memory
-        if not params.damping.is_none:
-            R += phi @ (qw * params.damping.h(vq))
-        if params.k != 0.0:
-            R -= params.k * (phi @ (qw * _log_source(g @ phi)))
     if not np.isfinite(R).all():
         raise DivergedError("residual evaluation produced non-finite values")
     return R
-
-
-# GramSet -> factor of M0 + M2, the Newton matrix of every solve at rho = 0
-_CONSTANT_FACTORS = weakref.WeakKeyDictionary()
 
 
 def cho_factor(J: np.ndarray) -> np.ndarray:
@@ -272,6 +315,14 @@ def initial_state(
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
 
 
+def _newmark(g, v, a, a0, dt, params, grams, basis, conv, w_end):
+    """(g, v, a) one Newmark step of size dt after (g, v, a); Newton starts at a0."""
+    g_c = g + dt * v + dt * dt * (0.5 - NEWMARK_BETA) * a
+    v_c = v + dt * (1.0 - NEWMARK_GAMMA) * a
+    cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
+    return _newton(a0, g_c, v_c, cb, cg, params, grams, basis, conv, w_end)
+
+
 def _substep_solve(
     prev_t: float,
     prev_g: np.ndarray,
@@ -284,16 +335,27 @@ def _substep_solve(
     grams: GramSet,
     basis: Basis,
 ):
-    """One Newmark solve to prev_t + dt given the past memory nodes."""
+    """One Newmark solve to prev_t + dt given past memory nodes anywhere."""
     t_new = prev_t + dt
     conv = w_end = None
     if not params.kernel.is_zero:
         w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
         conv, w_end = node_g.T @ w[:-1], w[-1]
-    g_c = prev_g + dt * prev_v + dt * dt * (0.5 - NEWMARK_BETA) * prev_a
-    v_c = prev_v + dt * (1.0 - NEWMARK_GAMMA) * prev_a
-    cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
-    return (t_new, *_newton(prev_a, g_c, v_c, cb, cg, params, grams, basis, conv, w_end))
+    return (t_new, *_newmark(prev_g, prev_v, prev_a, prev_a, dt, params, grams, basis, conv, w_end))
+
+
+def _grid_load(history: HistoryBuffer, kernel: RelaxationKernel):
+    """(conv, w_end) of the step after the last stored node, from the lag table.
+
+    The step's memory load is M2 (conv + w_end g_new): the product
+    trapezoid over the stored nodes and the new one, on the uniform grid.
+    """
+    lags = history.lag_table(kernel)
+    nodes = history.snapshots
+    w = lags[-len(nodes) - 1 : -1]
+    conv = w @ nodes
+    conv -= (0.5 * w[0]) * nodes[0]  # the trapezoid halves the first node
+    return conv, 0.5 * lags[-1]
 
 
 def step(
@@ -306,12 +368,15 @@ def step(
 ) -> PlateState:
     """Advance one uniform step; falls back to 2/4/8 substeps on failure.
 
-    Substep nodes extend the memory grid only within the step; the history
-    buffer receives exactly the accepted on-grid snapshot, preserving its
-    uniform spacing.
+    The whole step reads its memory load from the history's lag table and
+    starts Newton at 2 a_n - a_{n-1} (at a_n without a_prev).  Substep nodes
+    extend the memory grid only within the step; the history buffer
+    receives exactly the accepted on-grid snapshot, preserving its uniform
+    spacing.
     """
     if dt <= 0:
         raise InputError("step size must be positive")
+    conv = w_end = None
     if not params.kernel.is_zero:
         if history is None:
             raise InputError("a memory kernel requires the step history")
@@ -319,11 +384,28 @@ def step(
             raise InputError("history length does not match the state's step index")
         if history.dt != dt:
             raise InputError(f"history spacing {history.dt} differs from the step size {dt}")
+        conv, w_end = _grid_load(history, params.kernel)
+    a0 = state.a if state.a_prev is None else 2.0 * state.a - state.a_prev
+    try:
+        g, v, a = _newmark(state.g, state.v, state.a, a0, dt, params, grams, basis, conv, w_end)
+        t = state.t + dt
+    except DivergedError as exc:
+        t, g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
+    new = PlateState(t=t, g=g, v=v, a=a, step_index=state.step_index + 1, a_prev=state.a)
+    if history is not None:
+        history.append(g)
+    return new
+
+
+def _substeps(state, params, grams, basis, dt, history, error):
+    """(t, g, v, a) of the step taken as 2, 4, then 8 substeps.
+
+    Each substep's memory integral runs over the stored nodes and the
+    earlier substeps' nodes, weighted by memory.weights.
+    """
     base_times = history.times if history is not None else np.array([state.t])
     base_g = history.snapshots if history is not None else state.g[None, :]
-
-    last_error = None
-    for pieces in (1, 2, 4, 8):
+    for pieces in (2, 4, 8):
         sub_dt = dt / pieces
         t_cur, g_cur, v_cur, a_cur = state.t, state.g, state.v, state.a
         times_ext, g_ext = base_times, base_g
@@ -337,14 +419,11 @@ def step(
                     times_ext = np.append(times_ext, t_cur)
                     g_ext = np.vstack([g_ext, g_cur[None, :]])
         except DivergedError as exc:
-            last_error = exc
+            error = exc
             continue
-        new = PlateState(t=t_cur, g=g_cur, v=v_cur, a=a_cur, step_index=state.step_index + 1)
-        if history is not None:
-            history.append(new.g)
-        return new
+        return t_cur, g_cur, v_cur, a_cur
     raise DivergedError(
-        f"step from t = {state.t} diverged even with 8 substeps: {last_error}",
+        f"step from t = {state.t} diverged even with 8 substeps: {error}",
         last_state=state,
     )
 

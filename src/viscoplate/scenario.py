@@ -206,6 +206,9 @@ class Scenario:
 # --- initial data -------------------------------------------------------
 
 
+_TABLE_FORMAT = "rows must be comma-separated x,value pairs"
+
+
 def _parse_initial(spec: str, spatial_dim: int, dim: int):
     """Parse an initial-data spec: zero, a sum of mode(j, amplitude) terms, or table(path).
 
@@ -226,10 +229,14 @@ def _parse_initial(spec: str, spatial_dim: int, dim: int):
                 data = np.loadtxt(path, delimiter=",", ndmin=2)
             except UserWarning:
                 raise ScenarioError(f"table {path!r} holds no data") from None
-            except (OSError, ValueError) as exc:
+            except OSError as exc:
                 raise ScenarioError(f"cannot read table {path!r}: {exc}") from None
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"cannot read table {path!r}: {_TABLE_FORMAT} ({exc})"
+                ) from None
         if data.shape[1] != 2:
-            raise ScenarioError("tabulated initial data needs two columns (x, value)")
+            raise ScenarioError(f"table {path!r} has {data.shape[1]} columns: {_TABLE_FORMAT}")
         if not np.isfinite(data).all():
             raise ScenarioError(f"table {path!r} holds a non-finite number")
         return data

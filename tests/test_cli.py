@@ -134,7 +134,8 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["missing", "empty", "unparsable", "non-finite", "three-columns", "two-dimensional"]
+    "case",
+    ["missing", "empty", "unparsable", "whitespace", "non-finite", "three-columns", "two-dimensional"],
 )
 def test_bad_initial_table_refused_before_running(tmp_path, capsys, recwarn, case):
     table = tmp_path / "profile.csv"
@@ -142,6 +143,8 @@ def test_bad_initial_table_refused_before_running(tmp_path, capsys, recwarn, cas
         table.write_text("")
     elif case == "unparsable":
         table.write_text("0.0,0.0\nhalf,0.1\n1.0,0.0\n")
+    elif case == "whitespace":
+        table.write_text("0.0 0.0\n0.5 0.1\n1.0 0.0\n")
     elif case == "non-finite":
         table.write_text("0.0,0.0\n0.5,nan\n1.0,0.0\n")
     elif case == "three-columns":
@@ -154,7 +157,10 @@ def test_bad_initial_table_refused_before_running(tmp_path, capsys, recwarn, cas
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, text + f"[output]\ndir = {out}\n")
     assert main(["run", cfg]) == 2
-    assert "error: initial.u" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: initial.u" in err
+    if case in ("unparsable", "whitespace", "three-columns"):
+        assert "rows must be comma-separated x,value pairs" in err
     assert not out.exists()
     assert not recwarn.list
 

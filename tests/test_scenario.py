@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscoplate.errors import ScenarioError
+from viscoplate.dynamics import run
+from viscoplate.errors import InputError, ScenarioError
+from viscoplate.kernels import parse_damping_spec, parse_kernel_spec
 from viscoplate.scenario import (
     PRESETS,
     Scenario,
@@ -169,6 +172,57 @@ def valid_scenarios(draw):
 def test_effective_config_round_trip_random_scenarios(scn):
     assert scn.validate() == []
     assert parse_scenario_text(effective_config(scn)) == scn
+
+
+_NOT_POS = _finite(max_value=0.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+_BAD_KERNELS = (
+    _spec("exp", _NOT_POS, _ANY) | _spec("exp", _POS, _NOT_POS)
+    | _spec("power", _NOT_POS, _ANY) | _spec("power", _POS, _finite(max_value=1.0))
+    | st.sampled_from(["exp(0.5)", "power(0.5,2,3)", "exp(0.5,1.0", "gauss(1,1)"])
+)
+_BAD_DAMPINGS = (
+    _spec("damp-linear", _NOT_POS) | _spec("damp-cubic", _NOT_POS)
+    | _spec("damp-cubic", _finite(min_value=1.0, exclude_min=True))
+    | st.sampled_from(["damp-linear()", "damp-cubic(0.5,1)", "damp-quintic(1)"])
+)
+
+
+@st.composite
+def invalid_runs(draw):
+    """(kernel, damping, dt, T, which) with `which` naming the invalid ones, at least one."""
+    which = draw(st.sets(st.sampled_from(["kernel", "damping", "dt", "T"]), min_size=1))
+    kernel = draw(_BAD_KERNELS if "kernel" in which else _KERNELS)
+    damping = draw(_BAD_DAMPINGS if "damping" in which else _DAMPINGS)
+    good_dt = draw(st.sampled_from([0.01, 0.1, 0.25]))
+    dt = draw(_NOT_POS) if "dt" in which else good_dt
+    steps = draw(st.integers(0, 20))
+    if "T" in which:  # negative, or a fractional number of steps
+        fraction = st.floats(0.01, 0.99).map(lambda f: (steps + f) * good_dt)
+        T = draw(_finite(max_value=0.0, exclude_max=True) | fraction)
+    else:
+        T = steps * good_dt
+    return kernel, damping, dt, T, which
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(invalid_runs())
+def test_invalid_physics_and_time_raise_only_scenario_errors(case):
+    kernel, damping, dt, T, which = case
+    if "kernel" in which:
+        with pytest.raises(InputError):
+            parse_kernel_spec(kernel)
+    if "damping" in which:
+        with pytest.raises(InputError):
+            parse_damping_spec(damping)
+    try:
+        scn = with_overrides(Scenario(n=2), kernel=kernel, damping=damping, dt=dt, T=T)
+    except ScenarioError:
+        assert which != {"T"} or T < 0
+        return
+    # validate accepts a horizon that is not a whole number of steps; run refuses it
+    assert which == {"T"} and T > 0
+    with pytest.raises(InputError, match="integer number of steps"):
+        run(scn)
 
 
 def test_initial_mode_sum():
