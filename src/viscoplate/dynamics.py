@@ -18,8 +18,10 @@ starting acceleration; the neglected couplings are O(dt), so the iteration
 contracts fast at practical step sizes.  A whole step starts Newton at the
 extrapolated 2 a_n - a_{n-1}.  At rho = 0 the block is the constant
 M0 + M2, factored once per GramSet and reused by every solve and substep
-size.  LAPACK's potrf/potrs are called directly; the residual and the
-matrix are each checked once for finite values.
+size.  The factor is numpy's Cholesky factor L, kept as the inverse
+L^-T L^-1 of the matrix, so every Newton update is one matrix-vector
+product; the residual and the matrix are each checked once for finite
+values.
 
 The residual is fused: M0 + M2 (per GramSet) and the weighted table
 phi * qw (per Basis) are formed once, every pointwise term is summed at the
@@ -42,7 +44,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import memory
 from .errors import DivergedError, InputError
@@ -192,7 +193,7 @@ def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: B
 
 
 # Constant tables, each formed once and dropped with its owner:
-# GramSet -> M0 + M2, Basis -> phi * qw, and GramSet -> the factor of
+# GramSet -> M0 + M2, Basis -> phi * qw, and GramSet -> the inverse of
 # M0 + M2, the Newton matrix of every solve at rho = 0
 _GRAM_SUMS = weakref.WeakKeyDictionary()
 _WEIGHTED_PHI = weakref.WeakKeyDictionary()
@@ -246,23 +247,27 @@ def residual(
 
 
 def cho_factor(J: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of J; the stepper calls this and cho_solve by
-    their module names, so perfbench/tracing.py can wrap them."""
-    c, info = dpotrf(J, lower=0, clean=0)
-    if info != 0:
-        raise DivergedError(f"Jacobian factorization failed: LAPACK potrf info {info}")
-    return c
+    """J^-1 for the SPD matrix J, formed from its Cholesky factor L as
+    L^-T L^-1; a J that is not positive definite is a divergence.
+
+    The stepper calls this and cho_solve by their module names, so
+    perfbench/tracing.py can wrap them.
+    """
+    try:
+        L = np.linalg.cholesky(J)
+    except np.linalg.LinAlgError as exc:
+        raise DivergedError(f"Jacobian factorization failed: {exc}") from exc
+    Li = np.linalg.inv(L)
+    return Li.T @ Li
 
 
 def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
-    x, info = dpotrs(c, R, lower=0)
-    if info != 0:
-        raise DivergedError(f"Newton solve failed: LAPACK potrs info {info}")
-    return x
+    """J^-1 R, with c = cho_factor(J)."""
+    return c @ R
 
 
 def _newton_factor(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> np.ndarray:
-    """Factor of N(v) + M2; at rho = 0 the cached factor of M0 + M2."""
+    """cho_factor of N(v) + M2; at rho = 0 the cached one of M0 + M2."""
     c = _CONSTANT_FACTORS.get(grams) if params.rho == 0.0 else None
     if c is not None:
         return c

@@ -11,7 +11,7 @@ time, directly (the reference that acceptance criterion C07 checks);
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 
 def weights(nodes: np.ndarray, t: float, fn) -> np.ndarray:
@@ -27,6 +27,24 @@ def weights(nodes: np.ndarray, t: float, fn) -> np.ndarray:
     w[-1] = 0.5 * (nodes[-1] - nodes[-2])
     w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
     return w * fn(t - nodes)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def series(times: np.ndarray, G: np.ndarray, M2: np.ndarray, fn, dt: float, lag_min: float = 0.0):
@@ -51,7 +69,7 @@ def series(times: np.ndarray, G: np.ndarray, M2: np.ndarray, fn, dt: float, lag_
     K = dt * fn(lags)
     K[:m] = 0.0
     X = np.column_stack([G, p, np.ones(N)])
-    size = next_fast_len(2 * N - 1, real=True)
+    size = _fast_len(2 * N - 1)
     S = irfft(rfft(K, size)[:, None] * rfft(X, size, axis=0), size, axis=0)[:N]
     # the full convolution weighs every node by dt; halve both ends
     rows = np.arange(m + 1, N)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import AssemblyError, InputError
 from .kernels import invert_increasing
@@ -173,13 +172,13 @@ def assemble_grams(basis: Basis) -> GramSet:
     M0 = 0.5 * (M0 + M0.T)
     M1 = 0.5 * (M1 + M1.T)
     M2 = 0.5 * (M2 + M2.T)
-    try:
-        for M in (M0, M1, M2):
-            cho_factor(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"Gram matrix not positive definite: {exc}") from exc
-    except ValueError as exc:
-        raise AssemblyError(f"Gram assembly produced invalid entries: {exc}") from exc
+    for M in (M0, M1, M2):
+        if not np.isfinite(M).all():
+            raise AssemblyError("Gram assembly produced invalid entries: non-finite values")
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"Gram matrix not positive definite: {exc}") from exc
     return GramSet(M0=M0, M1=M1, M2=M2)
 
 
@@ -193,19 +192,23 @@ def project_initial(fieldfun, basis: Basis, grams: GramSet) -> np.ndarray:
     except TypeError:
         vals = np.array([float(fieldfun(*p)) for p in basis.qpts])
     load = basis.phi @ (basis.qw * vals)
-    coeffs = cho_solve(cho_factor(grams.M0), load)
+    coeffs = np.linalg.solve(grams.M0, load)
     if not np.all(np.isfinite(coeffs)):
         raise AssemblyError("projection produced non-finite coefficients")
     return coeffs
 
 
 def estimate_cp(grams: GramSet) -> float:
-    """Largest generalized eigenvalue of M1 x = lambda M2 x, by a dense solve.
+    """Largest generalized eigenvalue of M1 x = lambda M2 x.
 
-    This is the subspace Poincare-type constant tying the gradient norm to
-    the bending norm; it underestimates the true constant and grows with m.
+    Reduced by the Cholesky factor M2 = L L^T to the symmetric problem for
+    L^-1 M1 L^-T.  This is the subspace Poincare-type constant tying the
+    gradient norm to the bending norm; it underestimates the true constant
+    and grows with m.
     """
-    return float(eigh(grams.M1, grams.M2, eigvals_only=True)[-1])
+    L = np.linalg.cholesky(grams.M2)
+    reduced = np.linalg.solve(L, np.linalg.solve(L, grams.M1).T)
+    return float(np.linalg.eigvalsh(reduced)[-1])
 
 
 def _point_tables(basis: Basis, points: np.ndarray):

@@ -409,9 +409,29 @@ def test_step_diverges_on_non_finite_newton_matrix():
 
 
 def test_failed_factorization_is_divergence():
-    # LAPACK reports a non-positive pivot through info; the stepper treats it as divergence
+    # numpy's Cholesky refuses a non-positive pivot; the stepper treats it as divergence
     with pytest.raises(DivergedError, match="factorization failed"):
         dynamics.cho_factor(np.diag([1.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cho_solve_matches_lapack_potrs(dim):
+    # the Newton matrices at rho = 0 and rho = 1, n = 8 (1D) and n = 64
+    # (2D, n = 8 per axis), solved against scipy's potrf/potrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    basis = build_basis(dim, 8)
+    grams = assemble_grams(basis)
+    rng = np.random.default_rng(dim)
+    params = PhysicalParams(1.0, 0.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
+    v = 0.1 * rng.standard_normal(basis.dim)
+    R = rng.standard_normal(basis.dim)
+    for J in (grams.M0 + grams.M2, inertia_mass(v, params, grams, basis) + grams.M2):
+        got = dynamics.cho_solve(dynamics.cho_factor(J), R)
+        c, info = dpotrf(J, lower=0, clean=0)
+        want, info2 = dpotrs(c, R, lower=0)
+        assert info == info2 == 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])

@@ -10,6 +10,7 @@ import functools
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,34 @@ def test_series_matches_brute_force_product_trapezoid(case):
         assert np.all(C[short] == 0.0)
         if where == "past the end":
             assert short.all()
+
+
+# --- scipy.fft as the oracle of the FFT path ------------------------------
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    assert [memory._fast_len(n) for n in range(1, 20001)] == [
+        next_fast_len(n, real=True) for n in range(1, 20001)
+    ]
+
+
+@pytest.mark.parametrize("N", [1001, 5001])
+def test_series_bit_identical_to_scipy_fft(monkeypatch, N):
+    # numpy.fft and scipy.fft both run pocketfft: the series must not move
+    # a bit when scipy's transforms and fast length are swapped in
+    import scipy.fft
+
+    dt = 1e-3
+    times = np.arange(N) * dt
+    G = 0.01 * np.random.default_rng(N).standard_normal((N, 8))
+    M2 = bending_gram(8)
+    fn = RelaxationKernel.exponential(0.5, 1.0).value
+    got = memory.series(times, G, M2, fn, dt)
+    monkeypatch.setattr(memory, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(memory, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(memory, "_fast_len", lambda n: scipy.fft.next_fast_len(n, real=True))
+    want = memory.series(times, G, M2, fn, dt)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)

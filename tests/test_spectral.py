@@ -1,8 +1,9 @@
 """Spectral-layer tests: roots, mode tables, Grams, projections, c_p.
 
 Root and eigenvalue results are cross-checked against independent routes
-(scipy's brentq, numpy's symmetric eigensolver on the Cholesky-reduced
-pencil) rather than against the implementation's own machinery.
+(scipy's brentq and generalized eigensolver, numpy's symmetric eigensolver
+on the pencil reduced by the symmetric root of M2) rather than against the
+implementation's own machinery.
 """
 
 import math
@@ -184,8 +185,15 @@ def test_degenerate_basis_raises_assembly_error(basis8):
     phi = basis8.phi.copy()
     phi[1] = phi[0]  # duplicated mode makes M0 singular
     broken = replace(basis8, phi=phi)
-    with pytest.raises(AssemblyError):
+    with pytest.raises(AssemblyError, match="not positive definite"):
         assemble_grams(broken)
+
+
+def test_non_finite_basis_raises_assembly_error(basis8):
+    phi = basis8.phi.copy()
+    phi[2, 5] = np.nan
+    with pytest.raises(AssemblyError, match="invalid entries"):
+        assemble_grams(replace(basis8, phi=phi))
 
 
 def test_2d_mass_identity(grams2d):
@@ -248,12 +256,21 @@ def test_cp_single_mode():
 
 
 def test_cp_matches_cholesky_reduced_oracle(grams8, grams2d):
-    # numpy's symmetric eigensolver on L^-1 M1 L^-T, L = cholesky(M2), not
-    # the scipy generalized eigensolver that estimate_cp calls; 1D and 2D
+    # estimate_cp reduces the pencil by the Cholesky factor of M2; the
+    # oracle reduces it by the symmetric root M2^(-1/2) = Q diag(w^-1/2) Q^T
+    # from numpy's eigendecomposition of M2; 1D and 2D
     for grams in (grams8, grams2d):
-        L = np.linalg.cholesky(grams.M2)
-        reduced = np.linalg.solve(L, np.linalg.solve(L, grams.M1).T)
-        oracle = np.linalg.eigvalsh(reduced)[-1]
+        w, Q = np.linalg.eigh(grams.M2)
+        root = (Q / np.sqrt(w)) @ Q.T
+        oracle = np.linalg.eigvalsh(root @ grams.M1 @ root)[-1]
+        assert abs(estimate_cp(grams) - oracle) <= 1e-13 * oracle
+
+
+def test_cp_matches_scipy_generalized_eigensolver(grams8, grams2d):
+    from scipy.linalg import eigh
+
+    for grams in (grams8, grams2d):
+        oracle = eigh(grams.M1, grams.M2, eigvals_only=True)[-1]
         assert abs(estimate_cp(grams) - oracle) <= 1e-13 * oracle
 
 
