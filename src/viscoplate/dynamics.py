@@ -377,7 +377,8 @@ def step(
     starts Newton at 2 a_n - a_{n-1} (at a_n without a_prev).  Substep nodes
     extend the memory grid only within the step; the history buffer
     receives exactly the accepted on-grid snapshot, preserving its uniform
-    spacing.
+    spacing.  A state at t = n dt steps to (n + 1) dt, so a run's times are
+    i dt bit for bit instead of an accumulated sum of dt.
     """
     if dt <= 0:
         raise InputError("step size must be positive")
@@ -393,17 +394,18 @@ def step(
     a0 = state.a if state.a_prev is None else 2.0 * state.a - state.a_prev
     try:
         g, v, a = _newmark(state.g, state.v, state.a, a0, dt, params, grams, basis, conv, w_end)
-        t = state.t + dt
     except DivergedError as exc:
-        t, g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
-    new = PlateState(t=t, g=g, v=v, a=a, step_index=state.step_index + 1, a_prev=state.a)
+        g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
+    n = state.step_index
+    t = (n + 1) * dt if state.t == n * dt else state.t + dt
+    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=state.a)
     if history is not None:
         history.append(g)
     return new
 
 
 def _substeps(state, params, grams, basis, dt, history, error):
-    """(t, g, v, a) of the step taken as 2, 4, then 8 substeps.
+    """(g, v, a) of the step taken as 2, 4, then 8 substeps.
 
     Each substep's memory integral runs over the stored nodes and the
     earlier substeps' nodes, weighted by memory.weights.
@@ -426,7 +428,7 @@ def _substeps(state, params, grams, basis, dt, history, error):
         except DivergedError as exc:
             error = exc
             continue
-        return t_cur, g_cur, v_cur, a_cur
+        return g_cur, v_cur, a_cur
     raise DivergedError(
         f"step from t = {state.t} diverged even with 8 substeps: {error}",
         last_state=state,

@@ -480,6 +480,25 @@ def test_exp_linear_work_count(monkeypatch):
 # --- run -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+def test_run_times_are_exact_grid_multiples(monkeypatch, fallback):
+    # t_i = i dt bit for bit over 1000 steps, also when every step is taken
+    # by the 2-substep fallback (the whole-step solve is made to fail)
+    dt = 1e-3
+    if fallback:
+        newmark = dynamics._newmark
+
+        def whole_step_fails(g, v, a, a0, h, *rest):
+            if h == dt:
+                raise DivergedError("forced")
+            return newmark(g, v, a, a0, h, *rest)
+
+        monkeypatch.setattr(dynamics, "_newmark", whole_step_fails)
+    traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=1.0))
+    assert len(traj) == 1001
+    assert np.array_equal(traj.times, np.arange(len(traj)) * dt)
+
+
 def test_run_zero_horizon():
     scn = OneShotScenario(CONSERVATIVE, 0.01, 0.0, np.zeros(4), np.zeros(4))
     traj = run(scn)
