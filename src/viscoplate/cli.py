@@ -41,6 +41,7 @@ CSV_HEADER = (
     "t,E,J,I,kin_rho,bend,bend_rate,mass,logterm,memory,"
     "psi1,psi2,L,G,M,dissipation,rate_residual"
 )
+CSV_BLOCK_ROWS = 4096  # rows formatted at once, bounding the text held in memory
 MONOTONE_TOL = 1e-10
 OVERSHOOT_TOL = 1e-6
 # half-width of the window around each zero crossing of u that the
@@ -129,10 +130,15 @@ def _write_csv(path: str, bundle, L: np.ndarray, stride: int) -> None:
         bundle.mass, bundle.logterm, bundle.memory, bundle.psi1, bundle.psi2, L,
         bundle.damping_avg, tail, bundle.dissipation, bundle.rate_residual,
     )
+    table = np.column_stack(cols)[::stride]
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted a block
+    # of rows per % operation instead of one row per Python iteration
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(
-            fh, np.column_stack(cols)[::stride], fmt="%.17g", delimiter=",", header=CSV_HEADER, comments=""
-        )
+        fh.write(CSV_HEADER + "\n")
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[i : i + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _distance_to_nearest(times: np.ndarray, points: np.ndarray) -> np.ndarray:

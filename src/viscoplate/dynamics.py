@@ -16,7 +16,13 @@ by a modified Newton iteration on the dominant N(v) + M2 block, built and
 Cholesky-factored once per solve at the velocity predicted from the
 starting acceleration; the neglected couplings are O(dt), so the iteration
 contracts fast at practical step sizes.  A whole step starts Newton at the
-extrapolated 2 a_n - a_{n-1}.  At rho = 0 the block is the constant
+cubic extrapolation 4 r_n - 6 r_n-1 + 4 r_n-2 - r_n-3 of the refined
+accelerations r = a - J^-1 R(a), each the Newton iterate one past an
+accepted a: one more update from the factor and final residual the solve
+already holds.  The accepted values themselves carry residual noise up to
+NEWTON_TOL, which the cubic's weights (sum of |c| = 15) would amplify past
+it; from the refined rows a smooth trajectory's start mostly meets
+NEWTON_TOL at the first residual.  At rho = 0 the block is the constant
 M0 + M2, factored once per GramSet and reused by every solve and substep
 size.  The factor is numpy's Cholesky factor L, kept as the inverse
 L^-T L^-1 of the matrix, so every Newton update is one matrix-vector
@@ -56,6 +62,16 @@ NEWTON_MAX_ITER = 25
 NEWMARK_BETA = 0.25
 NEWMARK_GAMMA = 0.5
 
+# Newton-start weights on k rows, newest first: the extrapolation of order
+# k - 1, up to the cubic 4 r0 - 6 r1 + 4 r2 - r3
+_START_WEIGHTS = {
+    1: np.array([1.0]),
+    2: np.array([2.0, -1.0]),
+    3: np.array([3.0, -3.0, 1.0]),
+    4: np.array([4.0, -6.0, 4.0, -1.0]),
+}
+_START_ROWS = max(_START_WEIGHTS)
+
 
 @dataclass(frozen=True, eq=False)
 class PhysicalParams:
@@ -90,7 +106,9 @@ class PlateState:
     v: np.ndarray
     a: np.ndarray
     step_index: int = 0
-    a_prev: np.ndarray | None = None  # the acceleration one step earlier, set by step
+    # Newton-start rows, set by step: the refined accelerations of the last
+    # (at most four) steps, newest first; None starts at a
+    a_prev: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.g, self.v, self.a):
@@ -285,7 +303,8 @@ def _newton(a, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
 
     cb = None holds (g, v) at (g_c, v_c); the memory load is
     M2 (conv + w_end g), absent when conv is None.  N(v) + M2 is factored
-    once, at the starting a.  Returns (g, v, a) at the root.
+    once, at the starting a.  Returns (g, v, a) at the root, where
+    |R|_inf <= NEWTON_TOL, and the refined a - J^-1 R(a) one update past it.
     """
     # a diverging iterate overflows here; residual's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,9 +313,10 @@ def _newton(a, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
         for _ in range(NEWTON_MAX_ITER):
             mem = None if conv is None else grams.M2 @ (conv + w_end * g)
             R = residual(a, g, v, params, grams, basis, memory=mem)
+            da = cho_solve(factor, R)
             if np.abs(R).max() <= NEWTON_TOL:
-                return g, v, a
-            a = a - cho_solve(factor, R)
+                return g, v, a, a - da
+            a = a - da
             if cb is not None:
                 g, v = g_c + cb * a, v_c + cg * a
     raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
@@ -321,7 +341,7 @@ def initial_state(
 
 
 def _newmark(g, v, a, a0, dt, params, grams, basis, conv, w_end):
-    """(g, v, a) one Newmark step of size dt after (g, v, a); Newton starts at a0."""
+    """(g, v, a, refined a) one Newmark step of size dt after (g, v, a); Newton starts at a0."""
     g_c = g + dt * v + dt * dt * (0.5 - NEWMARK_BETA) * a
     v_c = v + dt * (1.0 - NEWMARK_GAMMA) * a
     cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
@@ -346,7 +366,7 @@ def _substep_solve(
     if not params.kernel.is_zero:
         w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
         conv, w_end = node_g.T @ w[:-1], w[-1]
-    return (t_new, *_newmark(prev_g, prev_v, prev_a, prev_a, dt, params, grams, basis, conv, w_end))
+    return (t_new, *_newmark(prev_g, prev_v, prev_a, prev_a, dt, params, grams, basis, conv, w_end)[:3])
 
 
 def _grid_load(history: HistoryBuffer, kernel: RelaxationKernel):
@@ -374,7 +394,13 @@ def step(
     """Advance one uniform step; falls back to 2/4/8 substeps on failure.
 
     The whole step reads its memory load from the history's lag table and
-    starts Newton at 2 a_n - a_{n-1} (at a_n without a_prev).  Substep nodes
+    starts Newton at the extrapolation of the state's a_prev rows: the
+    cubic 4 r_n - 6 r_n-1 + 4 r_n-2 - r_n-3 of refined accelerations, the
+    rows (1), (2, -1), (3, -3, 1) while fewer are stored, a_n without
+    a_prev.  The new state's rows put this step's refined acceleration in
+    front, or restart from the accepted a after a substep fallback.  The
+    refined rows only start Newton; g, v and a are the accepted root.
+    Substep nodes
     extend the memory grid only within the step; the history buffer
     receives exactly the accepted on-grid snapshot, preserving its uniform
     spacing.  A state at t = n dt steps to (n + 1) dt, so a run's times are
@@ -391,14 +417,20 @@ def step(
         if history.dt != dt:
             raise InputError(f"history spacing {history.dt} differs from the step size {dt}")
         conv, w_end = _grid_load(history, params.kernel)
-    a0 = state.a if state.a_prev is None else 2.0 * state.a - state.a_prev
+    old = state.a[None, :] if state.a_prev is None else state.a_prev
+    a0 = _START_WEIGHTS[len(old)] @ old
     try:
-        g, v, a = _newmark(state.g, state.v, state.a, a0, dt, params, grams, basis, conv, w_end)
+        g, v, a, r = _newmark(state.g, state.v, state.a, a0, dt, params, grams, basis, conv, w_end)
     except DivergedError as exc:
         g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
+        rows = a[None, :]
+    else:
+        rows = np.empty((min(len(old) + 1, _START_ROWS), len(a)))
+        rows[0] = r
+        rows[1:] = old[: len(rows) - 1]
     n = state.step_index
     t = (n + 1) * dt if state.t == n * dt else state.t + dt
-    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=state.a)
+    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=rows)
     if history is not None:
         history.append(g)
     return new

@@ -204,6 +204,35 @@ def test_csv_schema_and_stride(tmp_path):
     assert e0 == rep["energy"]["E0"]
 
 
+@pytest.mark.parametrize("stride, with_tail", [(1, True), (3, False)])
+def test_csv_writer_matches_savetxt_bytes(tmp_path, stride, with_tail):
+    # 12301 rows (4101 at stride 3) cross the writer's 4096-row blocks; the
+    # table holds nan, +-inf, -0.0, a subnormal and values of every scale
+    from types import SimpleNamespace
+
+    from viscoplate.cli import _write_csv
+
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((12301, 17)) * 10.0 ** rng.integers(-300, 300, (12301, 17))
+    table[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0]
+    table[-1, -5:] = [1.0, 0.1, 1 / 3, -2.5e-310, 1e308]
+    names = (
+        "times E J I kin_rho bend bend_rate mass logterm memory psi1 psi2 L "
+        "damping_avg memory_tail dissipation rate_residual"
+    ).split()
+    cols = dict(zip(names, table.T))
+    if not with_tail:
+        cols["memory_tail"] = None
+        table[:, 14] = np.nan
+    L = cols.pop("L")
+    path = tmp_path / "got.csv"
+    _write_csv(str(path), SimpleNamespace(**cols), L, stride)
+    want = tmp_path / "want.csv"
+    with open(want, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table[::stride], fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_negative_stride_exits_two_before_running(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "out")

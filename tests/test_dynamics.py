@@ -160,9 +160,11 @@ def test_lag_table_load_matches_memory_weights(kernel):
     hist = HistoryBuffer(dt, st.g)
     for n in range(300):
         conv, w_end = dynamics._grid_load(hist, params.kernel)
-        prev = st
+        rows = st.a[None, :] if st.a_prev is None else st.a_prev
         st = step(st, params, grams, basis, dt, history=hist)
-        assert st.a_prev is prev.a
+        # the step's refined acceleration goes in front of the Newton-start rows
+        assert st.a_prev.shape == (min(len(rows) + 1, 4), 6)
+        assert np.array_equal(st.a_prev[1:], rows[: len(st.a_prev) - 1])
         got = grams.M2 @ (conv + w_end * st.g)
         want = memory_term(hist, params.kernel, grams, (n + 1) * dt)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -456,10 +458,9 @@ def test_one_newton_matrix_and_factor_per_solve(monkeypatch, rho):
     assert counts == {"factor": solves, "matrix": solves}
 
 
-def test_exp_linear_work_count(monkeypatch):
-    # the whole step starts Newton at 2 a_n - a_{n-1}: about two residuals
-    # per step (the start and the one after a single correction), one factor
-    counts = {"residual": 0, "factor": 0}
+def _count_stepper_calls(monkeypatch):
+    """Counts of the calls that dynamics makes through its module globals."""
+    counts = {"step": 0, "residual": 0, "factor": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -468,13 +469,89 @@ def test_exp_linear_work_count(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(dynamics, "residual", counted("residual", dynamics.residual))
-    monkeypatch.setattr(dynamics, "cho_factor", counted("factor", dynamics.cho_factor))
+    for name, attr in (("step", "step"), ("residual", "residual"), ("factor", "cho_factor"), ("solve", "cho_solve")):
+        monkeypatch.setattr(dynamics, attr, counted(name, getattr(dynamics, attr)))
+    return counts
+
+
+def test_exp_linear_work_count(monkeypatch):
+    # the whole step starts Newton at the cubic extrapolation of refined
+    # accelerations, which nearly always meets NEWTON_TOL at once: about one
+    # residual per step, each followed by one solve, and one factor per run
+    counts = _count_stepper_calls(monkeypatch)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=1e-3, T=0.5))
     steps = len(traj) - 1
     assert steps == 500
-    assert counts["residual"] <= 2.05 * steps
+    assert counts["step"] == steps
+    assert counts["residual"] <= 1.1 * steps
+    assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
+
+
+def test_power_steep_cubic_work_count(monkeypatch):
+    # at rho = 1 the Newton matrix is formed at the start's velocity, so the
+    # start misses NEWTON_TOL and one correction follows: about two residuals
+    # per step, one factor per step and one for the initial acceleration
+    counts = _count_stepper_calls(monkeypatch)
+    traj = run(with_overrides(PRESETS["power-steep-cubic"], T=1.0))
+    steps = len(traj) - 1
+    assert steps == 100
+    assert counts["step"] == steps
+    assert counts["residual"] <= 2.15 * steps
+    assert counts["solve"] == counts["residual"]
+    assert counts["factor"] == steps + 1
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_accepted_states_meet_newton_tolerance(rho):
+    # every accepted state of a 200-step run solves its own equation: its
+    # residual, with the memory load recomputed by memory_term, is within
+    # NEWTON_TOL (dt = 2^-7 keeps the oracle's node times exact)
+    dt = 2.0**-7
+    params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), parse_damping_spec("damp-cubic(0.5)"), 0.0)
+    g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
+    v0 = np.array([0.0, 0.2, 0.0, -0.05, 0.0, 0.0])
+    traj = run(OneShotScenario(params, dt, 200 * dt, g0, v0, n=6))
+    assert len(traj) == 201
+    hist = traj.history()
+    for i in range(len(traj)):
+        mem = memory_term(hist, params.kernel, traj.grams, traj.times[i])
+        R = residual(traj.a[i], traj.g[i], traj.v[i], params, traj.grams, traj.basis, memory=mem)
+        assert np.max(np.abs(R)) <= NEWTON_TOL
+
+
+def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
+    # the sixth whole step is made to fail; the 2-substep fallback takes it,
+    # and the seventh whole step starts at the accepted a, not at an
+    # extrapolation over the fallen-back step
+    dt = 1e-3
+    newmark = dynamics._newmark
+    starts = []
+
+    def sixth_whole_step_fails(g, v, a, a0, h, *rest):
+        if h == dt:
+            starts.append(a0)
+            if len(starts) == 6:
+                raise DivergedError("forced")
+        return newmark(g, v, a, a0, h, *rest)
+
+    monkeypatch.setattr(dynamics, "_newmark", sixth_whole_step_fails)
+    traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=10 * dt))
+    assert len(starts) == 10
+    assert np.array_equal(starts[6], traj.a[6])
+    # before the fallback the start is an extrapolation: steps 5 and 6 start
+    # at the cubic, which is not the last accepted a
+    assert not np.array_equal(starts[4], traj.a[4])
+    assert not np.array_equal(starts[5], traj.a[5])
+    st = traj.state(6)
+    hist = HistoryBuffer(dt, traj.g[:7])
+    params = traj.params
+    after = step(
+        PlateState(st.t, st.g, st.v, st.a, 6, a_prev=st.a[None, :]),
+        params, traj.grams, traj.basis, dt, history=hist,
+    )
+    assert after.a_prev.shape == (2, len(st.a))
+    assert np.array_equal(after.a_prev[1], st.a)
 
 
 # --- run -----------------------------------------------------------------
