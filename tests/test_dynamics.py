@@ -543,15 +543,6 @@ def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
     # at the cubic, which is not the last accepted a
     assert not np.array_equal(starts[4], traj.a[4])
     assert not np.array_equal(starts[5], traj.a[5])
-    st = traj.state(6)
-    hist = HistoryBuffer(dt, traj.g[:7])
-    params = traj.params
-    after = step(
-        PlateState(st.t, st.g, st.v, st.a, 6, a_prev=st.a[None, :]),
-        params, traj.grams, traj.basis, dt, history=hist,
-    )
-    assert after.a_prev.shape == (2, len(st.a))
-    assert np.array_equal(after.a_prev[1], st.a)
 
 
 # --- run -----------------------------------------------------------------
