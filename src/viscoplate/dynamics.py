@@ -425,9 +425,7 @@ def step(
         g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
         rows = a[None, :]
     else:
-        rows = np.empty((min(len(old) + 1, _START_ROWS), len(a)))
-        rows[0] = r
-        rows[1:] = old[: len(rows) - 1]
+        rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
     n = state.step_index
     t = (n + 1) * dt if state.t == n * dt else state.t + dt
     new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=rows)
