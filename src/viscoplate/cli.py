@@ -30,6 +30,7 @@ from .kernels import (
     envelope_linear_B,
     envelope_nonlinear_B,
     envelope_nonlinear_both,
+    split_top,
     validate_h1,
     validate_h2,
     validate_h3,
@@ -431,23 +432,6 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
 # --- entry point ---------------------------------------------------------
 
 
-def _split_values(rest: str) -> list:
-    """Split on commas outside parentheses so kernel specs stay whole."""
-    parts, depth, cur = [], 0, []
-    for ch in rest:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in (q.strip() for q in parts) if p]
-
-
 def _parse_axes(specs) -> dict:
     axes = {}
     valid = {f for f in Scenario.__dataclass_fields__ if f != "out_dir"}
@@ -458,7 +442,7 @@ def _parse_axes(specs) -> dict:
         key = key.strip()
         if key not in valid:
             raise InputError(f"unknown sweep axis {key!r}")
-        values = [parse_field(key, v) for v in _split_values(rest)]
+        values = [parse_field(key, v) for v in split_top(rest, ",") if v]
         if not values:
             raise InputError(f"axis {key!r} has no values")
         axes[key] = values

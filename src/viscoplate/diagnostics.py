@@ -325,6 +325,8 @@ def log_sobolev_gap(state, a: float, cp: float, basis: Basis) -> float:
 
 def log_sobolev_series(bundle: SeriesBundle, a: float, cp: float) -> np.ndarray:
     """log_sobolev_gap at every sample of the run, from the bundle's series."""
+    if a <= 0:
+        raise InputError("log-Sobolev coefficient a must be positive")
     m = bundle.mass
     safe_m = np.where(m > 0.0, m, 1.0)
     return np.where(

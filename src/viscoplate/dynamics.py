@@ -89,14 +89,19 @@ class PhysicalParams:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise InputError("inertia exponent rho must be >= 0")
-        if self.k < 0:
-            raise InputError("log-source strength k must be >= 0")
-        if self.sigma < 0:
-            raise InputError("regularization sigma must be >= 0")
-        if 0.0 < self.rho < 1.0 and self.sigma == 0.0:
-            raise InputError("rho in (0,1) needs sigma > 0 for a differentiable Jacobian")
+        check_physics_args(self.rho, self.k, self.sigma)
+
+
+def check_physics_args(rho: float, k: float, sigma: float) -> None:
+    """Refuse the coefficients PhysicalParams cannot take."""
+    if rho < 0:
+        raise InputError("inertia exponent rho must be >= 0")
+    if k < 0:
+        raise InputError("log-source strength k must be >= 0")
+    if sigma < 0:
+        raise InputError("regularization sigma must be >= 0")
+    if 0.0 < rho < 1.0 and sigma == 0.0:
+        raise InputError("rho in (0,1) needs sigma > 0 for a differentiable Jacobian")
 
 
 @dataclass(frozen=True, eq=False)

@@ -694,13 +694,40 @@ def envelope_nonlinear_both(
 # Catalog spec strings
 
 
-def _parse_args(spec: str, name: str, count: tuple) -> list[float]:
-    inner = spec[len(name) + 1 : -1]
-    parts = [p.strip() for p in inner.split(",") if p.strip()]
-    if len(parts) not in count:
-        raise InputError(f"{name!r} expects {' or '.join(map(str, count))} arguments, got {len(parts)}")
+def split_top(text: str, sep: str) -> list[str]:
+    """text split at each sep outside parentheses, every part stripped."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
+    return parts
+
+
+def call_args(spec: str, name: str, count: tuple) -> list[str] | None:
+    """The stripped arguments of spec written as name(a, ...), None if spec is no such call.
+
+    An empty argument, or a number of arguments not in count, is an InputError.
+    """
+    if not (spec.startswith(name + "(") and spec.endswith(")")):
+        return None
+    args = [p.strip() for p in spec[len(name) + 1 : -1].split(",")]
+    if "" in args:
+        raise InputError(f"empty argument in {spec!r}")
+    if len(args) not in count:
+        raise InputError(f"{name!r} expects {' or '.join(map(str, count))} arguments, got {len(args)}")
+    return args
+
+
+def _numbers(spec: str, name: str, count: tuple) -> list[float] | None:
+    """call_args as finite floats."""
+    args = call_args(spec, name, count)
+    if args is None:
+        return None
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in args]
     except ValueError as exc:
         raise InputError(f"non-numeric argument in {spec!r}") from exc
     if not np.isfinite(values).all():
@@ -713,12 +740,10 @@ def parse_kernel_spec(spec: str) -> RelaxationKernel:
     s = spec.strip()
     if s == "none":
         return RelaxationKernel.zero()
-    if s.startswith("exp(") and s.endswith(")"):
-        b0, rate = _parse_args(s, "exp", (2,))
-        return RelaxationKernel.exponential(b0, rate)
-    if s.startswith("power(") and s.endswith(")"):
-        b0, q = _parse_args(s, "power", (2,))
-        return RelaxationKernel.power_law(b0, q)
+    if (args := _numbers(s, "exp", (2,))) is not None:
+        return RelaxationKernel.exponential(*args)
+    if (args := _numbers(s, "power", (2,))) is not None:
+        return RelaxationKernel.power_law(*args)
     raise InputError(f"unknown kernel spec {spec!r}")
 
 
@@ -727,34 +752,28 @@ def parse_damping_spec(spec: str) -> DampingLaw:
     s = spec.strip()
     if s == "none":
         return DampingLaw.none()
-    if s.startswith("damp-linear(") and s.endswith(")"):
-        (c,) = _parse_args(s, "damp-linear", (1,))
-        return DampingLaw.linear(c)
-    if s.startswith("damp-cubic(") and s.endswith(")"):
-        (eps,) = _parse_args(s, "damp-cubic", (1,))
-        return DampingLaw.origin_power(3.0, eps)
+    if (args := _numbers(s, "damp-linear", (1,))) is not None:
+        return DampingLaw.linear(*args)
+    if (args := _numbers(s, "damp-cubic", (1,))) is not None:
+        return DampingLaw.origin_power(3.0, *args)
     raise InputError(f"unknown damping spec {spec!r}")
 
 
 def parse_xi_spec(spec: str) -> XiWeight:
     """Parse weight strings: "const(x0)", "rational(theta)" or "rational(theta,x0)"."""
     s = spec.strip()
-    if s.startswith("const(") and s.endswith(")"):
-        (x0,) = _parse_args(s, "const", (1,))
-        return XiWeight.constant(x0)
-    if s.startswith("rational(") and s.endswith(")"):
-        args = _parse_args(s, "rational", (1, 2))
-        return XiWeight.rational(args[0], args[1] if len(args) == 2 else 1.0)
+    if (args := _numbers(s, "const", (1,))) is not None:
+        return XiWeight.constant(*args)
+    if (args := _numbers(s, "rational", (1, 2))) is not None:
+        return XiWeight.rational(*args)
     raise InputError(f"unknown weight spec {spec!r}")
 
 
 def parse_modulus_spec(spec: str) -> ConvexModulus:
     """Parse modulus strings: "linear(slope)", "pow(p)", "pow(p,r1)"."""
     s = spec.strip()
-    if s.startswith("linear(") and s.endswith(")"):
-        (slope,) = _parse_args(s, "linear", (1,))
-        return ConvexModulus.linear(slope)
-    if s.startswith("pow(") and s.endswith(")"):
-        args = _parse_args(s, "pow", (1, 2))
+    if (args := _numbers(s, "linear", (1,))) is not None:
+        return ConvexModulus.linear(*args)
+    if (args := _numbers(s, "pow", (1, 2))) is not None:
         return ConvexModulus.power(args[0], r1=args[1] if len(args) == 2 else 1.0)
     raise InputError(f"unknown modulus spec {spec!r}")

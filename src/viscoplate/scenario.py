@@ -10,65 +10,52 @@ with the sections [space], [time], [physics], [initial], [output] and
 from __future__ import annotations
 
 import configparser
-import io
 import math
-import re
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ScenarioError
+from .dynamics import PhysicalParams, check_physics_args
+from .errors import ScenarioError, ViscoplateError
 from .kernels import (
+    call_args,
     parse_damping_spec,
     parse_kernel_spec,
     parse_modulus_spec,
     parse_xi_spec,
+    split_top,
 )
-from .spectral import build_basis, project_initial
+from .spectral import build_basis, check_basis_args, project_initial
 
-_SCHEMA = {
-    "space": {"dim": int, "n": int, "L": float, "quad_order": int},
-    "time": {"dt": float, "T": float},
-    "physics": {
-        "rho": float, "k": float, "sigma": float,
-        "kernel": str, "damping": str, "xi": str, "modulus": str,
-    },
-    "initial": {"u": str, "v": str},
-    "output": {"dir": str, "stride": int},
-    "diagnostics": {
-        "a": float, "eps0": float, "eps1": float,
-        "t0": float, "t1": float, "delta": float, "lyap_eps": float,
-    },
+# Scenario field -> (INI section, key, type), in the order effective_config writes
+_FIELDS = {
+    "spatial_dim": ("space", "dim", int),
+    "n": ("space", "n", int),
+    "L": ("space", "L", float),
+    "quad_order": ("space", "quad_order", int),
+    "dt": ("time", "dt", float),
+    "T": ("time", "T", float),
+    "rho": ("physics", "rho", float),
+    "k": ("physics", "k", float),
+    "sigma": ("physics", "sigma", float),
+    "kernel": ("physics", "kernel", str),
+    "damping": ("physics", "damping", str),
+    "xi": ("physics", "xi", str),
+    "modulus": ("physics", "modulus", str),
+    "initial_u": ("initial", "u", str),
+    "initial_v": ("initial", "v", str),
+    "out_dir": ("output", "dir", str),
+    "stride": ("output", "stride", int),
+    "a": ("diagnostics", "a", float),
+    "eps0": ("diagnostics", "eps0", float),
+    "eps1": ("diagnostics", "eps1", float),
+    "t0": ("diagnostics", "t0", float),
+    "t1": ("diagnostics", "t1", float),
+    "delta": ("diagnostics", "delta", float),
+    "lyap_eps": ("diagnostics", "lyap_eps", float),
 }
-
-_FIELD_OF = {
-    ("space", "dim"): "spatial_dim",
-    ("space", "n"): "n",
-    ("space", "L"): "L",
-    ("space", "quad_order"): "quad_order",
-    ("time", "dt"): "dt",
-    ("time", "T"): "T",
-    ("physics", "rho"): "rho",
-    ("physics", "k"): "k",
-    ("physics", "sigma"): "sigma",
-    ("physics", "kernel"): "kernel",
-    ("physics", "damping"): "damping",
-    ("physics", "xi"): "xi",
-    ("physics", "modulus"): "modulus",
-    ("initial", "u"): "initial_u",
-    ("initial", "v"): "initial_v",
-    ("output", "dir"): "out_dir",
-    ("output", "stride"): "stride",
-    ("diagnostics", "a"): "a",
-    ("diagnostics", "eps0"): "eps0",
-    ("diagnostics", "eps1"): "eps1",
-    ("diagnostics", "t0"): "t0",
-    ("diagnostics", "t1"): "t1",
-    ("diagnostics", "delta"): "delta",
-    ("diagnostics", "lyap_eps"): "lyap_eps",
-}
-_KEY_OF = {fname: section_key for section_key, fname in _FIELD_OF.items()}
+_FIELD_AT = {(section, key): fname for fname, (section, key, _) in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -104,8 +91,6 @@ class Scenario:
         return build_basis(self.spatial_dim, self.n, L=self.L, quad_order=self.quad_order)
 
     def physical_params(self):
-        from .dynamics import PhysicalParams
-
         return PhysicalParams(
             rho=self.rho, k=self.k,
             kernel=parse_kernel_spec(self.kernel),
@@ -137,68 +122,48 @@ class Scenario:
 
         A field of the wrong type (a float field takes int or float, an int
         field int, a str field str) is reported alone, before any comparison.
+        The basis, the physical coefficients and the spec strings are checked
+        by the code that builds them, one problem per check.
         """
         optional = {f.name for f in fields(self) if f.default is None}
-        wrong = []
-        for (section, key), fname in _FIELD_OF.items():
-            kind, value = _SCHEMA[section][key], getattr(self, fname)
+        wrong, errs = [], []
+        for fname, (section, key, kind) in _FIELDS.items():
+            value = getattr(self, fname)
             if value is None and fname in optional:
                 continue
             accepted = (int, float) if kind is float else kind
             if isinstance(value, bool) or not isinstance(value, accepted):
                 wrong.append(f"{section}.{key} must be {kind.__name__}, got {value!r}")
+            elif kind is float and not math.isfinite(value):
+                errs.append(f"{section}.{key} must be finite")
         if wrong:
             return wrong
-        errs = [
-            f"{section}.{key} must be finite"
-            for (section, key), fname in _FIELD_OF.items()
-            if _SCHEMA[section][key] is float
-            and getattr(self, fname) is not None
-            and not math.isfinite(getattr(self, fname))
-        ]
-        if self.spatial_dim not in (1, 2):
-            errs.append("space.dim must be 1 or 2")
-        if self.n < 1:
-            errs.append("space.n must be >= 1")
-        if self.L <= 0:
-            errs.append("space.L must be positive")
         if self.dt <= 0:
             errs.append("time.dt must be positive")
         if self.T < 0:
             errs.append("time.T must be nonnegative")
-        if self.rho < 0:
-            errs.append("physics.rho must be nonnegative")
-        if self.k < 0:
-            errs.append("physics.k must be nonnegative")
         if self.stride < 1:
             errs.append("output.stride must be >= 1")
+        if self.a is not None and self.a <= 0:
+            errs.append("diagnostics.a must be positive")
         if not 0 < self.delta < 1:
             errs.append("diagnostics.delta must lie in (0, 1)")
         if self.lyap_eps <= 0:
             errs.append("diagnostics.lyap_eps must be positive")
-        for name, spec, parser in (
-            ("physics.kernel", self.kernel, parse_kernel_spec),
-            ("physics.damping", self.damping, parse_damping_spec),
+        dim = self.n**self.spatial_dim
+        for name, check in (
+            ("space", lambda: check_basis_args(self.spatial_dim, self.n, self.L, self.quad_order)),
+            ("physics", lambda: check_physics_args(self.rho, self.k, self.sigma)),
+            ("physics.kernel", lambda: parse_kernel_spec(self.kernel)),
+            ("physics.damping", lambda: parse_damping_spec(self.damping)),
+            ("physics.xi", lambda: self.xi is None or parse_xi_spec(self.xi)),
+            ("physics.modulus", lambda: self.modulus is None or parse_modulus_spec(self.modulus)),
+            ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, dim)),
+            ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, dim)),
         ):
             try:
-                parser(spec)
-            except Exception as exc:
-                errs.append(f"{name}: {exc}")
-        if self.xi is not None:
-            try:
-                parse_xi_spec(self.xi)
-            except Exception as exc:
-                errs.append(f"physics.xi: {exc}")
-        if self.modulus is not None:
-            try:
-                parse_modulus_spec(self.modulus)
-            except Exception as exc:
-                errs.append(f"physics.modulus: {exc}")
-        dim = self.n**self.spatial_dim
-        for name, spec in (("initial.u", self.initial_u), ("initial.v", self.initial_v)):
-            try:
-                _parse_initial(spec, self.spatial_dim, dim)
-            except Exception as exc:
+                check()
+            except ViscoplateError as exc:
                 errs.append(f"{name}: {exc}")
         return errs
 
@@ -241,15 +206,14 @@ def _parse_initial(spec: str, spatial_dim: int, dim: int):
             raise ScenarioError(f"table {path!r} holds a non-finite number")
         return data
     terms = []
-    for part in re.split(r"\+(?![^(]*\))", spec):  # a "+" inside mode(...) is an exponent sign
-        part = part.strip()
-        if not (part.startswith("mode(") and part.endswith(")")):
+    for part in split_top(spec, "+"):  # a "+" inside mode(...) is an exponent sign
+        args = call_args(part, "mode", (2,))
+        if args is None:
             raise ScenarioError(f"unrecognized initial-data term {part!r}")
-        args = part[5:-1].split(",")
-        if len(args) != 2:
-            raise ScenarioError(f"mode term needs (index, amplitude), got {part!r}")
-        j = int(args[0])
-        amplitude = float(args[1])
+        try:
+            j, amplitude = int(args[0]), float(args[1])
+        except ValueError:
+            raise ScenarioError(f"mode term {part!r} needs an integer index and a number") from None
         if not 1 <= j <= dim:
             raise ScenarioError(f"mode index {j} outside 1..{dim}")
         if not math.isfinite(amplitude):
@@ -274,23 +238,11 @@ def _initial_vector(spec: str, basis, grams) -> np.ndarray:
 
 def parse_field(field: str, raw: str):
     """raw as a value of the Scenario field, typed as the config file types it."""
-    section, key = _KEY_OF[field]
-    typ = _SCHEMA[section][key]
+    section, key, typ = _FIELDS[field]
     try:
         return raw.strip() if typ is str else typ(raw.strip())
     except ValueError:
         raise ScenarioError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from None
-
-
-def _set_field(kwargs: dict, errors: list, section: str, key: str, raw: str) -> None:
-    if key not in _SCHEMA.get(section, ()):
-        errors.append(f"unknown key [{section}] {key}")
-        return
-    fname = _FIELD_OF[(section, key)]
-    try:
-        kwargs[fname] = parse_field(fname, raw)
-    except ScenarioError as exc:
-        errors.append(str(exc))
 
 
 def parse_scenario_text(text: str, origin: str = "<config>") -> Scenario:
@@ -302,12 +254,20 @@ def parse_scenario_text(text: str, origin: str = "<config>") -> Scenario:
         raise ScenarioError(f"config parse error: {exc}") from exc
     errors: list = []
     kwargs: dict = {}
+    sections = {section for section, _ in _FIELD_AT}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             errors.append(f"unknown section [{section}]")
             continue
         for key, raw in cp.items(section):
-            _set_field(kwargs, errors, section, key, raw)
+            fname = _FIELD_AT.get((section, key))
+            if fname is None:
+                errors.append(f"unknown key [{section}] {key}")
+                continue
+            try:
+                kwargs[fname] = parse_field(fname, raw)
+            except ScenarioError as exc:
+                errors.append(str(exc))
     if errors:
         raise ScenarioError("; ".join(errors))
     return with_overrides(Scenario(), **kwargs)
@@ -320,23 +280,13 @@ def parse_scenario(path: str) -> Scenario:
 
 def effective_config(scn: Scenario) -> str:
     """Every field written out explicitly; reparsing yields an equal Scenario."""
-    out = io.StringIO()
     by_section: dict = {}
-    for (section, key), fname in _FIELD_OF.items():
+    for fname, (section, key, _) in _FIELDS.items():
         value = getattr(scn, fname)
-        if value is None:
-            continue
-        by_section.setdefault(section, []).append((key, value))
-    for section in _SCHEMA:
-        items = by_section.get(section)
-        if not items:
-            continue
-        out.write(f"[{section}]\n")
-        for key, value in items:
+        if value is not None:
             text = repr(value) if isinstance(value, float) else str(value)
-            out.write(f"{key} = {text}\n")
-        out.write("\n")
-    return out.getvalue()
+            by_section.setdefault(section, []).append(f"{key} = {text}\n")
+    return "".join(f"[{section}]\n{''.join(lines)}\n" for section, lines in by_section.items())
 
 
 # --- presets ------------------------------------------------------------

@@ -91,11 +91,11 @@ class Basis:
     qpts: np.ndarray
 
 
-def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None = None) -> Basis:
-    """Assemble the normalized mode tables on a Gauss-Legendre grid.
+def check_basis_args(spatial_dim: int, n: int, L: float, quad_order: int | None) -> None:
+    """Refuse the arguments build_basis cannot honour.
 
-    quad_order defaults to 2n + 16; anything below 2n + 4 is refused since
-    products of the highest modes would alias.
+    A quad_order below 2n + 4 is refused since products of the highest
+    modes would alias.
     """
     if spatial_dim not in (1, 2):
         raise InputError(f"spatial_dim must be 1 or 2, got {spatial_dim}")
@@ -103,10 +103,18 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
         raise InputError("need at least one mode per axis")
     if L <= 0:
         raise InputError("domain length must be positive")
+    if quad_order is not None and quad_order < 2 * n + 4:
+        raise InputError(f"quad_order {quad_order} under-resolves {n} modes (need >= {2 * n + 4})")
+
+
+def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None = None) -> Basis:
+    """Assemble the normalized mode tables on a Gauss-Legendre grid.
+
+    quad_order defaults to 2n + 16; see check_basis_args for what is refused.
+    """
+    check_basis_args(spatial_dim, n, L, quad_order)
     if quad_order is None:
         quad_order = 2 * n + 16
-    if quad_order < 2 * n + 4:
-        raise InputError(f"quad_order {quad_order} under-resolves {n} modes (need >= {2 * n + 4})")
 
     t, wt = leggauss(quad_order)
     x = 0.5 * L * (t + 1.0)

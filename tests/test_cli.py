@@ -10,8 +10,9 @@ import pytest
 
 import viscoplate
 import viscoplate.diagnostics as dg
-from viscoplate.cli import CSV_HEADER, _parse_axes, _split_values, main, run_scenario
+from viscoplate.cli import CSV_HEADER, _parse_axes, main, run_scenario
 from viscoplate.errors import InputError
+from viscoplate.kernels import split_top
 from viscoplate.scenario import load_scenario, with_overrides
 
 
@@ -401,6 +402,8 @@ def test_sweep_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
         ("delta=0.5,1.5", "diagnostics.delta must lie in (0, 1)"),
         ("dt=0.01,abc", "[time] dt: cannot parse 'abc' as float"),
         ("n=6,2.5", "[space] n: cannot parse '2.5' as int"),
+        ("sigma=0,-1", "physics: regularization sigma must be >= 0"),
+        ("quad_order=20,5", "space: quad_order 5 under-resolves 6 modes"),
     ],
 )
 def test_sweep_validates_every_cell_before_running(tmp_path, monkeypatch, capsys, axis, problem):
@@ -417,13 +420,56 @@ def test_sweep_validates_every_cell_before_running(tmp_path, monkeypatch, capsys
 
 
 def test_axis_parser_keeps_parenthesized_values_whole():
-    assert _split_values("exp(0.25,0.5),exp(0.25,1.0)") == [
+    assert split_top("exp(0.25,0.5),exp(0.25,1.0)", ",") == [
         "exp(0.25,0.5)",
         "exp(0.25,1.0)",
     ]
+    # the splitter initial-data sums share: a "+" inside mode(...) is an exponent sign
+    assert split_top("mode(1,1e+16) + mode(2,-0.1)", "+") == ["mode(1,1e+16)", "mode(2,-0.1)"]
     axes = _parse_axes(["k=0.5,1", "kernel=exp(0.5,1.0),none"])
     assert axes["k"] == [0.5, 1]
     assert axes["kernel"] == ["exp(0.5,1.0)", "none"]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (DISSIPATIVE.replace("rho = 0.0", "rho = 0.0\nsigma = -1"), "regularization sigma must be >= 0"),
+        (DISSIPATIVE.replace("rho = 0.0", "rho = 0.5\nsigma = 0"), "rho in (0,1) needs sigma > 0"),
+        (DISSIPATIVE.replace("n = 6", "n = 4\nquad_order = 5"), "quad_order 5 under-resolves 4 modes"),
+        (DISSIPATIVE + "[diagnostics]\na = 0\n", "diagnostics.a must be positive"),
+        (
+            DISSIPATIVE.replace("k = 0.5", "k = 0").replace("exp(0.5,1.0)", "none")
+            + "[diagnostics]\na = -0.5\n",
+            "diagnostics.a must be positive",
+        ),
+    ],
+    ids=["sigma-negative", "rho-half-sigma-zero", "quad-order-5", "a-zero", "a-negative-no-source"],
+)
+def test_run_refuses_out_of_range_input_before_any_output(tmp_path, capsys, text, problem):
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err
+    assert not os.path.exists(out)
+
+
+def test_verdicts_do_not_depend_on_blas_threads(tmp_path):
+    # one 1000-step preset under 1 and 2 OpenBLAS threads: the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(viscoplate.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "viscoplate.cli", "run", "exp-linear", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((out / "timeseries.csv").read_bytes(), read_report(out)["verdicts"]))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
 
 
 def test_axis_parser_rejects_unknown_key_and_empty():

@@ -308,6 +308,16 @@ def test_log_sobolev_series_matches_per_state_gap(dissipative_run, dissipative_b
         assert abs(gaps[i] - dg.log_sobolev_gap(traj.g[i], 0.25, cp, traj.basis)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("a", [0.0, -0.5])
+def test_log_sobolev_refuses_nonpositive_a(dissipative_run, dissipative_bundle, a):
+    traj = dissipative_run
+    cp = estimate_cp(traj.grams)
+    with pytest.raises(InputError, match="a must be positive"):
+        dg.log_sobolev_series(dissipative_bundle, a, cp)
+    with pytest.raises(InputError, match="a must be positive"):
+        dg.log_sobolev_gap(traj.g[-1], a, cp, traj.basis)
+
+
 # --- s log constant ------------------------------------------------------
 
 

@@ -664,6 +664,10 @@ def test_parse_xi_and_modulus_specs():
 _SPEC_HEADS = ("exp", "power", "damp-linear", "damp-cubic", "const", "rational", "linear", "pow", "none")
 _ODD_ARGS = ["", " ", "nan", "-inf", "1e400", "1_0", "0x1", "(", "é"]
 _SPEC_ARG = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(_ODD_ARGS))
+_VALID_CALLS = (
+    "exp(0.5,1)", "power(0.5,2)", "damp-linear(1)", "damp-cubic(0.5)", "const(2)",
+    "rational(0.5)", "rational(0.5,3)", "linear(2)", "pow(1.5)", "pow(1.5,0.5)",
+)
 _SPEC_TEXT = st.one_of(
     # a fixed alphabet spares hypothesis building its unicode table, about 2 s on a cold cache
     st.text("expowrdamlincubstna(),.;-+_ 019é\t\x00", max_size=24),
@@ -672,14 +676,23 @@ _SPEC_TEXT = st.one_of(
         st.sampled_from(_SPEC_HEADS), st.lists(_SPEC_ARG, max_size=3), st.sampled_from([",", ", ", ";"]),
         st.sampled_from([")", "", "))"]),
     ),
+    # a well-formed call with a blank argument put first or last
+    st.builds(
+        lambda call, first, blank: call.replace("(", f"({blank},") if first else call.replace(")", f",{blank})"),
+        st.sampled_from(_VALID_CALLS), st.booleans(), st.sampled_from(["", " "]),
+    ),
 )
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_SPEC_TEXT)
 def test_spec_parsers_raise_only_input_error(text):
+    # a call whose argument list has an empty entry, e.g. "exp(0.5,,1)", is malformed
+    inner = text.strip().partition("(")[2]
+    empty_argument = inner.endswith(")") and "" in [p.strip() for p in inner[:-1].split(",")]
     for parser in (parse_kernel_spec, parse_damping_spec, parse_xi_spec, parse_modulus_spec):
         try:
             parser(text)
         except InputError:
-            pass
+            continue
+        assert not empty_argument, f"{parser.__name__} accepted {text!r}"

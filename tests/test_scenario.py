@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from viscoplate.dynamics import run
 from viscoplate.errors import InputError, ScenarioError
-from viscoplate.kernels import parse_damping_spec, parse_kernel_spec
+from viscoplate.kernels import parse_damping_spec, parse_kernel_spec, parse_modulus_spec, parse_xi_spec
 from viscoplate.scenario import (
     PRESETS,
     Scenario,
+    _parse_initial,
     effective_config,
     load_scenario,
     parse_scenario,
@@ -154,15 +155,16 @@ def valid_scenarios(draw):
     dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 12))
     mode = _spec("mode", st.integers(1, n**dim), _ANY)
     initial = st.just("zero") | st.lists(mode, min_size=1, max_size=3).map("+".join)
+    rho = draw(_NONNEG)
     return replace(
         draw(st.sampled_from(list(PRESETS.values()))),
         spatial_dim=dim, n=n, L=draw(_POS), quad_order=draw(st.none() | st.integers(2 * n + 4, 64)),
         dt=draw(_POS), T=draw(_NONNEG),
-        rho=draw(_NONNEG), k=draw(_NONNEG), sigma=draw(_ANY),
+        rho=rho, k=draw(_NONNEG), sigma=draw(_POS if 0.0 < rho < 1.0 else _NONNEG),
         kernel=draw(_KERNELS), damping=draw(_DAMPINGS), xi=draw(_XIS), modulus=draw(_MODULI),
         initial_u=draw(initial), initial_v=draw(initial),
         out_dir=draw(st.text("abz019/._-", min_size=1, max_size=12)), stride=draw(st.integers(1, 10**6)),
-        a=draw(_MAYBE), eps0=draw(_ANY), eps1=draw(_ANY), t0=draw(_ANY), t1=draw(_MAYBE),
+        a=draw(st.none() | _POS), eps0=draw(_ANY), eps1=draw(_ANY), t0=draw(_ANY), t1=draw(_MAYBE),
         delta=draw(_OPEN_UNIT), lyap_eps=draw(_POS),
     )
 
@@ -225,6 +227,34 @@ def test_invalid_physics_and_time_raise_only_scenario_errors(case):
         run(scn)
 
 
+_PARSER_OF = {
+    "kernel": parse_kernel_spec,
+    "damping": parse_damping_spec,
+    "xi": parse_xi_spec,
+    "modulus": parse_modulus_spec,
+    "initial_u": lambda spec: _parse_initial(spec, 1, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "field, spec",
+    [
+        ("kernel", "exp(0.5,,1.0)"),
+        ("kernel", "exp(,0.5,1.0,)"),
+        ("kernel", "power(0.5,2,)"),
+        ("damping", "damp-linear(,1)"),
+        ("xi", "rational(0.5,)"),
+        ("modulus", "pow(2,,)"),
+        ("initial_u", "mode(1,,0.04)"),
+    ],
+)
+def test_empty_spec_argument_refused(field, spec):
+    with pytest.raises(InputError, match="empty argument"):
+        _PARSER_OF[field](spec)
+    with pytest.raises(ScenarioError, match="empty argument"):
+        with_overrides(Scenario(), **{field: spec})
+
+
 def test_initial_mode_sum():
     scn = parse_scenario_text(MINIMAL + "[initial]\nu = mode(1,0.3)+mode(2,-0.1)\n")
     basis = scn.make_basis()
@@ -259,6 +289,12 @@ def test_initial_table_projection(tmp_path):
 def test_initial_bad_mode_index():
     with pytest.raises(ScenarioError, match="mode"):
         parse_scenario_text(MINIMAL + "[initial]\nu = mode(9,0.1)\n")
+
+
+def test_initial_mode_index_must_be_integer():
+    problem = "initial.u: mode term 'mode(1.0,0.04)' needs an integer index"
+    with pytest.raises(ScenarioError, match=re.escape(problem)):
+        parse_scenario_text(MINIMAL + "[initial]\nu = mode(1.0,0.04)\n")
 
 
 def test_initial_garbage_rejected():
