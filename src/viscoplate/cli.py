@@ -442,10 +442,12 @@ def _parse_axes(specs) -> dict:
         key = key.strip()
         if key not in valid:
             raise InputError(f"unknown sweep axis {key!r}")
-        values = [parse_field(key, v) for v in split_top(rest, ",") if v]
-        if not values:
+        values = split_top(rest, ",")
+        if values == [""]:
             raise InputError(f"axis {key!r} has no values")
-        axes[key] = values
+        if "" in values:
+            raise InputError(f"empty value in axis {spec!r}")
+        axes[key] = [parse_field(key, v) for v in values]
     return axes
 
 

@@ -12,28 +12,27 @@ shared quadrature rule.  Using one quadrature rule for every term is what
 makes the discrete energy identity exact up to time-integration error.
 
 Stepping is Newmark average acceleration (gamma = 1/2, beta = 1/4), solved
-by a modified Newton iteration on the dominant N(v) + M2 block, built and
-Cholesky-factored once per solve at the velocity predicted from the
-starting acceleration; the neglected couplings are O(dt), so the iteration
-contracts fast at practical step sizes.  A whole step starts Newton at the
-cubic extrapolation 4 r_n - 6 r_n-1 + 4 r_n-2 - r_n-3 of the refined
-accelerations r = a - J^-1 R(a), each the Newton iterate one past an
-accepted a: one more update from the factor and final residual the solve
-already holds.  The accepted values themselves carry residual noise up to
+by a simplified Newton iteration on the dominant N(v) + M2 block; the
+neglected couplings are O(dt), so the iteration contracts fast at practical
+step sizes.  Every solve takes the factor the previous one ended with,
+carried in PlateState.factor, and one rule holds for every rho: the matrix
+is formed at the current velocity when there is no factor yet, and
+re-formed there when a third residual still misses NEWTON_TOL.  At rho = 0
+the matrix is the constant M0 + M2 and never goes stale.  The factor is
+numpy's Cholesky factor L, kept as the inverse L^-T L^-1 of the matrix, so
+every Newton update is one matrix-vector product; the residual and the
+matrix are each checked once for finite values.  A whole step starts
+Newton at the cubic extrapolation 4 r_n - 6 r_n-1 + 4 r_n-2 - r_n-3 of the
+refined accelerations r = a - J^-1 R(a), each the Newton iterate one past
+an accepted a.  The accepted values themselves carry residual noise up to
 NEWTON_TOL, which the cubic's weights (sum of |c| = 15) would amplify past
 it; from the refined rows a smooth trajectory's start mostly meets
-NEWTON_TOL at the first residual.  At rho = 0 the block is the constant
-M0 + M2, factored once per GramSet and reused by every solve and substep
-size.  The factor is numpy's Cholesky factor L, kept as the inverse
-L^-T L^-1 of the matrix, so every Newton update is one matrix-vector
-product; the residual and the matrix are each checked once for finite
-values.
+NEWTON_TOL at the first residual.
 
-The residual is fused: M0 + M2 (per GramSet) and the weighted table
-phi * qw (per Basis) are formed once, every pointwise term is summed at the
-quadrature points and projected by one product, and a field is synthesized
-at the points only when some term reads it.  At rho = 0 the inertia and
-stiffness terms are (M0 + M2)(a + g).
+The residual is fused: every pointwise term is summed at the quadrature
+points and projected by one product with Basis.phi_qw, and a field is
+synthesized at the points only when some term reads it.  At rho = 0 the
+inertia and stiffness terms are GramSet.S (a + g).
 
 The convolution history is stored densely on the uniform grid next to a
 lag table K[j] = dt b(j dt), rebuilt only when the buffer's capacity
@@ -46,7 +45,6 @@ union of the stored grid and the pending substep nodes with memory.weights.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +112,8 @@ class PlateState:
     # Newton-start rows, set by step: the refined accelerations of the last
     # (at most four) steps, newest first; None starts at a
     a_prev: np.ndarray | None = None
+    # the inverse Newton matrix the last solve ended with; None forms one
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.g, self.v, self.a):
@@ -206,21 +206,11 @@ def _inertia_weight(vq: np.ndarray, params: PhysicalParams) -> np.ndarray:
 
 
 def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> np.ndarray:
-    """Weighted mass N(v)_ij = int (v^2 + sigma^2)^(rho/2) w_i w_j."""
-    if params.rho == 0.0:
-        return grams.M0
+    """Weighted mass N(v)_ij = int (v^2 + sigma^2)^(rho/2) w_i w_j, M0 at rho = 0."""
     vq = v @ basis.phi
     wq = _inertia_weight(vq, params) * basis.qw
     N = (basis.phi * wq) @ basis.phi.T
     return 0.5 * (N + N.T)
-
-
-# Constant tables, each formed once and dropped with its owner:
-# GramSet -> M0 + M2, Basis -> phi * qw, and GramSet -> the inverse of
-# M0 + M2, the Newton matrix of every solve at rho = 0
-_GRAM_SUMS = weakref.WeakKeyDictionary()
-_WEIGHTED_PHI = weakref.WeakKeyDictionary()
-_CONSTANT_FACTORS = weakref.WeakKeyDictionary()
 
 
 def residual(
@@ -236,24 +226,18 @@ def residual(
 
     `memory` is the convolution load M2 (b * g)(t), zero when absent.  The
     pointwise terms are summed at the quadrature points and projected by
-    one product with phi * qw.  Any non-finite entry, from the coefficients
-    or from overflow, raises DivergedError.
+    one product with basis.phi_qw.  Any non-finite entry, from the
+    coefficients or from overflow, raises DivergedError.
     """
-    S = _GRAM_SUMS.get(grams)
-    if S is None:
-        S = _GRAM_SUMS[grams] = grams.M0 + grams.M2
-    pq = _WEIGHTED_PHI.get(basis)
-    if pq is None:
-        pq = _WEIGHTED_PHI[basis] = basis.phi * basis.qw
     phi = basis.phi
     with np.errstate(over="ignore", invalid="ignore"):
         point = vq = None
         if params.rho == 0.0:
-            R = S @ (a + g)
+            R = grams.S @ (a + g)
         else:
             vq = v @ phi
             point = _inertia_weight(vq, params) * (a @ phi)
-            R = S @ g + grams.M2 @ a
+            R = grams.S @ g + grams.M2 @ a
         if not params.damping.is_none:
             h = params.damping.h(v @ phi if vq is None else vq)
             point = h if point is None else point + h
@@ -261,7 +245,7 @@ def residual(
             src = params.k * _log_source(g @ phi)
             point = -src if point is None else point - src
         if point is not None:
-            R += pq @ point
+            R += basis.phi_qw @ point
         if memory is not None:
             R -= memory
     if not np.isfinite(R).all():
@@ -289,38 +273,31 @@ def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
     return c @ R
 
 
-def _newton_factor(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> np.ndarray:
-    """cho_factor of N(v) + M2; at rho = 0 the cached one of M0 + M2."""
-    c = _CONSTANT_FACTORS.get(grams) if params.rho == 0.0 else None
-    if c is not None:
-        return c
-    J = inertia_mass(v, params, grams, basis) + grams.M2
-    if not np.isfinite(J).all():
-        raise DivergedError("Newton matrix has non-finite entries")
-    c = cho_factor(J)
-    if params.rho == 0.0:
-        _CONSTANT_FACTORS[grams] = c
-    return c
-
-
-def _newton(a, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
-    """Modified Newton on R(a) = 0 at g = g_c + cb a, v = v_c + cg a.
+def _newton(a, factor, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
+    """Simplified Newton on R(a) = 0 at g = g_c + cb a, v = v_c + cg a.
 
     cb = None holds (g, v) at (g_c, v_c); the memory load is
-    M2 (conv + w_end g), absent when conv is None.  N(v) + M2 is factored
-    once, at the starting a.  Returns (g, v, a) at the root, where
-    |R|_inf <= NEWTON_TOL, and the refined a - J^-1 R(a) one update past it.
+    M2 (conv + w_end g), absent when conv is None.  factor, the inverse of
+    N(v) + M2 at some earlier v, is formed at the current v when None and
+    re-formed there when the third residual misses NEWTON_TOL.  Returns
+    (g, v, a) at the root, where |R|_inf <= NEWTON_TOL, the refined
+    a - J^-1 R(a) one update past it, and the factor.
     """
     # a diverging iterate overflows here; residual's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         g, v = (g_c, v_c) if cb is None else (g_c + cb * a, v_c + cg * a)
-        factor = _newton_factor(v, params, grams, basis)
-        for _ in range(NEWTON_MAX_ITER):
+        for i in range(NEWTON_MAX_ITER):
             mem = None if conv is None else grams.M2 @ (conv + w_end * g)
             R = residual(a, g, v, params, grams, basis, memory=mem)
+            done = np.abs(R).max() <= NEWTON_TOL
+            if factor is None or (i == 2 and not done):
+                J = inertia_mass(v, params, grams, basis) + grams.M2
+                if not np.isfinite(J).all():
+                    raise DivergedError("Newton matrix has non-finite entries")
+                factor = cho_factor(J)
             da = cho_solve(factor, R)
-            if np.abs(R).max() <= NEWTON_TOL:
-                return g, v, a, a - da
+            if done:
+                return g, v, a, a - da, factor
             a = a - da
             if cb is not None:
                 g, v = g_c + cb * a, v_c + cg * a
@@ -338,19 +315,20 @@ def initial_state(
 
     The memory load vanishes at t = 0, R is affine in a, and N(v0) + M2 is
     its exact Jacobian, so Newton converges in one iteration up to rounding.
+    The state carries that factor to the first step.
     """
     g0 = np.asarray(g0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    a0 = _newton(np.zeros_like(g0), g0, v0, None, None, params, grams, basis)[2]
-    return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0)
+    _, _, a0, _, factor = _newton(np.zeros_like(g0), None, g0, v0, None, None, params, grams, basis)
+    return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0, factor=factor)
 
 
-def _newmark(g, v, a, a0, dt, params, grams, basis, conv, w_end):
-    """(g, v, a, refined a) one Newmark step of size dt after (g, v, a); Newton starts at a0."""
+def _newmark(g, v, a, a0, dt, factor, params, grams, basis, conv, w_end):
+    """_newton's result for one Newmark step of size dt after (g, v, a), started at a0."""
     g_c = g + dt * v + dt * dt * (0.5 - NEWMARK_BETA) * a
     v_c = v + dt * (1.0 - NEWMARK_GAMMA) * a
     cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
-    return _newton(a0, g_c, v_c, cb, cg, params, grams, basis, conv, w_end)
+    return _newton(a0, factor, g_c, v_c, cb, cg, params, grams, basis, conv, w_end)
 
 
 def _substep_solve(
@@ -364,14 +342,18 @@ def _substep_solve(
     params: PhysicalParams,
     grams: GramSet,
     basis: Basis,
+    factor: np.ndarray | None,
 ):
-    """One Newmark solve to prev_t + dt given past memory nodes anywhere."""
+    """(t, g, v, a, factor) of one Newmark solve to prev_t + dt given past memory nodes anywhere."""
     t_new = prev_t + dt
     conv = w_end = None
     if not params.kernel.is_zero:
         w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
         conv, w_end = node_g.T @ w[:-1], w[-1]
-    return (t_new, *_newmark(prev_g, prev_v, prev_a, prev_a, dt, params, grams, basis, conv, w_end)[:3])
+    g, v, a, _, factor = _newmark(
+        prev_g, prev_v, prev_a, prev_a, dt, factor, params, grams, basis, conv, w_end
+    )
+    return t_new, g, v, a, factor
 
 
 def _grid_load(history: HistoryBuffer, kernel: RelaxationKernel):
@@ -405,11 +387,12 @@ def step(
     a_prev.  The new state's rows put this step's refined acceleration in
     front, or restart from the accepted a after a substep fallback.  The
     refined rows only start Newton; g, v and a are the accepted root.
-    Substep nodes
-    extend the memory grid only within the step; the history buffer
-    receives exactly the accepted on-grid snapshot, preserving its uniform
-    spacing.  A state at t = n dt steps to (n + 1) dt, so a run's times are
-    i dt bit for bit instead of an accumulated sum of dt.
+    Newton takes the state's factor, and the new state carries the one the
+    last solve ended with.  Substep nodes extend the memory grid only
+    within the step; the history buffer receives exactly the accepted
+    on-grid snapshot, preserving its uniform spacing.  A state at t = n dt
+    steps to (n + 1) dt, so a run's times are i dt bit for bit instead of
+    an accumulated sum of dt.
     """
     if dt <= 0:
         raise InputError("step size must be positive")
@@ -425,37 +408,40 @@ def step(
     old = state.a[None, :] if state.a_prev is None else state.a_prev
     a0 = _START_WEIGHTS[len(old)] @ old
     try:
-        g, v, a, r = _newmark(state.g, state.v, state.a, a0, dt, params, grams, basis, conv, w_end)
+        g, v, a, r, factor = _newmark(
+            state.g, state.v, state.a, a0, dt, state.factor, params, grams, basis, conv, w_end
+        )
     except DivergedError as exc:
-        g, v, a = _substeps(state, params, grams, basis, dt, history, exc)
+        g, v, a, factor = _substeps(state, params, grams, basis, dt, history, exc)
         rows = a[None, :]
     else:
         rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
     n = state.step_index
     t = (n + 1) * dt if state.t == n * dt else state.t + dt
-    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=rows)
+    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=rows, factor=factor)
     if history is not None:
         history.append(g)
     return new
 
 
 def _substeps(state, params, grams, basis, dt, history, error):
-    """(g, v, a) of the step taken as 2, 4, then 8 substeps.
+    """(g, v, a, factor) of the step taken as 2, 4, then 8 substeps.
 
     Each substep's memory integral runs over the stored nodes and the
-    earlier substeps' nodes, weighted by memory.weights.
+    earlier substeps' nodes, weighted by memory.weights; each try starts
+    from the state's factor.
     """
     base_times = history.times if history is not None else np.array([state.t])
     base_g = history.snapshots if history is not None else state.g[None, :]
     for pieces in (2, 4, 8):
         sub_dt = dt / pieces
-        t_cur, g_cur, v_cur, a_cur = state.t, state.g, state.v, state.a
+        t_cur, g_cur, v_cur, a_cur, factor = state.t, state.g, state.v, state.a, state.factor
         times_ext, g_ext = base_times, base_g
         try:
             for j in range(pieces):
-                t_cur, g_cur, v_cur, a_cur = _substep_solve(
+                t_cur, g_cur, v_cur, a_cur, factor = _substep_solve(
                     t_cur, g_cur, v_cur, a_cur, sub_dt, times_ext, g_ext,
-                    params, grams, basis,
+                    params, grams, basis, factor,
                 )
                 if j < pieces - 1:
                     times_ext = np.append(times_ext, t_cur)
@@ -463,7 +449,7 @@ def _substeps(state, params, grams, basis, dt, history, error):
         except DivergedError as exc:
             error = exc
             continue
-        return g_cur, v_cur, a_cur
+        return g_cur, v_cur, a_cur, factor
     raise DivergedError(
         f"step from t = {state.t} diverged even with 8 substeps: {error}",
         last_state=state,
@@ -526,11 +512,7 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> T
 
     for i in range(n_steps + 1):
         if i > 0:
-            try:
-                cur = step(cur, params, grams, basis, dt, history=hist)
-            except DivergedError as exc:
-                exc.last_state = cur
-                raise
+            cur = step(cur, params, grams, basis, dt, history=hist)
         times[i], gs[i], vs[i], accs[i] = cur.t, cur.g, cur.v, cur.a
     return Trajectory(
         times=times, g=gs, v=vs, a=accs, dt=dt, params=params, basis=basis, grams=grams

@@ -150,7 +150,6 @@ class Scenario:
             errs.append("diagnostics.delta must lie in (0, 1)")
         if self.lyap_eps <= 0:
             errs.append("diagnostics.lyap_eps must be positive")
-        dim = self.n**self.spatial_dim
         for name, check in (
             ("space", lambda: check_basis_args(self.spatial_dim, self.n, self.L, self.quad_order)),
             ("physics", lambda: check_physics_args(self.rho, self.k, self.sigma)),
@@ -158,9 +157,11 @@ class Scenario:
             ("physics.damping", lambda: parse_damping_spec(self.damping)),
             ("physics.xi", lambda: self.xi is None or parse_xi_spec(self.xi)),
             ("physics.modulus", lambda: self.modulus is None or parse_modulus_spec(self.modulus)),
-            ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, dim)),
-            ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, dim)),
+            ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, self.n**self.spatial_dim)),
+            ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, self.n**self.spatial_dim)),
         ):
+            if name.startswith("initial.") and any(e.startswith("space:") for e in errs):
+                continue  # mode indices have no range without a valid space
             try:
                 check()
             except ViscoplateError as exc:

@@ -74,7 +74,8 @@ class Basis:
 
     phi, lap hold mode values / Laplacians at the flattened quadrature
     points (shape (dim, nq)); grad holds one table per space direction;
-    qw are the flattened quadrature weights and qpts the node coordinates.
+    qw are the flattened quadrature weights, phi_qw = phi * qw projects
+    point values onto the basis, and qpts are the node coordinates.
     """
 
     spatial_dim: int
@@ -88,6 +89,7 @@ class Basis:
     lap: np.ndarray
     grad: tuple
     qw: np.ndarray
+    phi_qw: np.ndarray
     qpts: np.ndarray
 
 
@@ -156,23 +158,25 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
         lap=lap,
         grad=grad,
         qw=qw,
+        phi_qw=phi * qw,
         qpts=qpts,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class GramSet:
-    """Mass, gradient, and bending Gram matrices."""
+    """Mass, gradient, and bending Gram matrices, and their sum S = M0 + M2."""
 
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
+    S: np.ndarray
 
 
 def assemble_grams(basis: Basis) -> GramSet:
     """Quadrature assembly of M0, M1, M2; SPD verified by Cholesky."""
     qw = basis.qw
-    M0 = (basis.phi * qw) @ basis.phi.T
+    M0 = basis.phi_qw @ basis.phi.T
     M2 = (basis.lap * qw) @ basis.lap.T
     M1 = np.zeros_like(M0)
     for g in basis.grad:
@@ -187,7 +191,7 @@ def assemble_grams(basis: Basis) -> GramSet:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"Gram matrix not positive definite: {exc}") from exc
-    return GramSet(M0=M0, M1=M1, M2=M2)
+    return GramSet(M0=M0, M1=M1, M2=M2, S=M0 + M2)
 
 
 def project_initial(fieldfun, basis: Basis, grams: GramSet) -> np.ndarray:

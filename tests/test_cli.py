@@ -455,14 +455,14 @@ def test_run_refuses_out_of_range_input_before_any_output(tmp_path, capsys, text
     assert not os.path.exists(out)
 
 
-def test_verdicts_do_not_depend_on_blas_threads(tmp_path):
-    # one 1000-step preset under 1 and 2 OpenBLAS threads: the same bytes
+def _assert_same_under_blas_threads(tmp_path, config):
+    """`viscoplate run config` under 1 and 2 OpenBLAS threads: the same bytes and verdicts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(viscoplate.__file__)))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         proc = subprocess.run(
-            [sys.executable, "-m", "viscoplate.cli", "run", "exp-linear", "--out", str(out)],
+            [sys.executable, "-m", "viscoplate.cli", "run", config, "--out", str(out)],
             capture_output=True, text=True, timeout=300,
             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
         )
@@ -472,11 +472,45 @@ def test_verdicts_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0][1] == outputs[1][1]
 
 
+def test_verdicts_do_not_depend_on_blas_threads(tmp_path):
+    # one 1000-step 1D preset
+    _assert_same_under_blas_threads(tmp_path, "exp-linear")
+
+
+# the physics of the plate-2d benchmark workload over 200 steps: 64 modes on
+# 1024 quadrature points, products large enough for OpenBLAS to use threads
+PLATE_2D = """
+[space]
+dim = 2
+n = 8
+[time]
+dt = 0.01
+T = 2.0
+[physics]
+rho = 1.0
+k = 0.5
+sigma = 0.0
+kernel = exp(0.3,2.0)
+damping = damp-linear(0.5)
+[initial]
+u = mode(1,0.04)
+[diagnostics]
+a = 0.25
+"""
+
+
+def test_2d_verdicts_do_not_depend_on_blas_threads(tmp_path):
+    _assert_same_under_blas_threads(tmp_path, write_cfg(tmp_path, PLATE_2D))
+
+
 def test_axis_parser_rejects_unknown_key_and_empty():
     with pytest.raises(InputError, match="unknown sweep axis"):
         _parse_axes(["warp=1,2"])
     with pytest.raises(InputError, match="no values"):
         _parse_axes(["k="])
+    for spec in ("k=0.5,,1", "k=0.5,"):
+        with pytest.raises(InputError, match="empty value"):
+            _parse_axes([spec])
     with pytest.raises(InputError, match="key=v1"):
         _parse_axes(["just-values"])
 

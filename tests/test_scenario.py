@@ -291,6 +291,13 @@ def test_initial_bad_mode_index():
         parse_scenario_text(MINIMAL + "[initial]\nu = mode(9,0.1)\n")
 
 
+def test_invalid_space_skips_initial_data_checks():
+    # a mode index has no range without a valid space: the initial-data
+    # checks wait for the space check, so n**spatial_dim is never formed
+    scn = replace(PRESETS["exp-linear"], spatial_dim=10**7, initial_u="mode(0,0.1)")
+    assert [p.split(":")[0] for p in scn.validate()] == ["space"]
+
+
 def test_initial_mode_index_must_be_integer():
     problem = "initial.u: mode term 'mode(1.0,0.04)' needs an integer index"
     with pytest.raises(ScenarioError, match=re.escape(problem)):
