@@ -13,6 +13,7 @@ execution errors (bad config, divergence).
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -92,16 +93,11 @@ def _hypotheses(scn: Scenario, params) -> dict:
 def _decay_case(scn: Scenario, params) -> str:
     if params.kernel.is_zero:
         return "none"
-    b_linear = scn.memory_modulus().is_linear
-    h_linear = params.damping.is_none or params.damping.h1_is_linear
-    if b_linear and h_linear:
-        return "linear"
-    if not b_linear and h_linear:
+    if scn.memory_modulus().is_linear:
+        return "linear"  # with nonlinear friction too: the memory shape governs
+    if params.damping.is_none or params.damping.h1_is_linear:
         return "nonlinear-B"
-    if not b_linear:
-        return "nonlinear-both"
-    # linear memory modulus with nonlinear friction: memory shape governs
-    return "linear"
+    return "nonlinear-both"
 
 
 def _build_envelope(case: str, scn: Scenario, params):
@@ -113,12 +109,10 @@ def _build_envelope(case: str, scn: Scenario, params):
         return envelope_nonlinear_B(
             xi, scn.eps0, scn.eps1, 1.0, 1.0, scn.t0, t1, scn.memory_modulus()
         )
-    if case == "nonlinear-both":
-        return envelope_nonlinear_both(
-            xi, scn.eps0, scn.eps1, 1.0, scn.t0,
-            scn.memory_modulus(), params.damping.convexifier(),
-        )
-    return None
+    return envelope_nonlinear_both(  # the one case left, "nonlinear-both"
+        xi, scn.eps0, scn.eps1, 1.0, scn.t0,
+        scn.memory_modulus(), params.damping.convexifier(),
+    )
 
 
 # --- artifacts -----------------------------------------------------------
@@ -413,19 +407,16 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
 
     results.sort(key=lambda r: r[0])
     summary_path = os.path.join(out_root, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cell,exit_code," + ",".join(keys) + ",E0,E_final,case,c,overshoot,exponent\n")
+    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        # a sweep value such as exp(0.25,0.5) holds commas, so fields are quoted where needed
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["cell", "exit_code", *keys, "E0", "E_final", "case", "c", "overshoot", "exponent"])
         for (idx, scn), (_, code, extra) in zip(cells, results):
-            vals = [str(idx), str(code)]
-            vals += [str(getattr(scn, k)) for k in keys]
-            for field in ("E0", "E_final"):
-                x = extra.get(field)
-                vals.append("" if x is None else _fmt(x))
-            vals.append(str(extra.get("case", "")))
-            for field in ("c", "overshoot", "exponent"):
-                x = extra.get(field)
-                vals.append("" if x is None else _fmt(x))
-            fh.write(",".join(vals) + "\n")
+            row = [idx, code, *(str(getattr(scn, k)) for k in keys)]
+            row += [None if extra.get(f) is None else _fmt(extra[f]) for f in ("E0", "E_final")]
+            row.append(str(extra.get("case", "")))
+            row += [None if extra.get(f) is None else _fmt(extra[f]) for f in ("c", "overshoot", "exponent")]
+            writer.writerow(row)
     return 0 if all(code == 0 for _, code, _ in results) else 1
 
 

@@ -102,6 +102,14 @@ def check_physics_args(rho: float, k: float, sigma: float) -> None:
         raise InputError("rho in (0,1) needs sigma > 0 for a differentiable Jacobian")
 
 
+def step_count(dt: float, T: float) -> int:
+    """T / dt for a time T on the grid of whole steps of dt > 0; InputError off the grid."""
+    steps = T / dt  # inf for a subnormal dt
+    if not (np.isfinite(steps) and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, abs(T))):
+        raise InputError(f"{T} is not an integer number of steps of {dt}")
+    return int(round(steps))
+
+
 @dataclass(frozen=True, eq=False)
 class PlateState:
     t: float
@@ -175,9 +183,7 @@ class HistoryBuffer:
 
     def upto(self, t: float) -> np.ndarray:
         """Node times 0, dt, ..., t; t must be a stored grid time."""
-        n = int(round(t / self.dt))
-        if abs(n * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise InputError(f"time {t} is not on the uniform history grid")
+        n = step_count(self.dt, t)
         if not 0 <= n < self._len:
             raise InputError(f"history holds {self._len} nodes, cannot reach t = {t}")
         return np.arange(n + 1) * self.dt
@@ -498,9 +504,7 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> T
     params = scenario.physical_params()
     g0, v0 = scenario.initial_coeffs(basis, grams)
     dt = scenario.dt
-    n_steps = int(round(scenario.T / dt))
-    if abs(n_steps * dt - scenario.T) > 1e-9 * max(1.0, scenario.T):
-        raise InputError("T must be an integer number of steps")
+    n_steps = step_count(dt, scenario.T)
 
     cur = initial_state(g0, v0, params, grams, basis)
     m = basis.dim

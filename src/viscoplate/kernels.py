@@ -18,9 +18,9 @@ conditions on grids, extends moduli to the whole half line, computes convex
 conjugates, and builds the explicit energy-decay envelope curves implied by
 the decay law.  Moduli, weights, origin profiles, conjugates and envelopes
 evaluate arrays elementwise.  Moduli, their derivatives and origin profiles
-invert in closed form, so a convex conjugate is closed form too; a nonlinear
-envelope costs one elementwise bisection over all its points (absolute
-tolerance 1e-12, at most 200 halvings).
+invert in closed form, so a convex conjugate is closed form too; the two
+nonlinear envelopes share one solver, a bisection over all their points that
+stops at width 1e-12 * min(1, |hi|) or after 200 halvings.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ def invert_increasing(f, y, lo=0.0, hi=None):
     targets; lo and hi broadcast against it.  If hi is None, each upper bracket
     doubles from max(1, 2 lo) until f(hi) >= y; a given hi must already satisfy
     it.  Each element is halved at least once and until its bracket is at most
-    INVERSION_TOL wide, then frozen, so its root has the bits of a scalar
-    bisection.  Overflow in f reads as +inf; an unbracketable y raises DomainError.
+    INVERSION_TOL * min(1, |hi|) wide (absolute for roots of magnitude 1 or more,
+    relative below), then frozen, so its root has the bits of a scalar bisection.
+    Overflow in f reads as +inf; an unbracketable y raises DomainError.
     """
     target, y, lo = y, _vector(y), _vector(lo)
     if not np.isfinite(y).all():
@@ -84,7 +85,7 @@ def invert_increasing(f, y, lo=0.0, hi=None):
             below = f(mid) < y
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
-            active &= hi - lo > INVERSION_TOL
+            active &= hi - lo > INVERSION_TOL * np.minimum(1.0, np.abs(hi))
             if not active.any():
                 break
     return _result(0.5 * (lo + hi), target)
@@ -601,6 +602,34 @@ def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEn
     return DecayEnvelope(t0, _eval)
 
 
+def _convex_envelope(xi, eps, eps1, c, c1, t0, t1, moduli) -> DecayEnvelope:
+    """c tau W2^{-1}(c1 / (tau int_{t1}^t xi)) for strictly convex moduli, valid from t1.
+
+    phi(y) sums Bbar^{-1}(y)^(1/(1+eps)) over the extended moduli, W = phi^{-1},
+    tau = (t-t0)^(1/(1+eps)) and W2(s) = s W'(eps1 s).  At s = phi(y)/eps1,
+    W2(s) = phi(y) / (eps1 phi'(y)) increases in y: one bisection in y finds the root.
+    """
+    ext = [extend_modulus(m) for m in moduli]
+    expo = 1.0 / (1.0 + eps)
+
+    def W2_of_y(y):
+        r = [m.inverse(y) for m in ext]
+        # r = 0 at y = 0, where W2 is 0 and the quotient is not used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_p = expo * sum(ri ** (expo - 1.0) / m.deriv(ri) for ri, m in zip(r, ext))
+            return np.where(y > 0.0, sum(ri**expo for ri in r) / (eps1 * phi_p), 0.0)
+
+    def _eval(t):
+        acc = xi.integral_power(t1, t, 1.0)
+        if np.any(acc <= 0.0):
+            raise DomainError("weight integral vanishes on the evaluation window")
+        tau = (t - t0) ** expo
+        y = invert_increasing(W2_of_y, c1 / (tau * acc))
+        return c * tau * sum(m.inverse(y) ** expo for m in ext) / eps1
+
+    return DecayEnvelope(t1, _eval)
+
+
 def envelope_nonlinear_B(
     xi: XiWeight,
     eps0: float,
@@ -611,10 +640,9 @@ def envelope_nonlinear_B(
     t1: float,
     modulus: ConvexModulus,
 ) -> DecayEnvelope:
-    """Envelope for strictly convex moduli: c (t-t0)^(1/(1+eps0)) K1^{-1}(...).
+    """Envelope for a strictly convex kernel modulus B, valid from t1.
 
-    K1(t) = t K'(eps1 t) with K the growth transform of the extended modulus;
-    the inner argument is c1 / ((t-t0)^(1/(1+eps0)) int_{t1}^t xi).
+    `_convex_envelope` of B alone, where W = phi^{-1} is u -> Bbar(u^(1+eps0)).
     """
     if modulus.is_linear:
         raise InputError("nonlinear-modulus envelope needs a strictly convex modulus")
@@ -622,26 +650,7 @@ def envelope_nonlinear_B(
         raise InputError("need t1 > t0")
     if eps0 <= 0.0:
         raise DomainError(f"eps0 must be positive, got {eps0}")
-    Bbar = extend_modulus(modulus)
-
-    def K1(t):
-        # t K'(eps1 t) for K(u) = Bbar(u^(1+eps0)), the inverse of y -> Bbar^{-1}(y)^(1/(1+eps0))
-        s = _vector(t)
-        u = np.maximum(eps1 * s, 0.0)  # K' vanishes at and below 0
-        return _result(s * ((1.0 + eps0) * u**eps0 * Bbar.deriv(u ** (1.0 + eps0))), t)
-
-    def _eval(t):
-        acc = xi.integral_power(t1, t, 1.0)
-        if np.any(acc <= 0.0):
-            raise DomainError("weight integral vanishes on the evaluation window")
-        tau = (t - t0) ** (1.0 / (1.0 + eps0))
-        root = invert_increasing(K1, c1 / (tau * acc))
-        return c * tau * root
-
-    env = DecayEnvelope(t1, _eval)
-    # expose the intermediate map for verification against closed forms
-    object.__setattr__(env, "K1", K1)
-    return env
+    return _convex_envelope(xi, eps0, eps1, c, c1, t0, t1, (modulus,))
 
 
 def envelope_nonlinear_both(
@@ -655,39 +664,13 @@ def envelope_nonlinear_both(
 ) -> DecayEnvelope:
     """Envelope when kernel modulus and damping convexifier are both nonlinear.
 
-    With phi(y) = Bbar^{-1}(y)^(1/(1+eps)) + Hbar^{-1}(y)^(1/(1+eps)) and
-    W = phi^{-1}, the curve is c tau W2^{-1}(c / (tau int_{t0}^t xi)), where
-    tau = (t-t0)^(1/(1+eps)) and W2(s) = s W'(eps1 s).  At s = phi(y)/eps1,
-    W2(s) = phi(y) / (eps1 phi'(y)), which increases in y; so one bisection
-    in y finds the root, and the root is phi(y)/eps1.
+    `_convex_envelope` of B and H, with c1 = c and t1 = t0.
     """
     if modulusB.is_linear or dampingH.is_linear:
         raise InputError("both moduli must be strictly convex for this envelope")
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    Bbar = extend_modulus(modulusB)
-    Hbar = extend_modulus(dampingH)
-    expo = 1.0 / (1.0 + eps)
-
-    def phi(y):
-        return Bbar.inverse(y) ** expo + Hbar.inverse(y) ** expo
-
-    def W2_of_y(y):
-        rb, rh = Bbar.inverse(y), Hbar.inverse(y)
-        # rb = rh = 0 at y = 0, where W2 is 0 and the quotient is not used
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi_p = expo * (rb ** (expo - 1.0) / Bbar.deriv(rb) + rh ** (expo - 1.0) / Hbar.deriv(rh))
-            return np.where(y > 0.0, (rb**expo + rh**expo) / (eps1 * phi_p), 0.0)
-
-    def _eval(t):
-        acc = xi.integral_power(t0, t, 1.0)
-        if np.any(acc <= 0.0):
-            raise DomainError("weight integral vanishes on the evaluation window")
-        tau = (t - t0) ** expo
-        y = invert_increasing(W2_of_y, c / (tau * acc))
-        return c * tau * phi(y) / eps1
-
-    return DecayEnvelope(t0, _eval)
+    return _convex_envelope(xi, eps, eps1, c, c, t0, t0, (modulusB, dampingH))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import PhysicalParams, check_physics_args
+from .dynamics import PhysicalParams, check_physics_args, step_count
 from .errors import ScenarioError, ViscoplateError
 from .kernels import (
     call_args,
@@ -122,8 +122,8 @@ class Scenario:
 
         A field of the wrong type (a float field takes int or float, an int
         field int, a str field str) is reported alone, before any comparison.
-        The basis, the physical coefficients and the spec strings are checked
-        by the code that builds them, one problem per check.
+        The step count, the basis, the physical coefficients and the spec
+        strings are checked by the code that uses them, one problem per check.
         """
         optional = {f.name for f in fields(self) if f.default is None}
         wrong, errs = [], []
@@ -151,6 +151,7 @@ class Scenario:
         if self.lyap_eps <= 0:
             errs.append("diagnostics.lyap_eps must be positive")
         for name, check in (
+            ("time", lambda: step_count(self.dt, self.T)),
             ("space", lambda: check_basis_args(self.spatial_dim, self.n, self.L, self.quad_order)),
             ("physics", lambda: check_physics_args(self.rho, self.k, self.sigma)),
             ("physics.kernel", lambda: parse_kernel_spec(self.kernel)),
@@ -160,8 +161,9 @@ class Scenario:
             ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, self.n**self.spatial_dim)),
             ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, self.n**self.spatial_dim)),
         ):
-            if name.startswith("initial.") and any(e.startswith("space:") for e in errs):
-                continue  # mode indices have no range without a valid space
+            needs = {"time": "time.", "initial.u": "space:", "initial.v": "space:"}.get(name)
+            if needs and any(e.startswith(needs) for e in errs):
+                continue  # no step count without a finite dt > 0 and T >= 0, no mode range without a space
             try:
                 check()
             except ViscoplateError as exc:

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -376,8 +377,11 @@ def test_sweep_kernel_rate_ordering(tmp_path, monkeypatch):
         "--out", out,
     ])
     assert code == 0
-    rows = Path(out, "summary.csv").read_text().splitlines()[1:]
-    exponents = [float(r.split(",")[-1]) for r in rows]
+    with open(Path(out, "summary.csv"), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(r) == len(header) for r in rows)
+    assert [r[header.index("kernel")] for r in rows] == ["exp(0.25,0.5)", "exp(0.25,1.0)", "exp(0.25,2.0)"]
+    exponents = [float(r[header.index("exponent")]) for r in rows]
     assert len(exponents) == 3
     assert exponents[0] > exponents[1] > exponents[2] > 0.0
 
@@ -404,6 +408,7 @@ def test_sweep_rejects_bad_thread_cap(tmp_path, monkeypatch, capsys, value):
         ("n=6,2.5", "[space] n: cannot parse '2.5' as int"),
         ("sigma=0,-1", "physics: regularization sigma must be >= 0"),
         ("quad_order=20,5", "space: quad_order 5 under-resolves 6 modes"),
+        ("T=1,1.005", "time: 1.005 is not an integer number of steps of 0.01"),
     ],
 )
 def test_sweep_validates_every_cell_before_running(tmp_path, monkeypatch, capsys, axis, problem):
@@ -443,8 +448,9 @@ def test_axis_parser_keeps_parenthesized_values_whole():
             + "[diagnostics]\na = -0.5\n",
             "diagnostics.a must be positive",
         ),
+        (DISSIPATIVE.replace("T = 1.0", "T = 1.005"), "time: 1.005 is not an integer number of steps of 0.01"),
     ],
-    ids=["sigma-negative", "rho-half-sigma-zero", "quad-order-5", "a-zero", "a-negative-no-source"],
+    ids=["sigma-negative", "rho-half-sigma-zero", "quad-order-5", "a-zero", "a-negative-no-source", "T-not-whole-steps"],
 )
 def test_run_refuses_out_of_range_input_before_any_output(tmp_path, capsys, text, problem):
     cfg = write_cfg(tmp_path, text)

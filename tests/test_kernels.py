@@ -367,7 +367,6 @@ def test_envelope_nonlinear_B_closed_form():
         XiWeight.constant(1.0), 1.0, eps1, c, c1, 0.0, 1.0, ConvexModulus.power(2.0, r1=1.0)
     )
     for t in (2.0, 3.0, 5.0, 9.0):
-        assert abs(env.K1(t) - 4.0 * eps1**3 * t**4) < 1e-12 * t**4
         tau = math.sqrt(t)
         expected = c * tau * (c1 / (tau * (t - 1.0)) / (4.0 * eps1**3)) ** 0.25
         assert abs(env(t) - expected) < 1e-10 * expected
@@ -382,9 +381,12 @@ def test_envelope_nonlinear_B_monotone_on_catalog_config():
     vals = env(t)
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[-1] < 0.5 * vals[0]
-    # a diverging weight integral sends the inverted map to 0
-    root = invert_increasing(env.K1, 1e-20)
-    assert 0.0 < root < 1e-4
+    # far out the weight integral diverges and the root is tiny: phi(y) = y^(4/9)
+    # and W2(y) = 9 y / (4 eps1) give y = 2 / (9 tau (t-1)), tau = t^(2/3)
+    t_late = 1e12
+    tau = t_late ** (2.0 / 3.0)
+    expected = 2.0 * tau * (2.0 / (9.0 * tau * (t_late - 1.0))) ** (4.0 / 9.0)
+    assert abs(env(t_late) - expected) < 1e-10 * expected
 
 
 def test_envelope_nonlinear_B_rejects_early_evaluation():
@@ -413,6 +415,53 @@ def test_envelope_both_closed_form():
         tau = math.sqrt(t)
         expected = c * tau * (4.0 * (c / (tau * t)) / eps1**3) ** 0.25
         assert abs(env(t) - expected) < 1e-9 * expected
+
+
+def _closed_form_envelopes():
+    """(envelope, closed form, validity start) for both envelopes on two moduli.
+
+    B = s^2 with eps = 1 (the C09 forms), and B = s^(3/2) with eps = 1/2, where
+    phi(y) = m y^(4/9) for m equal moduli and W2(y) = 9 y / (4 eps1).
+    """
+    one, sq, p15 = XiWeight.constant(1.0), ConvexModulus.power(2.0), ConvexModulus.power(1.5)
+
+    def p15_form(c, c1, t0, t1, m):
+        def form(t):
+            tau = (t - t0) ** (2.0 / 3.0)
+            return c * tau * m * (4.0 * 0.5 / 9.0 * c1 / (tau * (t - t1))) ** (4.0 / 9.0) / 0.5
+        return form
+
+    return {
+        "nonlinear-B s^2": (
+            envelope_nonlinear_B(one, 1.0, 0.37, 2.0, 0.8, 0.0, 1.0, sq),
+            lambda t: 2.0 * math.sqrt(t) * (0.8 / (math.sqrt(t) * (t - 1.0)) / (4.0 * 0.37**3)) ** 0.25,
+            1.0,
+        ),
+        "nonlinear-both s^2": (
+            envelope_nonlinear_both(one, 1.0, 0.61, 1.7, 0.0, sq, sq),
+            lambda t: 1.7 * math.sqrt(t) * (4.0 * (1.7 / (math.sqrt(t) * t)) / 0.61**3) ** 0.25,
+            0.0,
+        ),
+        "nonlinear-B s^(3/2)": (
+            envelope_nonlinear_B(one, 0.5, 0.5, 1.3, 0.9, 0.0, 1.0, p15),
+            p15_form(1.3, 0.9, 0.0, 1.0, 1.0),
+            1.0,
+        ),
+        "nonlinear-both s^(3/2)": (
+            envelope_nonlinear_both(one, 0.5, 0.5, 1.3, 0.0, p15, p15),
+            p15_form(1.3, 1.3, 0.0, 0.0, 2.0),
+            0.0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_closed_form_envelopes()))
+def test_convex_envelopes_match_closed_forms_to_long_horizons(name):
+    # the bisection stops at a width relative to the root once it is below 1,
+    # so the accuracy holds while the roots shrink with t
+    env, form, start = _closed_form_envelopes()[name]
+    for t in (start + 0.5, 1e2, 1e4, 1e6, 1e9, 1e12):
+        assert abs(env(t) - form(t)) <= 1e-10 * form(t), t
 
 
 def _bisect_to_ulp(f, y):
@@ -589,7 +638,7 @@ def test_envelope_arrays_match_scalar_calls(name):
 
 
 def _scalar_bisection(f, y, lo, hi=None):
-    """The Python-float loop invert_increasing ran before it vectorised.
+    """invert_increasing as a Python-float loop, one element at a time.
 
     Returns the root with the number of bracket doublings and halvings.
     """
@@ -605,7 +654,7 @@ def _scalar_bisection(f, y, lo, hi=None):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12:
+        if hi - lo <= 1e-12 * min(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi), doublings, halvings
 

@@ -156,10 +156,11 @@ def valid_scenarios(draw):
     mode = _spec("mode", st.integers(1, n**dim), _ANY)
     initial = st.just("zero") | st.lists(mode, min_size=1, max_size=3).map("+".join)
     rho = draw(_NONNEG)
+    dt = draw(_finite(min_value=0.0, max_value=1e300, exclude_min=True))  # T = steps * dt stays finite
     return replace(
         draw(st.sampled_from(list(PRESETS.values()))),
         spatial_dim=dim, n=n, L=draw(_POS), quad_order=draw(st.none() | st.integers(2 * n + 4, 64)),
-        dt=draw(_POS), T=draw(_NONNEG),
+        dt=dt, T=draw(st.integers(0, 10**6)) * dt,
         rho=rho, k=draw(_NONNEG), sigma=draw(_POS if 0.0 < rho < 1.0 else _NONNEG),
         kernel=draw(_KERNELS), damping=draw(_DAMPINGS), xi=draw(_XIS), modulus=draw(_MODULI),
         initial_u=draw(initial), initial_v=draw(initial),
@@ -216,15 +217,12 @@ def test_invalid_physics_and_time_raise_only_scenario_errors(case):
     if "damping" in which:
         with pytest.raises(InputError):
             parse_damping_spec(damping)
-    try:
-        scn = with_overrides(Scenario(n=2), kernel=kernel, damping=damping, dt=dt, T=T)
-    except ScenarioError:
-        assert which != {"T"} or T < 0
-        return
-    # validate accepts a horizon that is not a whole number of steps; run refuses it
-    assert which == {"T"} and T > 0
-    with pytest.raises(InputError, match="integer number of steps"):
-        run(scn)
+    # validate refuses every draw, a horizon that is not a whole number of steps too
+    with pytest.raises(ScenarioError):
+        with_overrides(Scenario(n=2), kernel=kernel, damping=damping, dt=dt, T=T)
+    if which == {"T"} and T > 0:  # run, handed an unvalidated scenario, refuses it by the same rule
+        with pytest.raises(InputError, match="integer number of steps"):
+            run(replace(Scenario(n=2), kernel=kernel, damping=damping, dt=dt, T=T))
 
 
 _PARSER_OF = {
