@@ -414,7 +414,7 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
         for (idx, scn), (_, code, extra) in zip(cells, results):
             row = [idx, code, *(str(getattr(scn, k)) for k in keys)]
             row += [None if extra.get(f) is None else _fmt(extra[f]) for f in ("E0", "E_final")]
-            row.append(str(extra.get("case", "")))
+            row.append(extra.get("case"))  # None, as in the numeric fields, writes ""
             row += [None if extra.get(f) is None else _fmt(extra[f]) for f in ("c", "overshoot", "exponent")]
             writer.writerow(row)
     return 0 if all(code == 0 for _, code, _ in results) else 1

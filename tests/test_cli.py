@@ -364,6 +364,23 @@ def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
     assert codes == [0, 1, 0]
 
 
+def test_sweep_leaves_case_empty_for_a_cell_without_decay_fit(tmp_path, monkeypatch):
+    # k = 1e6 fails the hypotheses before any simulation: that row has no
+    # energy and no decay block, and its case field is empty like the others
+    monkeypatch.setenv("VISCOPLATE_THREADS", "1")
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--axis", "k=0.5,1e6", "--out", out]) == 1
+    with open(Path(out, "summary.csv"), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(r) == len(header) for r in rows)
+    fields = {name: [r[header.index(name)] for r in rows] for name in header}
+    assert fields["exit_code"] == ["0", "1"]
+    assert fields["case"] == ["linear", ""]
+    for name in ("E0", "E_final", "c", "overshoot", "exponent"):
+        assert fields[name][1] == ""
+
+
 def test_sweep_kernel_rate_ordering(tmp_path, monkeypatch):
     # Faster kernel decay couples less dissipation into the plate: the
     # rotational-inertia term pins every modal frequency near one, so kernels
@@ -449,8 +466,15 @@ def test_axis_parser_keeps_parenthesized_values_whole():
             "diagnostics.a must be positive",
         ),
         (DISSIPATIVE.replace("T = 1.0", "T = 1.005"), "time: 1.005 is not an integer number of steps of 0.01"),
+        (
+            DISSIPATIVE.replace("dt = 0.01", "dt = 1e-300"),
+            "time: 1.0 is 1e+300 steps of 1e-300, more than an array can hold",
+        ),
     ],
-    ids=["sigma-negative", "rho-half-sigma-zero", "quad-order-5", "a-zero", "a-negative-no-source", "T-not-whole-steps"],
+    ids=[
+        "sigma-negative", "rho-half-sigma-zero", "quad-order-5", "a-zero", "a-negative-no-source",
+        "T-not-whole-steps", "steps-beyond-array-length",
+    ],
 )
 def test_run_refuses_out_of_range_input_before_any_output(tmp_path, capsys, text, problem):
     cfg = write_cfg(tmp_path, text)
