@@ -35,12 +35,19 @@ synthesized at the points only when some term reads it.  At rho = 0 the
 inertia and stiffness terms are GramSet.S (a + g).
 
 The convolution history is stored densely on the uniform grid next to a
-lag table K[j] = dt b(j dt), rebuilt only when the buffer's capacity
-doubles.  The load of the step t_n -> t_n+1 is the product-trapezoid sum
-sum_i w_i K[n+1-i] g_i (w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1:
-one matrix-vector product over the history.  When Newton fails the step is
-re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
-union of the stored grid and the pending substep nodes with memory.weights.
+lag table K[j] = dt b(j dt).  `run` sizes the history for the whole run
+once: its storage is the trajectory's g array, so the buffer never grows
+and the lag table is built once per run (a buffer filled step by step
+doubles its capacity and rebuilds the table with it).  The load of the
+step t_n -> t_n+1 is the product-trapezoid sum
+sum_i w_i K[n+1-i] g_i (w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1.
+A power kernel takes it as one matrix-vector product over the history at
+every step.  An exponential kernel has K[j+1] = q K[j] with
+q = exp(-rate dt), so once the product has been taken the next step's sum
+is q times it plus K[1] g_n+1: O(1) per step while the buffer grows by the
+one node of each step.  When Newton fails the step is re-tried with 2, 4,
+then 8 substeps, whose memory integrals run over the union of the stored
+grid and the pending substep nodes with memory.weights.
 """
 
 from __future__ import annotations
@@ -125,17 +132,18 @@ class PlateState:
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.g, self.v, self.a):
-            if not np.isfinite(arr).all():
-                raise InputError("state coefficients must be finite")
+        if not np.isfinite(np.concatenate((self.g, self.v, self.a), axis=None)).all():
+            raise InputError("state coefficients must be finite")
 
 
 class HistoryBuffer:
-    """Dense g-history on the uniform step grid, capacity-doubling.
+    """Dense g-history on the uniform step grid.
 
     snapshots is one coefficient vector g_0 (1-D) or the rows g_0, g_1, ...
-    (2-D) at spacing dt.  `lag_table(kernel)` samples the kernel at the
-    grid lags, once per capacity.
+    (2-D) at spacing dt.  append doubles the capacity when the buffer is
+    full; a buffer from `_sized` has room for a whole run from the start.
+    `lag_table(kernel)` samples the kernel at the grid lags, once per
+    capacity.
     """
 
     def __init__(self, dt: float, snapshots: np.ndarray):
@@ -149,6 +157,15 @@ class HistoryBuffer:
         self._data = data
         self._len = data.shape[0]
         self._lags = self._lag_kernel = None
+        # (kernel, node count, conv, w_end, q, K[1]) of the last exponential load
+        self._carry = None
+
+    @classmethod
+    def _sized(cls, dt: float, storage: np.ndarray) -> "HistoryBuffer":
+        """A buffer holding storage's first row; append fills the others in order."""
+        buf = cls(dt, storage[:1])
+        buf._data = storage
+        return buf
 
     def append(self, g: np.ndarray):
         if self._len == self._data.shape[0]:
@@ -181,6 +198,26 @@ class HistoryBuffer:
             self._lags = self.dt * kernel.value(np.arange(cap, -1, -1) * self.dt)
             self._lag_kernel = kernel
         return self._lags
+
+    def _load(self, kernel: RelaxationKernel):
+        """(conv, w_end) of the step after the last stored node.
+
+        The step's memory load is M2 (conv + w_end g_new).  An exponential
+        kernel that loaded this buffer when it held one node fewer carries
+        that conv: K[j+1] = q K[j], so conv_n = q conv_n-1 + K[1] g_n.  Any
+        other load is the lag-table product (_grid_load).
+        """
+        if kernel.family != "exponential":
+            return _grid_load(self, kernel)
+        carry = self._carry
+        if carry is not None and carry[0] is kernel and carry[1] == self._len - 1:
+            _, _, conv, w_end, q, k1 = carry
+            conv = q * conv + k1 * self._data[self._len - 1]
+        else:
+            conv, w_end = _grid_load(self, kernel)
+            q, k1 = math.exp(-kernel.rate * self.dt), self.lag_table(kernel)[-2]
+        self._carry = (kernel, self._len, conv, w_end, q, k1)
+        return conv, w_end
 
     def upto(self, t: float) -> np.ndarray:
         """Node times 0, dt, ..., t; t must be a stored grid time."""
@@ -280,19 +317,27 @@ def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
     return c @ R
 
 
-def _newton(a, factor, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=None):
-    """Simplified Newton on R(a) = 0 at g = g_c + cb a, v = v_c + cg a.
+def _newton(a, factor, g_n, v_n, a_n, dt, params, grams, basis, conv=None, w_end=None):
+    """Simplified Newton on R(a) = 0 for the Newmark step of size dt after
+    (g_n, v_n, a_n), started at a.
 
-    cb = None holds (g, v) at (g_c, v_c); the memory load is
-    M2 (conv + w_end g), absent when conv is None.  factor, the inverse of
-    N(v) + M2 at some earlier v, is formed at the current v when None and
-    re-formed there when the third residual misses NEWTON_TOL.  Returns
-    (g, v, a) at the root, where |R|_inf <= NEWTON_TOL, the refined
-    a - J^-1 R(a) one update past it, and the factor.
+    The step puts g = g_c + cb a and v = v_c + cg a with the predictors
+    g_c = g_n + dt v_n + dt^2 (1/2 - beta) a_n, v_c = v_n + dt (1 - gamma) a_n
+    and cb = dt^2 beta, cg = dt gamma; dt = None holds (g, v) at (g_n, v_n).
+    The memory load is M2 (conv + w_end g), absent when conv is None.
+    factor, the inverse of N(v) + M2 at some earlier v, is formed at the
+    current v when None and re-formed there when the third residual misses
+    NEWTON_TOL.  Returns (g, v, a) at the root, where |R|_inf <= NEWTON_TOL,
+    the refined a - J^-1 R(a) one update past it, and the factor.
     """
     # a diverging iterate overflows here; residual's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        g, v = (g_c, v_c) if cb is None else (g_c + cb * a, v_c + cg * a)
+        g, v = g_n, v_n
+        if dt is not None:
+            g_c = g_n + dt * v_n + dt * dt * (0.5 - NEWMARK_BETA) * a_n
+            v_c = v_n + dt * (1.0 - NEWMARK_GAMMA) * a_n
+            cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
+            g, v = g_c + cb * a, v_c + cg * a
         for i in range(NEWTON_MAX_ITER):
             mem = None if conv is None else grams.M2 @ (conv + w_end * g)
             R = residual(a, g, v, params, grams, basis, memory=mem)
@@ -306,7 +351,7 @@ def _newton(a, factor, g_c, v_c, cb, cg, params, grams, basis, conv=None, w_end=
             if done:
                 return g, v, a, a - da, factor
             a = a - da
-            if cb is not None:
+            if dt is not None:
                 g, v = g_c + cb * a, v_c + cg * a
     raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
@@ -330,14 +375,6 @@ def initial_state(
     return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0, factor=factor)
 
 
-def _newmark(g, v, a, a0, dt, factor, params, grams, basis, conv, w_end):
-    """_newton's result for one Newmark step of size dt after (g, v, a), started at a0."""
-    g_c = g + dt * v + dt * dt * (0.5 - NEWMARK_BETA) * a
-    v_c = v + dt * (1.0 - NEWMARK_GAMMA) * a
-    cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
-    return _newton(a0, factor, g_c, v_c, cb, cg, params, grams, basis, conv, w_end)
-
-
 def _substep_solve(
     prev_t: float,
     prev_g: np.ndarray,
@@ -357,8 +394,8 @@ def _substep_solve(
     if not params.kernel.is_zero:
         w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
         conv, w_end = node_g.T @ w[:-1], w[-1]
-    g, v, a, _, factor = _newmark(
-        prev_g, prev_v, prev_a, prev_a, dt, factor, params, grams, basis, conv, w_end
+    g, v, a, _, factor = _newton(
+        prev_a, factor, prev_g, prev_v, prev_a, dt, params, grams, basis, conv, w_end
     )
     return t_new, g, v, a, factor
 
@@ -387,8 +424,8 @@ def step(
 ) -> PlateState:
     """Advance one uniform step; falls back to 2/4/8 substeps on failure.
 
-    The whole step reads its memory load from the history's lag table and
-    starts Newton at the extrapolation of the state's a_prev rows of
+    The whole step reads its memory load from the history (HistoryBuffer._load)
+    and starts Newton at the extrapolation of the state's a_prev rows of
     refined accelerations: with k rows stored (k <= _START_ROWS = 8), the
     next value of the degree-(k - 1) polynomial through them, with weights
     c_j = (-1)^j C(k, j + 1), newest row first; a_n without a_prev.  The
@@ -412,12 +449,12 @@ def step(
             raise InputError("history length does not match the state's step index")
         if history.dt != dt:
             raise InputError(f"history spacing {history.dt} differs from the step size {dt}")
-        conv, w_end = _grid_load(history, params.kernel)
+        conv, w_end = history._load(params.kernel)
     old = state.a[None, :] if state.a_prev is None else state.a_prev
     a0 = _START_WEIGHTS[len(old)] @ old
     try:
-        g, v, a, r, factor = _newmark(
-            state.g, state.v, state.a, a0, dt, state.factor, params, grams, basis, conv, w_end
+        g, v, a, r, factor = _newton(
+            a0, state.factor, state.g, state.v, state.a, dt, params, grams, basis, conv, w_end
         )
     except DivergedError as exc:
         g, v, a, factor = _substeps(state, params, grams, basis, dt, history, exc)
@@ -492,6 +529,26 @@ class Trajectory:
         return HistoryBuffer(self.dt, self.g)
 
 
+def _trajectory_arrays(n_steps: int, m: int):
+    """Empty times, g, v and a arrays for n_steps steps of m coefficients.
+
+    InputError when memory cannot hold them.
+    """
+    try:
+        return (
+            np.empty(n_steps + 1),
+            np.empty((n_steps + 1, m)),
+            np.empty((n_steps + 1, m)),
+            np.empty((n_steps + 1, m)),
+        )
+    except MemoryError:
+        nbytes = 8 * (n_steps + 1) * (3 * m + 1)
+        raise InputError(
+            f"{n_steps} steps of {m} coefficients need {nbytes:.3g} bytes of trajectory arrays, "
+            "more than can be allocated"
+        ) from None
+
+
 def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> Trajectory:
     """Integrate a validated scenario from t = 0 to T.
 
@@ -507,19 +564,17 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> T
     g0, v0 = scenario.initial_coeffs(basis, grams)
     dt = scenario.dt
     n_steps = step_count(dt, scenario.T)
+    times, gs, vs, accs = _trajectory_arrays(n_steps, basis.dim)
 
     cur = initial_state(g0, v0, params, grams, basis)
-    m = basis.dim
-    times = np.empty(n_steps + 1)
-    gs = np.empty((n_steps + 1, m))
-    vs = np.empty((n_steps + 1, m))
-    accs = np.empty((n_steps + 1, m))
-    hist = HistoryBuffer(dt, cur.g) if not params.kernel.is_zero else None
-
-    for i in range(n_steps + 1):
-        if i > 0:
-            cur = step(cur, params, grams, basis, dt, history=hist)
-        times[i], gs[i], vs[i], accs[i] = cur.t, cur.g, cur.v, cur.a
+    times[0], gs[0], vs[0], accs[0] = cur.t, cur.g, cur.v, cur.a
+    # with a memory kernel the history's storage is gs, and step appends each g there
+    hist = None if params.kernel.is_zero else HistoryBuffer._sized(dt, gs)
+    for i in range(1, n_steps + 1):
+        cur = step(cur, params, grams, basis, dt, history=hist)
+        times[i], vs[i], accs[i] = cur.t, cur.v, cur.a
+        if hist is None:
+            gs[i] = cur.g
     return Trajectory(
         times=times, g=gs, v=vs, a=accs, dt=dt, params=params, basis=basis, grams=grams
     )

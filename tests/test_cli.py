@@ -485,6 +485,18 @@ def test_run_refuses_out_of_range_input_before_any_output(tmp_path, capsys, text
     assert not os.path.exists(out)
 
 
+def test_run_too_long_for_memory_exits_two(tmp_path, capsys):
+    # 1e15 steps pass validation (an array can index them), but their
+    # trajectory arrays need about 1.5e17 bytes, beyond the address space,
+    # so the allocation fails at once without touching memory
+    cfg = write_cfg(tmp_path, DISSIPATIVE.replace("dt = 0.01", "dt = 1e-15"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1000000000000000 steps of 6 coefficients need 1.52e+17 bytes")
+    assert not (out / "report.json").exists()
+
+
 def _assert_same_under_blas_threads(tmp_path, config):
     """`viscoplate run config` under 1 and 2 OpenBLAS threads: the same bytes and verdicts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(viscoplate.__file__)))

@@ -172,6 +172,43 @@ def test_lag_table_load_matches_memory_weights(kernel):
     assert hist._data.shape[0] == 512
 
 
+def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatch):
+    # an exponential kernel carries its load from step to step,
+    # conv_n+1 = q conv_n + K[1] g_n+1 with q = exp(-rate dt); at rate 0.05
+    # and dt = 1e-3, 1 - q = 5e-5, so the rounding of each carried step
+    # decays slowly.  Sampled loads over 3000 steps must match the
+    # product-trapezoid sum over the lag table, formed here from the kernel
+    # (the first node halved): the largest gap measured is 1.0e-13 relative,
+    # and the bound 1e-12 is 3000 eps (6.7e-13) with some margin.
+    # A carried K[0] in place of K[1], or a first node without its half
+    # weight, misses by more than 1e-5.
+    dt, steps = 1e-3, 3000
+    basis, grams = make_setup()
+    kernel = parse_kernel_spec("exp(0.5,0.05)")
+    params = PhysicalParams(0.0, 0.5, kernel, DampingLaw.linear(1.0), 0.0)
+    g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
+    st = initial_state(g0, np.zeros(6), params, grams, basis)
+    hist = HistoryBuffer(dt, st.g)
+    loads = []
+    load = HistoryBuffer._load
+
+    def recorded(self, kern):
+        loads.append(load(self, kern))
+        return loads[-1]
+
+    monkeypatch.setattr(HistoryBuffer, "_load", recorded)
+    for _ in range(steps):
+        st = step(st, params, grams, basis, dt, history=hist)
+    assert len(loads) == steps
+    for n in [0, 1, 2, 3, *range(100, steps, 100), steps - 1]:
+        w = np.ones(n + 1)
+        w[0] = 0.5
+        want = (w * dt * kernel.value((n + 1 - np.arange(n + 1)) * dt)) @ hist.snapshots[: n + 1]
+        conv, w_end = loads[n]
+        assert np.max(np.abs(conv - want)) <= 1e-12 * np.max(np.abs(want))
+        assert w_end == 0.5 * dt * kernel.b0
+
+
 # --- residual ------------------------------------------------------------
 
 
@@ -480,7 +517,7 @@ def test_run_forms_newton_matrix_at_most_twice(monkeypatch, rho):
 
 def _count_stepper_calls(monkeypatch):
     """Counts of the calls that dynamics makes through its module globals."""
-    counts = {"step": 0, "residual": 0, "factor": 0, "solve": 0}
+    counts = {"step": 0, "residual": 0, "factor": 0, "solve": 0, "grid_load": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -489,7 +526,10 @@ def _count_stepper_calls(monkeypatch):
 
         return wrapper
 
-    for name, attr in (("step", "step"), ("residual", "residual"), ("factor", "cho_factor"), ("solve", "cho_solve")):
+    for name, attr in (
+        ("step", "step"), ("residual", "residual"), ("factor", "cho_factor"), ("solve", "cho_solve"),
+        ("grid_load", "_grid_load"),
+    ):
         monkeypatch.setattr(dynamics, attr, counted(name, getattr(dynamics, attr)))
     return counts
 
@@ -497,7 +537,9 @@ def _count_stepper_calls(monkeypatch):
 def test_exp_linear_work_count(monkeypatch):
     # the whole step starts Newton at the degree-7 extrapolation of refined
     # accelerations, which nearly always meets NEWTON_TOL at once: about one
-    # residual per step, each followed by one solve, and one factor per run
+    # residual per step, each followed by one solve, and one factor per run.
+    # The exponential kernel's memory load takes the product over the
+    # history on the first step only and is carried from then on
     counts = _count_stepper_calls(monkeypatch)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=1e-3, T=0.5))
     steps = len(traj) - 1
@@ -506,6 +548,7 @@ def test_exp_linear_work_count(monkeypatch):
     assert counts["residual"] <= 1.1 * steps
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
+    assert counts["grid_load"] == 1
 
 
 def test_power_steep_cubic_work_count(monkeypatch):
@@ -513,8 +556,12 @@ def test_power_steep_cubic_work_count(monkeypatch):
     # NEWTON_TOL at the first residual (113 residuals over 100 steps, with
     # the initial solve).  At rho = 1 the Newton matrix is the one formed
     # for the initial acceleration, and no third residual misses, so no
-    # factor follows it
+    # factor follows it.  run sizes the history for every step, so each
+    # step's lag-table product reads the one table built on the first step
     counts = _count_stepper_calls(monkeypatch)
+    tables = []
+    lag_table = HistoryBuffer.lag_table
+    monkeypatch.setattr(HistoryBuffer, "lag_table", lambda *args: tables.append(lag_table(*args)) or tables[-1])
     traj = run(with_overrides(PRESETS["power-steep-cubic"], T=1.0))
     steps = len(traj) - 1
     assert steps == 100
@@ -522,6 +569,9 @@ def test_power_steep_cubic_work_count(monkeypatch):
     assert counts["residual"] <= 1.25 * steps
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
+    assert counts["grid_load"] == steps
+    assert len(tables) == steps and all(t is tables[0] for t in tables)
+    assert tables[0].shape == (steps + 2,)
 
 
 # (rho, sigma) cases of the stepper checks: rho = 0.5 with small sigma is
@@ -610,17 +660,17 @@ def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
     # and the seventh whole step starts at the accepted a, not at an
     # extrapolation over the fallen-back step
     dt = 1e-3
-    newmark = dynamics._newmark
+    newton = dynamics._newton
     starts = []
 
-    def sixth_whole_step_fails(g, v, a, a0, h, *rest):
+    def sixth_whole_step_fails(a0, factor, g, v, a, h, *rest):
         if h == dt:
             starts.append(a0)
             if len(starts) == 6:
                 raise DivergedError("forced")
-        return newmark(g, v, a, a0, h, *rest)
+        return newton(a0, factor, g, v, a, h, *rest)
 
-    monkeypatch.setattr(dynamics, "_newmark", sixth_whole_step_fails)
+    monkeypatch.setattr(dynamics, "_newton", sixth_whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=10 * dt))
     assert len(starts) == 10
     assert np.array_equal(starts[6], traj.a[6])
@@ -640,14 +690,14 @@ def test_run_times_are_exact_grid_multiples(monkeypatch, fallback):
     # by the 2-substep fallback (the whole-step solve is made to fail)
     dt = 1e-3
     if fallback:
-        newmark = dynamics._newmark
+        newton = dynamics._newton
 
-        def whole_step_fails(g, v, a, a0, h, *rest):
+        def whole_step_fails(a0, factor, g, v, a, h, *rest):
             if h == dt:
                 raise DivergedError("forced")
-            return newmark(g, v, a, a0, h, *rest)
+            return newton(a0, factor, g, v, a, h, *rest)
 
-        monkeypatch.setattr(dynamics, "_newmark", whole_step_fails)
+        monkeypatch.setattr(dynamics, "_newton", whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=1.0))
     assert len(traj) == 1001
     assert np.array_equal(traj.times, np.arange(len(traj)) * dt)
