@@ -216,10 +216,10 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
         verdicts["H4"] = "n/a"
     report["k0"] = k0
 
-    with open(os.path.join(scn.out_dir, "effective.ini"), "w", encoding="utf-8") as fh:
-        fh.write(effective_config(scn))
-
     def finish(code):
+        # written with the report, so a run refused while sizing leaves neither
+        with open(os.path.join(scn.out_dir, "effective.ini"), "w", encoding="utf-8") as fh:
+            fh.write(effective_config(scn))
         report["verdicts"] = verdicts
         report["wall_clock_s"] = time.perf_counter() - t_begin
         with open(os.path.join(scn.out_dir, "report.json"), "w", encoding="utf-8") as fh:

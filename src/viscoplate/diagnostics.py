@@ -37,7 +37,7 @@ from .kernels import (
     extend_modulus,
     invert_increasing,
 )
-from .spectral import Basis, GramSet
+from .spectral import Basis, GramSet, sample_product
 
 GAP_TOL = 1e-8
 RATIO_FLOOR = 1e-14
@@ -221,14 +221,15 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
     dt = trajectory.dt
     rho, k = params.rho, params.k
 
-    UQ = G @ basis.phi
-    VQ = V @ basis.phi
+    UQ = sample_product(G, basis.phi)
+    VQ = sample_product(V, basis.phi)
     qw = basis.qw
     kin = (qw * np.abs(VQ) ** (rho + 2.0)).sum(axis=1) / (rho + 2.0)
-    GM2 = G @ grams.M2
+    GM2 = sample_product(G, grams.M2)
+    VM2 = sample_product(V, grams.M2)
     bend = np.einsum("ij,ij->i", GM2, G)
-    bend_rate = np.einsum("ij,ij->i", V @ grams.M2, V)
-    mass = np.einsum("ij,ij->i", G @ grams.M0, G)
+    bend_rate = np.einsum("ij,ij->i", VM2, V)
+    mass = np.einsum("ij,ij->i", sample_product(G, grams.M0), G)
     logterm = (qw * _log_integrand(UQ)).sum(axis=1)
 
     mem, C, Bw = memory.series(times, G, grams.M2, params.kernel.value, dt)
@@ -244,8 +245,8 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
     psi1 = (qw * (srho * UQ)).sum(axis=1) / (rho + 1.0) + np.einsum("ij,ij->i", GM2, V)
     convvec = Bw[:, None] * G - C
     psi2 = -(
-        np.einsum("ij,ij->i", V @ grams.M2, convvec)
-        + (qw * (srho * (convvec @ basis.phi))).sum(axis=1) / (rho + 1.0)
+        np.einsum("ij,ij->i", VM2, convvec)
+        + (qw * (srho * sample_product(convvec, basis.phi))).sum(axis=1) / (rho + 1.0)
     )
 
     if params.damping.is_none:
@@ -289,7 +290,7 @@ def zero_crossings(trajectory: Trajectory) -> np.ndarray:
     Each step with a sign change gives one instant: the mean over the
     changing nodes of the linearly interpolated zero.
     """
-    uq = trajectory.g @ trajectory.basis.phi
+    uq = sample_product(trajectory.g, trajectory.basis.phi)
     neg = uq < 0.0
     flips = neg[1:] != neg[:-1]
     steps = np.flatnonzero(flips.any(axis=1))

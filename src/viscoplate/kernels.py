@@ -238,7 +238,7 @@ class ConvexModulus:
         # s**(p - 2) divides at s = 0, and far past r1 the unselected power form overflows
         with np.errstate(over="ignore", divide="ignore"):
             out = (c, c * p, c * p * (p - 1.0))[order] * s ** (p - order)
-        if self.ext is not None:
+        if self.ext is not None and not inside.all():
             v1, d1, kap = self.ext
             ds = s - self.r1
             out = np.where(inside, out, (v1 + d1 * ds + 0.5 * kap * ds * ds, d1 + kap * ds, kap)[order])
@@ -257,14 +257,15 @@ class ConvexModulus:
             if order:
                 raise DomainError("derivative of a linear modulus is not invertible")
             return _result(y / self.slope, target)
-        above = y > self._eval(self.r1, order) * (1.0 + _REL_TOL)
+        edge = self._eval(self.r1, order) if self.ext is None else self.ext[order]
+        above = y > edge * (1.0 + _REL_TOL)
         if self.ext is None and above.any():
             name = "B'" if order else "B"
             raise DomainError(f"inverse target {np.max(y)} above {name}(r1)")
         c, p = self.coef, self.p
         with np.errstate(over="ignore"):  # far past B'(r1) the unselected power form overflows
             out = (np.maximum(y, 0.0) / (c, c * p)[order]) ** (1.0 / (p - order))  # 0 for y <= 0
-        if self.ext is not None:
+        if self.ext is not None and above.any():
             v1, d1, kap = self.ext
             if order:
                 beyond = self.r1 + (y - d1) / kap
@@ -411,8 +412,11 @@ class DampingLaw:
         if self.form == "origin_power":
             a = np.abs(s)
             inner = a ** (self.p - 1.0) * s
+            inside = a <= self.eps
+            if inside.all():
+                return inner
             outer = np.sign(s) * (self.eps**self.p + self.p * self.eps ** (self.p - 1.0) * (a - self.eps))
-            return np.where(a <= self.eps, inner, outer)
+            return np.where(inside, inner, outer)
         return np.zeros_like(s)
 
     def h1(self, s):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from .spectral import sample_product
+
 
 def weights(nodes: np.ndarray, t: float, fn) -> np.ndarray:
     """Trapezoid weights of the nodes s_i times fn(t - s_i).
@@ -64,7 +66,7 @@ def series(times: np.ndarray, G: np.ndarray, M2: np.ndarray, fn, dt: float, lag_
     m = int(np.searchsorted(lags, lag_min - 1e-9 * max(dt, 1.0)))
     if N - m < 2:
         return np.zeros(N), np.zeros_like(G), np.zeros(N)
-    GM2 = G @ M2
+    GM2 = sample_product(G, M2)
     p = np.einsum("ij,ij->i", GM2, G)
     K = dt * fn(lags)
     K[:m] = 0.0

@@ -223,6 +223,33 @@ def estimate_cp(grams: GramSet) -> float:
     return float(np.linalg.eigvalsh(reduced)[-1])
 
 
+# Rows per block of a product over a run's samples.  OpenBLAS (0.3.31)
+# hands a product of about 1e6 multiply-adds to its thread pool, and a
+# woken worker then spins through the code that follows.  A block of up
+# to 2 * ROW_BLOCK - 1 rows stays under that for every 1D basis of up to
+# 16 modes (16 x 48 per row), so it runs on the calling thread.
+ROW_BLOCK = 512
+
+
+def sample_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for a tall A with one row per sample, in blocks of ROW_BLOCK rows.
+
+    The last block also takes the remainder, so no block has a single row
+    (numpy sends one row to gemv, whose sums may round differently).  With
+    at most 16 columns in A, and for the 2D 64-mode table, the result has
+    the bits of A @ B; wider A may differ in the last bit, since OpenBLAS
+    picks its kernel by the product's size.
+    """
+    count = len(A) // ROW_BLOCK
+    if count < 2:
+        return A @ B
+    out = np.empty((len(A), B.shape[1]))
+    for i in range(count):
+        rows = slice(i * ROW_BLOCK, (i + 1) * ROW_BLOCK if i + 1 < count else len(A))
+        np.matmul(A[rows], B, out=out[rows])
+    return out
+
+
 def _point_tables(basis: Basis, points: np.ndarray):
     pts = np.asarray(points, dtype=float)
     if basis.spatial_dim == 1:

@@ -34,6 +34,7 @@ from viscoplate.kernels import (
     validate_h2,
     validate_h3,
 )
+from viscoplate.kernels import _REL_TOL as REL_TOL
 
 GRID = np.linspace(0.0, 30.0, 2001)
 
@@ -745,3 +746,60 @@ def test_spec_parsers_raise_only_input_error(text):
         except InputError:
             continue
         assert not empty_argument, f"{parser.__name__} accepted {text!r}"
+
+
+def _two_branch_h(law, s):
+    a = np.abs(s)
+    outer = np.sign(s) * (law.eps**law.p + law.p * law.eps ** (law.p - 1.0) * (a - law.eps))
+    return np.where(a <= law.eps, a ** (law.p - 1.0) * s, outer)
+
+
+def _two_branch_eval(mod, s, order):
+    v1, d1, kap = mod.ext
+    ds = s - mod.r1
+    c, p = mod.coef, mod.p
+    with np.errstate(over="ignore", divide="ignore"):
+        power = (c, c * p, c * p * (p - 1.0))[order] * s ** (p - order)
+    beyond = (v1 + d1 * ds + 0.5 * kap * ds * ds, d1 + kap * ds, np.full_like(s, kap))[order]
+    return np.where(s <= mod.r1 * (1.0 + REL_TOL), power, beyond)
+
+
+def _two_branch_invert(mod, y, order):
+    v1, d1, kap = mod.ext
+    c, p = mod.coef, mod.p
+    with np.errstate(over="ignore"):
+        power = (np.maximum(y, 0.0) / (c, c * p)[order]) ** (1.0 / (p - order))
+    if order:
+        beyond = mod.r1 + (y - d1) / kap
+    else:
+        beyond = mod.r1 + (np.sqrt(d1 * d1 + 2.0 * kap * (np.maximum(y, v1) - v1)) - d1) / kap
+    return np.where(y > (v1, d1)[order] * (1.0 + REL_TOL), beyond, power)
+
+
+def _inside_straddling_outside(edge):
+    """Signed samples all within |s| <= edge, the same plus one beyond, all beyond.
+
+    The one beyond sits at 4 edge: just past the edge both branches agree
+    to rounding, since each law is spliced with matching slope.
+    """
+    inside = np.concatenate([np.linspace(-edge, edge, 21), [1e-300]])
+    outside = edge * np.array([4.0, 1.0 + 1e-9, 1.5, 40.0, -1.0 - 1e-9, -40.0])
+    return inside, np.concatenate([inside, outside[:1]]), outside
+
+
+def test_pointwise_law_branch_shortcuts_match_two_branch_formulas():
+    # each law skips its outer branch when no element reaches it; the
+    # result must be the full np.where formula's, bit for bit, also when a
+    # single element lies beyond the edge
+    law = DampingLaw.origin_power(3.0, 0.5)
+    for s in _inside_straddling_outside(law.eps):
+        assert np.array_equal(law.h(s), _two_branch_h(law, s))
+    mod = extend_modulus(ConvexModulus.power(2.5, coef=0.7, r1=0.5))
+    for s in _inside_straddling_outside(mod.r1):
+        s = np.abs(s)
+        for order in range(3):
+            assert np.array_equal(mod._eval(s, order), _two_branch_eval(mod, s, order))
+        for order, edge in enumerate(mod.ext[:2]):
+            assert edge == mod._eval(mod.r1, order)  # the edge _invert reads from ext
+            y = s * (edge / mod.r1)
+            assert np.array_equal(mod._invert(y, order), _two_branch_invert(mod, y, order))

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 from viscoplate.errors import AssemblyError, InputError
 from viscoplate.spectral import (
+    ROW_BLOCK,
     Basis,
     _mode_tables,
     assemble_grams,
@@ -24,6 +25,7 @@ from viscoplate.spectral import (
     eval_field,
     eval_laplacian,
     project_initial,
+    sample_product,
 )
 
 # first two characteristic roots, frozen from the bisection oracle
@@ -335,3 +337,14 @@ def test_eval_matches_tables(basis8):
     direct = g @ basis8.phi
     synth = eval_field(g, basis8, basis8.qpts[:, 0])
     assert np.max(np.abs(direct - synth)) < 1e-11
+
+
+@pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7])
+def test_sample_product_equals_plain_matmul_bit_for_bit(rows):
+    # the 1D synthesis table (8 x 32), a 1D Gram matrix (8 x 8) and the 2D
+    # n = 8 synthesis table (64 x 1024); rows span many magnitudes
+    basis1d, basis2d = build_basis(1, 8), build_basis(2, 8)
+    rng = np.random.default_rng(rows)
+    for table in (basis1d.phi, assemble_grams(basis1d).M2, basis2d.phi):
+        A = rng.standard_normal((rows, table.shape[0])) * 10.0 ** rng.integers(-6, 6, (rows, 1))
+        assert np.array_equal(sample_product(A, table), A @ table)
