@@ -191,6 +191,8 @@ def _exit_code(verdicts: dict) -> int:
 
 def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     """Execute one scenario; returns (report dict, exit code)."""
+    if refine < 0 or refine == 1:
+        raise InputError(f"refine must be 0 or >= 2, got {refine}")
     t_begin = time.perf_counter()
     os.makedirs(scn.out_dir, exist_ok=True)
     params = scn.physical_params()
@@ -455,7 +457,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output directory override")
     p_run.add_argument("--stride", type=int, help="write every K-th sample to timeseries.csv")
     p_run.add_argument("--refine", type=int, default=0,
-                       help="refinement levels for the rate-residual order check (>= 2)")
+                       help="refinement levels for the rate-residual order check (0: none, or >= 2)")
     p_run.add_argument("--dump-grams", action="store_true", help="also write grams.npz")
 
     p_sweep = sub.add_parser("sweep", help="Cartesian sweep over scenario fields")
@@ -470,7 +472,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             if args.out:
                 scn = with_overrides(scn, out_dir=args.out)
-            if args.stride:
+            if args.stride is not None:
                 scn = with_overrides(scn, stride=args.stride)
             report, code = run_scenario(scn, refine=args.refine, dump_grams=args.dump_grams)
             verdicts = report.get("verdicts", {})

@@ -15,7 +15,7 @@ Stepping is Newmark average acceleration (gamma = 1/2, beta = 1/4), solved
 by a simplified Newton iteration on the dominant N(v) + M2 block; the
 neglected couplings are O(dt), so the iteration contracts fast at practical
 step sizes.  Every solve takes the factor the previous one ended with,
-carried in PlateState.factor, and one rule holds for every rho: the matrix
+carried by the run's Stepper, and one rule holds for every rho: the matrix
 is formed at the current velocity when there is no factor yet, and
 re-formed there when a third residual still misses NEWTON_TOL.  At rho = 0
 the matrix is the constant M0 + M2 and never goes stale.  The factor is
@@ -34,20 +34,19 @@ points and projected by one product with Basis.phi_qw, and a field is
 synthesized at the points only when some term reads it.  At rho = 0 the
 inertia and stiffness terms are GramSet.S (a + g).
 
-The convolution history is stored densely on the uniform grid next to a
-lag table K[j] = dt b(j dt).  `run` sizes the history for the whole run
-once: its storage is the trajectory's g array, so the buffer never grows
-and the lag table is built once per run (a buffer filled step by step
-doubles its capacity and rebuilds the table with it).  The load of the
-step t_n -> t_n+1 is the product-trapezoid sum
-sum_i w_i K[n+1-i] g_i (w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1.
-A power kernel takes it as one matrix-vector product over the history at
-every step.  An exponential kernel has K[j+1] = q K[j] with
-q = exp(-rate dt), so once the product has been taken the next step's sum
-is q times it plus K[1] g_n+1: O(1) per step while the buffer grows by the
-one node of each step.  When Newton fails the step is re-tried with 2, 4,
-then 8 substeps, whose memory integrals run over the union of the stored
-grid and the pending substep nodes with memory.weights.
+One Stepper holds a run: what it decides once, its arrays, sized once,
+and the Newton factor and start rows.  Its g rows are the trajectory's g
+array and also the convolution history.  The load of the step
+t_n -> t_n+1 is the product-trapezoid sum sum_i w_i K[n+1-i] g_i
+(w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1 over the lag table
+K[j] = dt b(j dt), built once per run.  The rule is chosen once from the
+kernel family.  A power kernel takes the sum as one matrix-vector product
+over the rows at every step.  An exponential kernel has K[j+1] = q K[j]
+with q = exp(-rate dt), so after the first step the sum is q times the
+last one plus K[1] g_n: O(1) per step.  When Newton fails the step is
+re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
+union of the stored grid and the pending substep nodes with
+memory.weights.
 """
 
 from __future__ import annotations
@@ -120,30 +119,20 @@ def step_count(dt: float, T: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PlateState:
+    """Coefficients g, v, a at time t, step step_index of the run that reached it."""
+
     t: float
     g: np.ndarray
     v: np.ndarray
     a: np.ndarray
     step_index: int = 0
-    # Newton-start rows, set by step: the refined accelerations of the last
-    # (at most _START_ROWS) steps, newest first; None starts at a
-    a_prev: np.ndarray | None = None
-    # the inverse Newton matrix the last solve ended with; None forms one
-    factor: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(np.concatenate((self.g, self.v, self.a), axis=None)).all():
-            raise InputError("state coefficients must be finite")
 
 
 class HistoryBuffer:
-    """Dense g-history on the uniform step grid.
+    """Read-only g-history on the uniform step grid.
 
     snapshots is one coefficient vector g_0 (1-D) or the rows g_0, g_1, ...
-    (2-D) at spacing dt.  append doubles the capacity when the buffer is
-    full; a buffer from `_sized` has room for a whole run from the start.
-    `lag_table(kernel)` samples the kernel at the grid lags, once per
-    capacity.
+    (2-D) at spacing dt.
     """
 
     def __init__(self, dt: float, snapshots: np.ndarray):
@@ -154,76 +143,20 @@ class HistoryBuffer:
         if data.ndim != 2:
             raise InputError("history snapshots must be one vector or a 2-D array")
         self.dt = dt
-        self._data = data
-        self._len = data.shape[0]
-        self._lags = self._lag_kernel = None
-        # (kernel, node count, conv, w_end, q, K[1]) of the last exponential load
-        self._carry = None
-
-    @classmethod
-    def _sized(cls, dt: float, storage: np.ndarray) -> "HistoryBuffer":
-        """A buffer holding storage's first row; append fills the others in order."""
-        buf = cls(dt, storage[:1])
-        buf._data = storage
-        return buf
-
-    def append(self, g: np.ndarray):
-        if self._len == self._data.shape[0]:
-            grown = np.empty((2 * self._len, self._data.shape[1]))
-            grown[: self._len] = self._data
-            self._data = grown
-        self._data[self._len] = g
-        self._len += 1
+        self.snapshots = data
 
     def __len__(self) -> int:
-        return self._len
-
-    @property
-    def snapshots(self) -> np.ndarray:
-        return self._data[: self._len]
+        return self.snapshots.shape[0]
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self._len) * self.dt
-
-    def lag_table(self, kernel: RelaxationKernel) -> np.ndarray:
-        """Reversed lag table: entry capacity - j is dt b(j dt), j = 0 .. capacity.
-
-        The next step's lags n+1 .. 1 over the n+1 stored nodes are then the
-        contiguous slice [-n-2:-1].  Rebuilt only when the capacity grows or
-        the kernel changes.
-        """
-        cap = self._data.shape[0]
-        if self._lag_kernel is not kernel or self._lags.shape[0] != cap + 1:
-            self._lags = self.dt * kernel.value(np.arange(cap, -1, -1) * self.dt)
-            self._lag_kernel = kernel
-        return self._lags
-
-    def _load(self, kernel: RelaxationKernel):
-        """(conv, w_end) of the step after the last stored node.
-
-        The step's memory load is M2 (conv + w_end g_new).  An exponential
-        kernel that loaded this buffer when it held one node fewer carries
-        that conv: K[j+1] = q K[j], so conv_n = q conv_n-1 + K[1] g_n.  Any
-        other load is the lag-table product (_grid_load).
-        """
-        if kernel.family != "exponential":
-            return _grid_load(self, kernel)
-        carry = self._carry
-        if carry is not None and carry[0] is kernel and carry[1] == self._len - 1:
-            _, _, conv, w_end, q, k1 = carry
-            conv = q * conv + k1 * self._data[self._len - 1]
-        else:
-            conv, w_end = _grid_load(self, kernel)
-            q, k1 = math.exp(-kernel.rate * self.dt), self.lag_table(kernel)[-2]
-        self._carry = (kernel, self._len, conv, w_end, q, k1)
-        return conv, w_end
+        return np.arange(len(self)) * self.dt
 
     def upto(self, t: float) -> np.ndarray:
         """Node times 0, dt, ..., t; t must be a stored grid time."""
         n = step_count(self.dt, t)
-        if not 0 <= n < self._len:
-            raise InputError(f"history holds {self._len} nodes, cannot reach t = {t}")
+        if not 0 <= n < len(self):
+            raise InputError(f"history holds {len(self)} nodes, cannot reach t = {t}")
         return np.arange(n + 1) * self.dt
 
 
@@ -317,43 +250,109 @@ def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
     return c @ R
 
 
-def _newton(a, factor, g_n, v_n, a_n, dt, params, grams, basis, conv=None, w_end=None):
-    """Simplified Newton on R(a) = 0 for the Newmark step of size dt after
-    (g_n, v_n, a_n), started at a.
+class Stepper:
+    """One run of the Newmark stepper, advanced in place by `step`.
 
-    The step puts g = g_c + cb a and v = v_c + cg a with the predictors
-    g_c = g_n + dt v_n + dt^2 (1/2 - beta) a_n, v_c = v_n + dt (1 - gamma) a_n
-    and cb = dt^2 beta, cg = dt gamma; dt = None holds (g, v) at (g_n, v_n).
-    The memory load is M2 (conv + w_end g), absent when conv is None.
-    factor, the inverse of N(v) + M2 at some earlier v, is formed at the
-    current v when None and re-formed there when the third residual misses
-    NEWTON_TOL.  Returns (g, v, a) at the root, where |R|_inf <= NEWTON_TOL,
-    the refined a - J^-1 R(a) one update past it, and the factor.
+    It holds what the run decides once: the physics, Grams, basis and dt;
+    the arrays times, g, v and a of steps + 1 rows, of which rows 0 .. n
+    are filled; the memory-load rule, chosen from the kernel family, with
+    its lag table; and what each step hands the next: the Newton factor,
+    the Newton-start rows and the last memory load.  The g rows are also
+    the memory history.  The constructor fills row 0: (g0, v0) and the
+    acceleration solving R(a) = 0 there, where the memory load vanishes, R
+    is affine in a and N(v0) + M2 is its exact Jacobian, so Newton
+    converges in one iteration up to rounding.
     """
-    # a diverging iterate overflows here; residual's finite check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, v = g_n, v_n
-        if dt is not None:
-            g_c = g_n + dt * v_n + dt * dt * (0.5 - NEWMARK_BETA) * a_n
-            v_c = v_n + dt * (1.0 - NEWMARK_GAMMA) * a_n
-            cb, cg = dt * dt * NEWMARK_BETA, dt * NEWMARK_GAMMA
-            g, v = g_c + cb * a, v_c + cg * a
-        for i in range(NEWTON_MAX_ITER):
-            mem = None if conv is None else grams.M2 @ (conv + w_end * g)
-            R = residual(a, g, v, params, grams, basis, memory=mem)
-            done = np.abs(R).max() <= NEWTON_TOL
-            if factor is None or (i == 2 and not done):
-                J = inertia_mass(v, params, grams, basis) + grams.M2
-                if not np.isfinite(J).all():
-                    raise DivergedError("Newton matrix has non-finite entries")
-                factor = cho_factor(J)
-            da = cho_solve(factor, R)
-            if done:
-                return g, v, a, a - da, factor
-            a = a - da
-            if dt is not None:
+
+    def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, g0, v0, dt: float, steps: int):
+        if not dt > 0:
+            raise InputError("step size must be positive")
+        self.params, self.grams, self.basis, self.dt = params, grams, basis, dt
+        m = basis.dim
+        try:
+            self.times = np.empty(steps + 1)
+            self.g, self.v, self.a = (np.empty((steps + 1, m)) for _ in range(3))
+        except MemoryError:
+            nbytes = 8 * (steps + 1) * (3 * m + 1)
+            raise InputError(
+                f"{steps} steps of {m} coefficients need {nbytes:.3g} bytes of trajectory arrays, "
+                "more than can be allocated"
+            ) from None
+        self.n = 0
+        self.times[0], self.g[0], self.v[0] = 0.0, g0, v0
+        if not np.isfinite(self.g[0]).all() or not np.isfinite(self.v[0]).all():
+            raise InputError("state coefficients must be finite")
+        _, _, self.a[0], _, self._factor = self._newton(np.zeros(m), None, self.g[0], self.v[0])
+        self._rows = self.a[:1]  # Newton-start rows, newest first
+        kernel = params.kernel
+        self._conv = self._w_end = None
+        self._load = lambda: None
+        if not kernel.is_zero:
+            # entry steps + 1 - j is K[j] = dt b(j dt), so the lags n+1 .. 1
+            # of step n are the contiguous slice [-n-2:-1]
+            self._lags = dt * kernel.value(np.arange(steps + 1, -1, -1) * dt)
+            self._w_end = 0.5 * self._lags[-1]
+            self._load = self._exp_load if kernel.family == "exponential" else self._lag_load
+            self._q, self._k1 = math.exp(-kernel.rate * dt), self._lags[-2]
+
+    def state(self) -> PlateState:
+        n = self.n
+        return PlateState(t=float(self.times[n]), g=self.g[n], v=self.v[n], a=self.a[n], step_index=n)
+
+    # Each memory-load rule gives conv; the step's load is M2 (conv + w_end g_new).
+    def _lag_load(self):
+        """The product-trapezoid sum over the rows g_0 .. g_n, from the lag table."""
+        n = self.n
+        w = self._lags[-n - 2 : -1]
+        conv = w @ self.g[: n + 1]
+        conv -= (0.5 * w[0]) * self.g[0]  # the trapezoid halves the first node
+        return conv
+
+    def _exp_load(self):
+        """conv_n = q conv_n-1 + K[1] g_n, from the lag table on the first step."""
+        if self.n == 0:
+            return self._lag_load()
+        return self._q * self._conv + self._k1 * self.g[self.n]
+
+    def _newton(self, a, factor, g_n, v_n, a_n=None, h=None, conv=None, w_end=None):
+        """Simplified Newton on R(a) = 0 for the Newmark step of size h after
+        (g_n, v_n, a_n), started at a.
+
+        The step puts g = g_c + cb a and v = v_c + cg a with the predictors
+        g_c = g_n + h v_n + h^2 (1/2 - beta) a_n, v_c = v_n + h (1 - gamma) a_n
+        and cb = h^2 beta, cg = h gamma; h = None holds (g, v) at (g_n, v_n).
+        The memory load is M2 (conv + w_end g), absent when conv is None.
+        factor, the inverse of N(v) + M2 at some earlier v, is formed at the
+        current v when None and re-formed there when the third residual
+        misses NEWTON_TOL.  Returns (g, v, a) at the root, where
+        |R|_inf <= NEWTON_TOL, the refined a - J^-1 R(a) one update past it,
+        and the factor.
+        """
+        params, grams, basis = self.params, self.grams, self.basis
+        # a diverging iterate overflows here; residual's finite check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, v = g_n, v_n
+            if h is not None:
+                g_c = g_n + h * v_n + h * h * (0.5 - NEWMARK_BETA) * a_n
+                v_c = v_n + h * (1.0 - NEWMARK_GAMMA) * a_n
+                cb, cg = h * h * NEWMARK_BETA, h * NEWMARK_GAMMA
                 g, v = g_c + cb * a, v_c + cg * a
-    raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
+            for i in range(NEWTON_MAX_ITER):
+                mem = None if conv is None else grams.M2 @ (conv + w_end * g)
+                R = residual(a, g, v, params, grams, basis, memory=mem)
+                done = np.abs(R).max() <= NEWTON_TOL
+                if factor is None or (i == 2 and not done):
+                    J = inertia_mass(v, params, grams, basis) + grams.M2
+                    if not np.isfinite(J).all():
+                        raise DivergedError("Newton matrix has non-finite entries")
+                    factor = cho_factor(J)
+                da = cho_solve(factor, R)
+                if done:
+                    return g, v, a, a - da, factor
+                a = a - da
+                if h is not None:
+                    g, v = g_c + cb * a, v_c + cg * a
+        raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
 
 def initial_state(
@@ -365,139 +364,76 @@ def initial_state(
 ) -> PlateState:
     """State at t = 0 with the acceleration solving R(a) = 0 at (g0, v0).
 
-    The memory load vanishes at t = 0, R is affine in a, and N(v0) + M2 is
-    its exact Jacobian, so Newton converges in one iteration up to rounding.
-    The state carries that factor to the first step.
+    It is row 0 of a Stepper for no steps, whose dt is never used.
     """
-    g0 = np.asarray(g0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    _, _, a0, _, factor = _newton(np.zeros_like(g0), None, g0, v0, None, None, params, grams, basis)
-    return PlateState(t=0.0, g=g0, v=v0, a=a0, step_index=0, factor=factor)
+    return Stepper(params, grams, basis, g0, v0, 1.0, 0).state()
 
 
-def _substep_solve(
-    prev_t: float,
-    prev_g: np.ndarray,
-    prev_v: np.ndarray,
-    prev_a: np.ndarray,
-    dt: float,
-    node_times: np.ndarray,
-    node_g: np.ndarray,
-    params: PhysicalParams,
-    grams: GramSet,
-    basis: Basis,
-    factor: np.ndarray | None,
-):
-    """(t, g, v, a, factor) of one Newmark solve to prev_t + dt given past memory nodes anywhere."""
-    t_new = prev_t + dt
-    conv = w_end = None
-    if not params.kernel.is_zero:
-        w = memory.weights(np.append(node_times, t_new), t_new, params.kernel.value)
-        conv, w_end = node_g.T @ w[:-1], w[-1]
-    g, v, a, _, factor = _newton(
-        prev_a, factor, prev_g, prev_v, prev_a, dt, params, grams, basis, conv, w_end
-    )
-    return t_new, g, v, a, factor
+def step(s: Stepper) -> None:
+    """Advance s by one step of s.dt; falls back to 2/4/8 substeps on failure.
 
-
-def _grid_load(history: HistoryBuffer, kernel: RelaxationKernel):
-    """(conv, w_end) of the step after the last stored node, from the lag table.
-
-    The step's memory load is M2 (conv + w_end g_new): the product
-    trapezoid over the stored nodes and the new one, on the uniform grid.
+    The whole step takes its memory load from the stepper's rule and starts
+    Newton at the extrapolation of the Newton-start rows of refined
+    accelerations: with k rows stored (k <= _START_ROWS = 8), the next
+    value of the degree-(k - 1) polynomial through them, with weights
+    c_j = (-1)^j C(k, j + 1), newest row first; row 0 holds the initial a.
+    The step's refined acceleration goes in front of the rows, or they
+    restart from the accepted a after a substep fallback.  The refined rows
+    only start Newton; g, v and a are the accepted root, checked for finite
+    values and stored in row n + 1 at t = (n + 1) dt.  Newton takes the
+    stepper's factor, which then becomes the one the last solve ended with.
+    Substep nodes extend the memory grid only within the step.
     """
-    lags = history.lag_table(kernel)
-    nodes = history.snapshots
-    w = lags[-len(nodes) - 1 : -1]
-    conv = w @ nodes
-    conv -= (0.5 * w[0]) * nodes[0]  # the trapezoid halves the first node
-    return conv, 0.5 * lags[-1]
-
-
-def step(
-    state: PlateState,
-    params: PhysicalParams,
-    grams: GramSet,
-    basis: Basis,
-    dt: float,
-    history: HistoryBuffer | None = None,
-) -> PlateState:
-    """Advance one uniform step; falls back to 2/4/8 substeps on failure.
-
-    The whole step reads its memory load from the history (HistoryBuffer._load)
-    and starts Newton at the extrapolation of the state's a_prev rows of
-    refined accelerations: with k rows stored (k <= _START_ROWS = 8), the
-    next value of the degree-(k - 1) polynomial through them, with weights
-    c_j = (-1)^j C(k, j + 1), newest row first; a_n without a_prev.  The
-    new state's rows put this step's refined acceleration in
-    front, or restart from the accepted a after a substep fallback.  The
-    refined rows only start Newton; g, v and a are the accepted root.
-    Newton takes the state's factor, and the new state carries the one the
-    last solve ended with.  Substep nodes extend the memory grid only
-    within the step; the history buffer receives exactly the accepted
-    on-grid snapshot, preserving its uniform spacing.  A state at t = n dt
-    steps to (n + 1) dt, so a run's times are i dt bit for bit instead of
-    an accumulated sum of dt.
-    """
-    if dt <= 0:
-        raise InputError("step size must be positive")
-    conv = w_end = None
-    if not params.kernel.is_zero:
-        if history is None:
-            raise InputError("a memory kernel requires the step history")
-        if len(history) != state.step_index + 1:
-            raise InputError("history length does not match the state's step index")
-        if history.dt != dt:
-            raise InputError(f"history spacing {history.dt} differs from the step size {dt}")
-        conv, w_end = history._load(params.kernel)
-    old = state.a[None, :] if state.a_prev is None else state.a_prev
-    a0 = _START_WEIGHTS[len(old)] @ old
+    n = s.n
+    if n + 1 == len(s.times):
+        raise InputError(f"the stepper has taken all of its {n} steps")
+    conv = s._load()
+    old = s._rows
     try:
-        g, v, a, r, factor = _newton(
-            a0, state.factor, state.g, state.v, state.a, dt, params, grams, basis, conv, w_end
+        g, v, a, r, factor = s._newton(
+            _START_WEIGHTS[len(old)] @ old, s._factor, s.g[n], s.v[n], s.a[n], s.dt, conv, s._w_end
         )
     except DivergedError as exc:
-        g, v, a, factor = _substeps(state, params, grams, basis, dt, history, exc)
+        g, v, a, factor = _substeps(s, exc)
         rows = a[None, :]
     else:
         rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
-    n = state.step_index
-    t = (n + 1) * dt if state.t == n * dt else state.t + dt
-    new = PlateState(t=t, g=g, v=v, a=a, step_index=n + 1, a_prev=rows, factor=factor)
-    if history is not None:
-        history.append(g)
-    return new
+    if not np.isfinite(np.concatenate((g, v, a))).all():
+        raise DivergedError("the accepted step has non-finite coefficients", last_state=s.state())
+    s.times[n + 1], s.g[n + 1], s.v[n + 1], s.a[n + 1] = (n + 1) * s.dt, g, v, a
+    s.n, s._rows, s._factor, s._conv = n + 1, rows, factor, conv
 
 
-def _substeps(state, params, grams, basis, dt, history, error):
-    """(g, v, a, factor) of the step taken as 2, 4, then 8 substeps.
+def _substeps(s: Stepper, error: DivergedError):
+    """(g, v, a, factor) of step s.n taken as 2, 4, then 8 substeps.
 
-    Each substep's memory integral runs over the stored nodes and the
+    Each substep's memory integral runs over the stored rows and the
     earlier substeps' nodes, weighted by memory.weights; each try starts
-    from the state's factor.
+    from the stepper's factor.
     """
-    base_times = history.times if history is not None else np.array([state.t])
-    base_g = history.snapshots if history is not None else state.g[None, :]
+    n, kernel = s.n, s.params.kernel
     for pieces in (2, 4, 8):
-        sub_dt = dt / pieces
-        t_cur, g_cur, v_cur, a_cur, factor = state.t, state.g, state.v, state.a, state.factor
-        times_ext, g_ext = base_times, base_g
+        h = s.dt / pieces
+        t, g, v, a, factor = float(s.times[n]), s.g[n], s.v[n], s.a[n], s._factor
+        times, rows = s.times[: n + 1], s.g[: n + 1]
         try:
             for j in range(pieces):
-                t_cur, g_cur, v_cur, a_cur, factor = _substep_solve(
-                    t_cur, g_cur, v_cur, a_cur, sub_dt, times_ext, g_ext,
-                    params, grams, basis, factor,
-                )
+                t += h
+                conv = w_end = None
+                if not kernel.is_zero:
+                    w = memory.weights(np.append(times, t), t, kernel.value)
+                    conv, w_end = rows.T @ w[:-1], w[-1]
+                g, v, a, _, factor = s._newton(a, factor, g, v, a, h, conv, w_end)
                 if j < pieces - 1:
-                    times_ext = np.append(times_ext, t_cur)
-                    g_ext = np.vstack([g_ext, g_cur[None, :]])
+                    times = np.append(times, t)
+                    rows = np.vstack([rows, g[None, :]])
         except DivergedError as exc:
             error = exc
             continue
-        return g_cur, v_cur, a_cur, factor
+        return g, v, a, factor
+    state = s.state()
     raise DivergedError(
-        f"step from t = {state.t} diverged even with 8 substeps: {error}",
-        last_state=state,
+        f"step from t = {state.t} diverged even with 8 substeps: {error}", last_state=state
     )
 
 
@@ -529,32 +465,13 @@ class Trajectory:
         return HistoryBuffer(self.dt, self.g)
 
 
-def _trajectory_arrays(n_steps: int, m: int):
-    """Empty times, g, v and a arrays for n_steps steps of m coefficients.
-
-    InputError when memory cannot hold them.
-    """
-    try:
-        return (
-            np.empty(n_steps + 1),
-            np.empty((n_steps + 1, m)),
-            np.empty((n_steps + 1, m)),
-            np.empty((n_steps + 1, m)),
-        )
-    except MemoryError:
-        nbytes = 8 * (n_steps + 1) * (3 * m + 1)
-        raise InputError(
-            f"{n_steps} steps of {m} coefficients need {nbytes:.3g} bytes of trajectory arrays, "
-            "more than can be allocated"
-        ) from None
-
-
 def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> Trajectory:
     """Integrate a validated scenario from t = 0 to T.
 
     The scenario supplies the discretization, physics, and initial data
     (see the scenario module).  The loop is deterministic: no randomness
-    anywhere.
+    anywhere.  It calls `step` once per step by its module name, so
+    perfbench/tracing.py can count the steps.
     """
     if basis is None:
         basis = scenario.make_basis()
@@ -562,19 +479,10 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> T
         grams = assemble_grams(basis)
     params = scenario.physical_params()
     g0, v0 = scenario.initial_coeffs(basis, grams)
-    dt = scenario.dt
-    n_steps = step_count(dt, scenario.T)
-    times, gs, vs, accs = _trajectory_arrays(n_steps, basis.dim)
-
-    cur = initial_state(g0, v0, params, grams, basis)
-    times[0], gs[0], vs[0], accs[0] = cur.t, cur.g, cur.v, cur.a
-    # with a memory kernel the history's storage is gs, and step appends each g there
-    hist = None if params.kernel.is_zero else HistoryBuffer._sized(dt, gs)
-    for i in range(1, n_steps + 1):
-        cur = step(cur, params, grams, basis, dt, history=hist)
-        times[i], vs[i], accs[i] = cur.t, cur.v, cur.a
-        if hist is None:
-            gs[i] = cur.g
+    n_steps = step_count(scenario.dt, scenario.T)
+    s = Stepper(params, grams, basis, g0, v0, scenario.dt, n_steps)
+    for _ in range(n_steps):
+        step(s)
     return Trajectory(
-        times=times, g=gs, v=vs, a=accs, dt=dt, params=params, basis=basis, grams=grams
+        times=s.times, g=s.g, v=s.v, a=s.a, dt=s.dt, params=params, basis=basis, grams=grams
     )

@@ -96,6 +96,43 @@ def test_k_above_threshold_fails_h4_and_skips_run(tmp_path):
     assert not os.path.exists(os.path.join(out, "timeseries.csv"))
 
 
+# Admissible data whose discrete energy rises: k = 2816 is below the
+# threshold k0 = 4743, but dt under-resolves the source k u ln|u| (the
+# time-exact energy of this system falls everywhere)
+UNDER_RESOLVED_SOURCE = """
+[space]
+dim = 1
+n = 4
+[time]
+dt = 0.01
+T = 0.3
+[physics]
+rho = 0.0
+k = 2816
+kernel = exp(0.01,0.2)
+damping = damp-linear(0.05)
+[initial]
+u = mode(1,0.01) + mode(2,0.003)
+"""
+
+
+def test_monotone_fails_on_an_under_resolved_source(tmp_path):
+    # the negative control of `monotone`: it fails with every other verdict
+    # passing or n/a, and the energy's largest rise shrinks under halving
+    scn = load_scenario(write_cfg(tmp_path, UNDER_RESOLVED_SOURCE))
+    rises = []
+    for dt in (0.01, 0.005, 0.0025):
+        report, code = run_scenario(with_overrides(scn, dt=dt, out_dir=str(tmp_path / f"dt-{dt}")))
+        rises.append(report["energy"]["max_increase"])
+        if dt == 0.01:
+            verdicts = report["verdicts"]
+            assert code == 1 and verdicts["monotone"] == "fail"
+            assert all(verdicts[h] == "pass" for h in ("H1", "H2", "H3", "H4"))
+            assert all(v in ("pass", "n/a") for name, v in verdicts.items() if name != "monotone")
+    assert rises == pytest.approx([7.330e-6, 1.744e-6, 1.942e-7], rel=1e-3)
+    assert rises[0] > 2.0 * rises[1] > 4.0 * rises[2] > 0.0
+
+
 def test_divergence_exits_two_with_flagged_report(tmp_path):
     cfg = write_cfg(tmp_path, DISSIPATIVE.replace("mode(1,0.04)", "mode(1,1e200)"))
     out = str(tmp_path / "out")
@@ -241,6 +278,32 @@ def test_negative_stride_exits_two_before_running(tmp_path, capsys):
     assert main(["run", cfg, "--out", out, "--stride", "-1"]) == 2
     assert "output.stride must be >= 1" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "option, problem",
+    [
+        (["--refine", "1"], "refine must be 0 or >= 2, got 1"),
+        (["--refine", "-2"], "refine must be 0 or >= 2, got -2"),
+        (["--stride", "0"], "output.stride must be >= 1"),
+    ],
+    ids=["refine-1", "refine-negative", "stride-0"],
+)
+def test_bad_refine_or_stride_exits_two_before_running(tmp_path, capsys, option, problem):
+    # --refine 1 has no level to compare with, and --stride 0 is not "unset"
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out, *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err
+    assert not os.path.exists(out)
+
+
+def test_run_scenario_refuses_one_refinement_level(tmp_path):
+    scn = with_overrides(load_scenario(write_cfg(tmp_path, DISSIPATIVE)), out_dir=str(tmp_path / "out"))
+    with pytest.raises(InputError, match="refine must be 0 or >= 2"):
+        run_scenario(scn, refine=1)
+    assert not os.path.exists(scn.out_dir)
 
 
 def test_dump_grams(tmp_path):

@@ -6,7 +6,6 @@ closed-form cosine solution; no reference data comes from the implementation
 under test.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -19,13 +18,12 @@ from viscoplate.dynamics import (
     HistoryBuffer,
     PhysicalParams,
     PlateState,
-    Trajectory,
+    Stepper,
     initial_state,
     inertia_mass,
     memory_term,
     residual,
     run,
-    _substep_solve,
     step,
 )
 from viscoplate.errors import DivergedError, InputError
@@ -60,17 +58,30 @@ class OneShotScenario:
         return self._g0, self._v0
 
 
+def history(s):
+    """The stepper's g rows so far, as the history that memory_term reads."""
+    return HistoryBuffer(s.dt, s.g[: s.n + 1])
+
+
 # --- history and convolution --------------------------------------------
 
 
 def test_history_growth_and_views():
-    buf = HistoryBuffer(0.1, np.zeros(3))
+    # each step fills the next of the stepper's g rows, which are its history
+    basis, grams = make_setup(3)
+    s = Stepper(CONSERVATIVE, grams, basis, [0.01, -0.02, 0.005], np.zeros(3), 0.1, 200)
+    seen = [(0.0, s.g[0].copy())]
     for i in range(1, 201):
-        buf.append(np.full(3, float(i)))
+        step(s)
+        st = s.state()
+        assert st.step_index == i
+        seen.append((st.t, st.g.copy()))
+    buf = history(s)
     assert len(buf) == 201
     assert buf.snapshots.shape == (201, 3)
     assert abs(buf.times[-1] - 20.0) < 1e-12
-    assert buf.snapshots[150, 0] == 150.0
+    assert np.array_equal(buf.times, [t for t, _ in seen])
+    assert np.array_equal(buf.snapshots, [g for _, g in seen])
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
@@ -147,29 +158,29 @@ def test_memory_off_grid_time_rejected():
 
 @pytest.mark.parametrize("kernel", ["exp(0.5,1.3)", "power(0.4,3.0)"])
 def test_lag_table_load_matches_memory_weights(kernel):
-    # 300 steps take the buffer's capacity from 1 to 512 (nine rebuilds of
-    # the lag table); each step's load must equal the memory.weights oracle
-    # over the explicit node times, evaluated once the new node is stored.
-    # dt = 2^-7 makes every node time and lag exact in binary, so the
-    # oracle's weights (s_i+1 - s_i-1)/2 carry no rounding of their own
-    # (at dt = 0.01 they do, up to 1.8e-13 of the convolution at t = 3).
+    # over 300 steps, each step's lag-table load must equal the
+    # memory.weights oracle over the explicit node times, evaluated once the
+    # new node is stored; the power kernel's step takes that load (the
+    # exponential kernel's steps carry theirs, checked below).  dt = 2^-7
+    # makes every node time and lag exact in binary, so the oracle's weights
+    # (s_i+1 - s_i-1)/2 carry no rounding of their own (at dt = 0.01 they
+    # do, up to 1.8e-13 of the convolution at t = 3).
     dt = 2.0**-7
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.5, parse_kernel_spec(kernel), DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
-    st = initial_state(g0, np.zeros(6), params, grams, basis)
-    hist = HistoryBuffer(dt, st.g)
+    s = Stepper(params, grams, basis, g0, np.zeros(6), dt, 300)
     for n in range(300):
-        conv, w_end = dynamics._grid_load(hist, params.kernel)
-        rows = st.a[None, :] if st.a_prev is None else st.a_prev
-        st = step(st, params, grams, basis, dt, history=hist)
+        conv, rows = s._lag_load(), s._rows
+        step(s)
+        if kernel.startswith("power"):
+            assert np.array_equal(s._conv, conv)
         # the step's refined acceleration goes in front of the Newton-start rows
-        assert st.a_prev.shape == (min(len(rows) + 1, dynamics._START_ROWS), 6)
-        assert np.array_equal(st.a_prev[1:], rows[: len(st.a_prev) - 1])
-        got = grams.M2 @ (conv + w_end * st.g)
-        want = memory_term(hist, params.kernel, grams, (n + 1) * dt)
+        assert s._rows.shape == (min(len(rows) + 1, dynamics._START_ROWS), 6)
+        assert np.array_equal(s._rows[1:], rows[: len(s._rows) - 1])
+        got = grams.M2 @ (conv + s._w_end * s.g[n + 1])
+        want = memory_term(history(s), params.kernel, grams, (n + 1) * dt)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert hist._data.shape[0] == 512
 
 
 def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatch):
@@ -187,26 +198,24 @@ def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatc
     kernel = parse_kernel_spec("exp(0.5,0.05)")
     params = PhysicalParams(0.0, 0.5, kernel, DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
-    st = initial_state(g0, np.zeros(6), params, grams, basis)
-    hist = HistoryBuffer(dt, st.g)
     loads = []
-    load = HistoryBuffer._load
+    load = Stepper._exp_load
 
-    def recorded(self, kern):
-        loads.append(load(self, kern))
+    def recorded(self):
+        loads.append(load(self))
         return loads[-1]
 
-    monkeypatch.setattr(HistoryBuffer, "_load", recorded)
+    monkeypatch.setattr(Stepper, "_exp_load", recorded)
+    s = Stepper(params, grams, basis, g0, np.zeros(6), dt, steps)
     for _ in range(steps):
-        st = step(st, params, grams, basis, dt, history=hist)
+        step(s)
     assert len(loads) == steps
+    assert s._w_end == 0.5 * dt * kernel.b0
     for n in [0, 1, 2, 3, *range(100, steps, 100), steps - 1]:
         w = np.ones(n + 1)
         w[0] = 0.5
-        want = (w * dt * kernel.value((n + 1 - np.arange(n + 1)) * dt)) @ hist.snapshots[: n + 1]
-        conv, w_end = loads[n]
-        assert np.max(np.abs(conv - want)) <= 1e-12 * np.max(np.abs(want))
-        assert w_end == 0.5 * dt * kernel.b0
+        want = (w * dt * kernel.value((n + 1 - np.arange(n + 1)) * dt)) @ s.g[: n + 1]
+        assert np.max(np.abs(loads[n] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- residual ------------------------------------------------------------
@@ -341,10 +350,11 @@ def test_zero_data_is_fixed_point():
     basis, grams = make_setup()
     params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0)
     z = np.zeros(6)
-    st = initial_state(z, z, params, grams, basis)
-    hist = HistoryBuffer(0.01, st.g)
+    s = Stepper(params, grams, basis, z, z, 0.01, 10)
     for _ in range(10):
-        st = step(st, params, grams, basis, 0.01, history=hist)
+        step(s)
+    st = s.state()
+    assert st.step_index == 10
     assert np.all(st.g == 0.0) and np.all(st.v == 0.0) and np.all(st.a == 0.0)
 
 
@@ -378,36 +388,58 @@ def test_conservative_energy_drift():
     assert np.max(np.abs(E - E[0])) <= 1e-9 * E[0]
 
 
-def test_step_requires_consistent_history():
-    basis, grams = make_setup()
-    params = PhysicalParams(0.0, 0.0, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
-    z = np.zeros(6)
-    st = initial_state(z, z, params, grams, basis)
-    with pytest.raises(InputError):
-        step(st, params, grams, basis, 0.01)  # kernel present, no history
-    buf = HistoryBuffer(0.01, z)
-    buf.append(z)  # length no longer matches step_index + 1
-    with pytest.raises(InputError):
-        step(st, params, grams, basis, 0.01, history=buf)
-
-
-def test_step_rejects_history_at_other_spacing():
-    # the memory load integrates over the history's nodes, so they must lie on the step grid
+def test_stepper_refuses_bad_input():
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
-    st = initial_state(np.full(6, 0.01), np.zeros(6), params, grams, basis)
-    with pytest.raises(InputError, match="spacing"):
-        step(st, params, grams, basis, 0.02, history=HistoryBuffer(0.01, st.g))
+    g0, z = np.full(6, 0.01), np.zeros(6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="must be finite"):
+            Stepper(params, grams, basis, np.where(np.arange(6) == 2, bad, g0), z, 0.01, 1)
+        with pytest.raises(InputError, match="must be finite"):
+            initial_state(g0, np.full(6, bad), params, grams, basis)
+    for dt in (0.0, -0.01, math.nan):
+        with pytest.raises(InputError, match="step size"):
+            Stepper(params, grams, basis, g0, z, dt, 1)
+    s = Stepper(params, grams, basis, g0, z, 0.01, 2)
+    step(s)
+    step(s)
+    with pytest.raises(InputError, match="all of its 2 steps"):
+        step(s)
+    assert s.n == 2
+
+
+def test_step_refuses_a_non_finite_accepted_state(monkeypatch):
+    # a solve that returned non-finite coefficients (forced here) ends the
+    # run with DivergedError at that step, and the stepper stays where it was
+    basis, grams = make_setup()
+    params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
+    s = Stepper(params, grams, basis, np.full(6, 0.01), np.zeros(6), 0.01, 3)
+    step(s)
+    newton = Stepper._newton
+
+    def nan_velocity(self, *args):
+        g, v, a, r, factor = newton(self, *args)
+        return g, np.full_like(v, np.nan), a, r, factor
+
+    monkeypatch.setattr(Stepper, "_newton", nan_velocity)
+    with pytest.raises(DivergedError, match="non-finite coefficients") as info:
+        step(s)
+    assert s.n == 1 and info.value.last_state.step_index == 1
 
 
 def test_step_divergence_attaches_state():
+    # at dt = 1e10 every trial state overflows the log source, also in the
+    # substeps, and the error carries the state the step started from
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 1.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
-    g = np.full(6, 1e305)
-    st = PlateState(t=0.0, g=g, v=np.zeros(6), a=np.zeros(6))
-    with pytest.raises(DivergedError) as info:
-        step(st, params, grams, basis, 0.1)
-    assert info.value.last_state is st
+    s = Stepper(params, grams, basis, np.full(6, 0.01), np.zeros(6), 1e10, 1)
+    before = s.state()
+    with pytest.raises(DivergedError, match="even with 8 substeps") as info:
+        step(s)
+    st = info.value.last_state
+    assert st.t == 0.0 and st.step_index == 0 and s.n == 0
+    for name in "gva":
+        assert np.array_equal(getattr(st, name), getattr(before, name))
 
 
 def test_split_memory_matches_full_recomputation():
@@ -418,51 +450,68 @@ def test_split_memory_matches_full_recomputation():
     g0 = 0.02 * rng.standard_normal(6)
     for rho in (0.0, 1.0):
         params = PhysicalParams(rho, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(0.5), 0.0)
-        st = initial_state(g0, np.zeros(6), params, grams, basis)
-        hist = HistoryBuffer(0.01, st.g)
+        s = Stepper(params, grams, basis, g0, np.zeros(6), 0.01, 50)
         for _ in range(50):
-            st = step(st, params, grams, basis, 0.01, history=hist)
-            mem = memory_term(hist, params.kernel, grams, st.t)
+            step(s)
+            st = s.state()
+            mem = memory_term(history(s), params.kernel, grams, st.t)
             R = residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
             assert np.max(np.abs(R)) <= NEWTON_TOL
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
-def test_substep_fallback_rescues_stalled_step(rho):
+def test_substep_fallback_rescues_stalled_step(monkeypatch, rho):
     basis, grams = make_setup()
     params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
     g0 = np.zeros(6)
     g0[0] = 0.04
-    st = initial_state(g0, np.zeros(6), params, grams, basis)
-    with pytest.raises(DivergedError, match="Newton stalled"):
-        _substep_solve(
-            st.t, st.g, st.v, st.a, 2.0, np.array([st.t]), st.g[None, :],
-            params, grams, basis, st.factor,
-        )
-    whole = step(st, params, grams, basis, 2.0, history=HistoryBuffer(2.0, st.g))
-    hist = HistoryBuffer(1.0, st.g)
-    halves = step(step(st, params, grams, basis, 1.0, history=hist), params, grams, basis, 1.0, history=hist)
-    assert whole.step_index == 1 and whole.t == halves.t == 2.0
+    whole = Stepper(params, grams, basis, g0, np.zeros(6), 2.0, 1)
+    newton, failed = Stepper._newton, []
+
+    def recorded(self, *args):
+        try:
+            return newton(self, *args)
+        except DivergedError as exc:
+            failed.append((args[5], str(exc)))
+            raise
+
+    monkeypatch.setattr(Stepper, "_newton", recorded)
+    step(whole)
+    # the whole step of size 2 stalled, and the substeps took it
+    assert failed[:1] == [(2.0, f"Newton stalled above tolerance {NEWTON_TOL}")]
+    halves = Stepper(params, grams, basis, g0, np.zeros(6), 1.0, 2)
+    step(halves)
+    step(halves)
+    assert whole.n == 1 and whole.times[1] == halves.times[2] == 2.0
     # the halves read the lag table and start Newton at 2 a_n - a_{n-1}; the
     # fallback substeps use memory.weights over explicit nodes and start at a_n
-    _assert_matches((whole.g, whole.v, whole.a), (halves.g, halves.v, halves.a))
+    _assert_matches((whole.g[1], whole.v[1], whole.a[1]), (halves.g[2], halves.v[2], halves.a[2]))
 
 
 def test_step_diverges_on_non_finite_newton_matrix(monkeypatch):
-    # the predictor overflows the inertia weight: the first residual reports
-    # it, before the Newton matrix is formed at that velocity
+    # the velocity overflows the inertia weight: the first residual reports
+    # it, before the Newton matrix is formed at that velocity, both in the
+    # initial solve and in a step whose predictor carries it
     basis, grams = make_setup()
     params = PhysicalParams(1.0, 0.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
-    st = PlateState(t=0.0, g=np.zeros(6), v=np.full(6, 1e200), a=np.zeros(6))
+    z = np.zeros(6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergedError, match="residual"):
-            step(st, params, grams, basis, 0.01)
+            Stepper(params, grams, basis, z, np.full(6, 1e200), 0.01, 1)
+        s = Stepper(params, grams, basis, z, z, 0.01, 1)
+        s.v[0] = 1e200
+        with pytest.raises(DivergedError, match="residual"):
+            step(s)
     # a finite residual with a matrix that is not finite (forced here) is
     # refused before the matrix reaches the factorization
+    s = Stepper(params, grams, basis, z, z, 0.01, 1)
+    s._factor = None
     monkeypatch.setattr(dynamics, "inertia_mass", lambda v, *rest: np.full((6, 6), np.inf))
     with pytest.raises(DivergedError, match="Newton matrix has non-finite entries"):
-        step(dataclasses.replace(st, v=np.zeros(6)), params, grams, basis, 0.01)
+        step(s)
+    with pytest.raises(DivergedError, match="Newton matrix has non-finite entries"):
+        initial_state(z, z, params, grams, basis)
 
 
 def test_failed_factorization_is_divergence():
@@ -528,9 +577,9 @@ def _count_stepper_calls(monkeypatch):
 
     for name, attr in (
         ("step", "step"), ("residual", "residual"), ("factor", "cho_factor"), ("solve", "cho_solve"),
-        ("grid_load", "_grid_load"),
     ):
         monkeypatch.setattr(dynamics, attr, counted(name, getattr(dynamics, attr)))
+    monkeypatch.setattr(Stepper, "_lag_load", counted("grid_load", Stepper._lag_load))
     return counts
 
 
@@ -556,12 +605,13 @@ def test_power_steep_cubic_work_count(monkeypatch):
     # NEWTON_TOL at the first residual (113 residuals over 100 steps, with
     # the initial solve).  At rho = 1 the Newton matrix is the one formed
     # for the initial acceleration, and no third residual misses, so no
-    # factor follows it.  run sizes the history for every step, so each
-    # step's lag-table product reads the one table built on the first step
+    # factor follows it.  The run's stepper builds the lag table once, from
+    # one kernel evaluation at the steps + 2 lags, and each step's
+    # lag-table product reads it
     counts = _count_stepper_calls(monkeypatch)
     tables = []
-    lag_table = HistoryBuffer.lag_table
-    monkeypatch.setattr(HistoryBuffer, "lag_table", lambda *args: tables.append(lag_table(*args)) or tables[-1])
+    value = RelaxationKernel.value
+    monkeypatch.setattr(RelaxationKernel, "value", lambda self, t: tables.append(value(self, t)) or tables[-1])
     traj = run(with_overrides(PRESETS["power-steep-cubic"], T=1.0))
     steps = len(traj) - 1
     assert steps == 100
@@ -570,7 +620,7 @@ def test_power_steep_cubic_work_count(monkeypatch):
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
     assert counts["grid_load"] == steps
-    assert len(tables) == steps and all(t is tables[0] for t in tables)
+    assert len(tables) == 1
     assert tables[0].shape == (steps + 2,)
 
 
@@ -608,9 +658,8 @@ def test_third_residual_reforms_stale_newton_matrix(monkeypatch):
     params = PhysicalParams(0.5, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 1e-3)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     v0 = np.array([0.0, 0.2, 0.0, -0.05, 0.0, 0.0])
-    st = initial_state(g0, v0, params, grams, basis)
-    stale = dynamics.cho_factor(inertia_mass(1e3 * v0, params, grams, basis) + grams.M2)
-    st = dataclasses.replace(st, factor=stale)
+    s = Stepper(params, grams, basis, g0, v0, 0.01, 1)
+    s._factor = dynamics.cho_factor(inertia_mass(1e3 * v0, params, grams, basis) + grams.M2)
     calls, formed = [], []
 
     def logged(name, fn):
@@ -625,12 +674,12 @@ def test_third_residual_reforms_stale_newton_matrix(monkeypatch):
 
     for name, attr in (("R", "residual"), ("matrix", "inertia_mass"), ("factor", "cho_factor")):
         monkeypatch.setattr(dynamics, attr, logged(name, getattr(dynamics, attr)))
-    hist = HistoryBuffer(0.01, st.g)
-    new = step(st, params, grams, basis, 0.01, history=hist)
+    step(s)
     assert calls[:5] == ["R", "R", "R", "matrix", "factor"]
     assert calls.count("matrix") == calls.count("factor") == 1
-    assert new.factor is formed[0]
-    mem = memory_term(hist, params.kernel, grams, new.t)
+    assert s._factor is formed[0]
+    new = s.state()
+    mem = memory_term(history(s), params.kernel, grams, new.t)
     assert np.max(np.abs(residual(new.a, new.g, new.v, params, grams, basis, memory=mem))) <= NEWTON_TOL
 
 
@@ -660,17 +709,17 @@ def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
     # and the seventh whole step starts at the accepted a, not at an
     # extrapolation over the fallen-back step
     dt = 1e-3
-    newton = dynamics._newton
+    newton = Stepper._newton
     starts = []
 
-    def sixth_whole_step_fails(a0, factor, g, v, a, h, *rest):
+    def sixth_whole_step_fails(self, a0, factor, g, v, a=None, h=None, *rest):
         if h == dt:
             starts.append(a0)
             if len(starts) == 6:
                 raise DivergedError("forced")
-        return newton(a0, factor, g, v, a, h, *rest)
+        return newton(self, a0, factor, g, v, a, h, *rest)
 
-    monkeypatch.setattr(dynamics, "_newton", sixth_whole_step_fails)
+    monkeypatch.setattr(Stepper, "_newton", sixth_whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=10 * dt))
     assert len(starts) == 10
     assert np.array_equal(starts[6], traj.a[6])
@@ -690,14 +739,14 @@ def test_run_times_are_exact_grid_multiples(monkeypatch, fallback):
     # by the 2-substep fallback (the whole-step solve is made to fail)
     dt = 1e-3
     if fallback:
-        newton = dynamics._newton
+        newton = Stepper._newton
 
-        def whole_step_fails(a0, factor, g, v, a, h, *rest):
+        def whole_step_fails(self, a0, factor, g, v, a=None, h=None, *rest):
             if h == dt:
                 raise DivergedError("forced")
-            return newton(a0, factor, g, v, a, h, *rest)
+            return newton(self, a0, factor, g, v, a, h, *rest)
 
-        monkeypatch.setattr(dynamics, "_newton", whole_step_fails)
+        monkeypatch.setattr(Stepper, "_newton", whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=1.0))
     assert len(traj) == 1001
     assert np.array_equal(traj.times, np.arange(len(traj)) * dt)
@@ -843,8 +892,7 @@ def _ref_substep_solve(prev_t, prev_g, prev_v, prev_a, dt, node_times, node_g, p
 
 
 def _ref_step(state, params, grams, basis, dt, history):
-    base_times = history.times if history is not None else np.array([state.t])
-    base_g = history.snapshots if history is not None else state.g[None, :]
+    base_times, base_g = history.times, history.snapshots
     for pieces in (1, 2, 4, 8):
         sub_dt = dt / pieces
         t_cur, g_cur, v_cur, a_cur = state.t, state.g, state.v, state.a
@@ -859,10 +907,7 @@ def _ref_step(state, params, grams, basis, dt, history):
                     g_ext = np.vstack([g_ext, g_cur[None, :]])
         except DivergedError:
             continue
-        new = PlateState(t=t_cur, g=g_cur, v=v_cur, a=a_cur, step_index=state.step_index + 1)
-        if history is not None:
-            history.append(new.g)
-        return new
+        return PlateState(t=t_cur, g=g_cur, v=v_cur, a=a_cur, step_index=state.step_index + 1)
     raise DivergedError("reference step diverged even with 8 substeps")
 
 
@@ -877,9 +922,9 @@ def _ref_run(scn):
 
     a0 = _ref_newton_loop(res_fn, v0, np.zeros_like(g0), params, grams, basis)
     cur = PlateState(t=0.0, g=g0, v=v0, a=a0)
-    hist = HistoryBuffer(scn.dt, cur.g) if not params.kernel.is_zero else None
     states = [cur]
     for _ in range(int(round(scn.T / scn.dt))):
+        hist = HistoryBuffer(scn.dt, [st.g for st in states])
         cur = _ref_step(cur, params, grams, basis, scn.dt, hist)
         states.append(cur)
     return tuple(np.array([getattr(s, f) for s in states]) for f in "gva")
@@ -911,12 +956,14 @@ def test_substep_fallback_matches_closure_stepper(monkeypatch, rho):
     # take the state's factor and re-form it like any solve, since the
     # Newton matrix N(v) + M2 does not depend on the step size
     sub_dts = []
+    newton = Stepper._newton
 
-    def recorded(*args):
-        sub_dts.append(args[4])
-        return _substep_solve(*args)
+    def recorded(self, a0, factor, g, v, a=None, h=None, *rest):
+        if h is not None:
+            sub_dts.append(h)
+        return newton(self, a0, factor, g, v, a, h, *rest)
 
-    monkeypatch.setattr(dynamics, "_substep_solve", recorded)
+    monkeypatch.setattr(Stepper, "_newton", recorded)
     params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
     g0 = np.zeros(6)
     g0[0] = 0.04

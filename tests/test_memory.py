@@ -1,9 +1,10 @@
 """Property tests for the run-length memory series.
 
-The oracle is the product-trapezoid sum written out row by row: for each
-sample t_n, the nodes t_i with lag t_n - t_i >= lag_min, trapezoid weights
-from their spacing, and the kernel at each lag.  It shares no code with the
-FFT evaluation in viscoplate.memory.
+The oracle is the product-trapezoid sum written out as direct sums with
+one lower-triangular weight matrix: row n holds, for the nodes t_i with lag
+t_n - t_i >= lag_min, trapezoid weights from their spacing times the kernel
+at each lag.  It shares no code with the FFT evaluation in
+viscoplate.memory.
 """
 
 import functools
@@ -29,26 +30,29 @@ def bending_gram(cols: int) -> np.ndarray:
 
 
 def brute_series(times, G, M2, fn, dt, lag_min):
-    """(scal, C, Bw, nodes per row, absolute weight sum per row)."""
+    """(scal, C, Bw, nodes per row, absolute weight sum per row).
+
+    Row n of the lower-triangular matrix W holds the weights of the nodes
+    t_i with lag t_n - t_i >= lag_min: half the spacing to each
+    neighbouring node, times the kernel at the lag.  Those nodes are
+    0 .. last[n], which the oracle checks rather than assumes.
+    """
     N = len(times)
-    scal, C, Bw = np.zeros(N), np.zeros_like(G), np.zeros(N)
-    count, absw = np.zeros(N, dtype=int), np.zeros(N)
-    for n in range(N):
-        idx = np.flatnonzero(times[n] - times[: n + 1] >= lag_min - LAG_TOL * max(dt, 1.0))
-        count[n] = len(idx)
-        if len(idx) < 2:
-            continue
-        s = times[idx]
-        w = np.zeros(len(idx))
-        w[1:] += 0.5 * np.diff(s)
-        w[:-1] += 0.5 * np.diff(s)
-        wb = w * fn(times[n] - s)
-        d = G[n] - G[idx]
-        scal[n] = wb @ np.einsum("ij,jk,ik->i", d, M2, d)
-        C[n] = wb @ G[idx]
-        Bw[n] = wb.sum()
-        absw[n] = np.abs(wb).sum()
-    return scal, C, Bw, count, absw
+    lag = times[:, None] - times[None, :]
+    col = np.arange(N)[None, :]
+    use = (col <= col.T) & (lag >= lag_min - LAG_TOL * max(dt, 1.0))
+    count = use.sum(axis=1)
+    last = (count - 1)[:, None]
+    assert np.array_equal(use, col <= last)
+    half = 0.5 * np.diff(times)
+    W = np.where(col < last, np.append(half, 0.0), 0.0)  # the interval after node i
+    W += np.where((col >= 1) & (col <= last), np.insert(half, 0, 0.0), 0.0)  # the one before
+    W *= fn(np.where(W != 0.0, lag, 0.0))
+    # |D(g_n - g_i)|^2 = p_n + p_i - 2 g_n M2 g_i for every pair
+    Q = G @ M2 @ G.T
+    p = np.diag(Q)
+    scal = (W * (p[:, None] + p[None, :] - 2.0 * Q)).sum(axis=1)
+    return scal, W @ G, W.sum(axis=1), count, np.abs(W).sum(axis=1)
 
 
 def tabulated_kernel(table_t, values, horizon):
