@@ -7,7 +7,7 @@ Cartesian product of axis values with a bounded worker pool and writes one
 summary.csv over all cells.
 
 Exit codes: 0 all applicable verdicts pass, 1 at least one fails, 2 on
-execution errors (bad config, divergence).
+execution errors (bad config, divergence, artifacts that cannot be written).
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ def _hypotheses(scn: Scenario, params) -> dict:
         rep3 = validate_h3(params.damping, sym)
         out["H3"] = {"verdict": "pass" if rep3.passed else "fail", "violations": rep3.violations}
     return out
-
-
-def _decay_case(scn: Scenario, params) -> str:
-    if params.kernel.is_zero:
-        return "none"
-    if scn.memory_modulus().is_linear:
-        return "linear"  # with nonlinear friction too: the memory shape governs
-    if params.damping.is_none or params.damping.h1_is_linear:
-        return "nonlinear-B"
-    return "nonlinear-both"
 
 
 def _build_envelope(case: str, scn: Scenario, params):
@@ -183,10 +173,6 @@ def _slope(levels: list, key: str) -> float:
     if not np.all(np.isfinite(worsts) & (worsts > 0.0)):
         return math.nan
     return float(np.polyfit(np.log(dts), np.log(worsts), 1)[0])
-
-
-def _exit_code(verdicts: dict) -> int:
-    return 1 if any(v == "fail" for v in verdicts.values()) else 0
 
 
 def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
@@ -301,7 +287,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
         report["lyapunov"] = {"error": str(exc)}
 
     # decay fit
-    case = _decay_case(scn, params)
+    case = scn.decay_case()
     if case == "none" or scn.T <= 0.0:
         verdicts["decay"] = "n/a"
         report["decay"] = {"case": case}
@@ -349,7 +335,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     report["rate"] = rate_block
 
     _write_csv(os.path.join(scn.out_dir, "timeseries.csv"), bundle, L, scn.stride)
-    return finish(_exit_code(verdicts))
+    return finish(1 if any(v == "fail" for v in verdicts.values()) else 0)
 
 
 # --- sweep ---------------------------------------------------------------
@@ -435,6 +421,8 @@ def _parse_axes(specs) -> dict:
         key = key.strip()
         if key not in valid:
             raise InputError(f"unknown sweep axis {key!r}")
+        if key in axes:
+            raise InputError(f"sweep axis {key!r} given twice")
         values = split_top(rest, ",")
         if values == [""]:
             raise InputError(f"axis {key!r} has no values")
@@ -482,7 +470,7 @@ def main(argv=None) -> int:
             return code
         out_root = args.out or scn.out_dir
         return sweep(scn, _parse_axes(args.axis), out_root)
-    except ViscoplateError as exc:
+    except (ViscoplateError, OSError) as exc:  # OSError: artifacts that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

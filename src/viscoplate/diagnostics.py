@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memory
-from .dynamics import HistoryBuffer, PhysicalParams, PlateState, Trajectory
+from .dynamics import HistoryBuffer, PhysicalParams, PlateState, Stepper
 from .errors import DomainError, HypothesisError, InputError
 from .kernels import (
     ConvexModulus,
@@ -206,9 +206,10 @@ def energy(
     )
 
 
-def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
+def analyze(trajectory: Stepper, t1: float | None = None) -> SeriesBundle:
     """All per-sample diagnostics of a run in one vectorized pass.
 
+    The samples are the rows 0 .. len - 1 of the stepper, the run so far.
     t1, when given, additionally produces the truncated memory tail
     M(t) = -int_{t1}^{t} b'(lag) |D u(t) - D u(t - lag)|^2 dlag with t1
     snapped to the sample grid.
@@ -216,8 +217,9 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
     params = trajectory.params
     basis = trajectory.basis
     grams = trajectory.grams
-    times = trajectory.times
-    G, V = trajectory.g, trajectory.v
+    rows = len(trajectory)
+    times = trajectory.times[:rows]
+    G, V = trajectory.g[:rows], trajectory.v[:rows]
     dt = trajectory.dt
     rho, k = params.rho, params.k
 
@@ -280,8 +282,9 @@ def analyze(trajectory: Trajectory, t1: float | None = None) -> SeriesBundle:
     )
 
 
-def zero_crossings(trajectory: Trajectory) -> np.ndarray:
-    """Instants at which u changes sign at a quadrature node, ascending.
+def zero_crossings(trajectory: Stepper) -> np.ndarray:
+    """Instants at which u changes sign at a quadrature node, ascending,
+    over the rows 0 .. len - 1 of the stepper.
 
     The source k u ln|u| is evaluated at the quadrature nodes and is not
     differentiable where u = 0.  Newmark's trapezoid rule integrates it
@@ -290,7 +293,7 @@ def zero_crossings(trajectory: Trajectory) -> np.ndarray:
     Each step with a sign change gives one instant: the mean over the
     changing nodes of the linearly interpolated zero.
     """
-    uq = sample_product(trajectory.g, trajectory.basis.phi)
+    uq = sample_product(trajectory.g[: len(trajectory)], trajectory.basis.phi)
     neg = uq < 0.0
     flips = neg[1:] != neg[:-1]
     steps = np.flatnonzero(flips.any(axis=1))

@@ -36,17 +36,10 @@ inertia and stiffness terms are GramSet.S (a + g).
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
 and the Newton factor and start rows.  Its g rows are the trajectory's g
-array and also the convolution history.  The load of the step
-t_n -> t_n+1 is the product-trapezoid sum sum_i w_i K[n+1-i] g_i
-(w_0 = 1/2, w_i = 1 otherwise) plus K[0]/2 g_n+1 over the lag table
-K[j] = dt b(j dt), built once per run.  The rule is chosen once from the
-kernel family.  A power kernel takes the sum as one matrix-vector product
-over the rows at every step.  An exponential kernel has K[j+1] = q K[j]
-with q = exp(-rate dt), so after the first step the sum is q times the
-last one plus K[1] g_n: O(1) per step.  When Newton fails the step is
-re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
-union of the stored grid and the pending substep nodes with
-memory.weights.
+array and also the convolution history, and memory.StepLoad gives each
+step its memory load.  When Newton fails the step is re-tried with 2, 4,
+then 8 substeps, whose memory integrals run over the union of the stored
+grid and the pending substep nodes.
 """
 
 from __future__ import annotations
@@ -255,13 +248,14 @@ class Stepper:
 
     It holds what the run decides once: the physics, Grams, basis and dt;
     the arrays times, g, v and a of steps + 1 rows, of which rows 0 .. n
-    are filled; the memory-load rule, chosen from the kernel family, with
-    its lag table; and what each step hands the next: the Newton factor,
-    the Newton-start rows and the last memory load.  The g rows are also
-    the memory history.  The constructor fills row 0: (g0, v0) and the
-    acceleration solving R(a) = 0 there, where the memory load vanishes, R
-    is affine in a and N(v0) + M2 is its exact Jacobian, so Newton
-    converges in one iteration up to rounding.
+    are filled; the memory load, None for the zero kernel; and what each
+    step hands the next: the Newton factor and the Newton-start rows.  The
+    g rows are also the memory history.  The constructor fills row 0:
+    (g0, v0) and the acceleration solving R(a) = 0 there, where the memory
+    load vanishes, R is affine in a and N(v0) + M2 is its exact Jacobian,
+    so Newton converges in one iteration up to rounding.  A stepper reads
+    as the run so far: len is n + 1, state(i) is row i and history() the
+    rows 0 .. n.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, g0, v0, dt: float, steps: int):
@@ -284,35 +278,19 @@ class Stepper:
             raise InputError("state coefficients must be finite")
         _, _, self.a[0], _, self._factor = self._newton(np.zeros(m), None, self.g[0], self.v[0])
         self._rows = self.a[:1]  # Newton-start rows, newest first
-        kernel = params.kernel
-        self._conv = self._w_end = None
-        self._load = lambda: None
-        if not kernel.is_zero:
-            # entry steps + 1 - j is K[j] = dt b(j dt), so the lags n+1 .. 1
-            # of step n are the contiguous slice [-n-2:-1]
-            self._lags = dt * kernel.value(np.arange(steps + 1, -1, -1) * dt)
-            self._w_end = 0.5 * self._lags[-1]
-            self._load = self._exp_load if kernel.family == "exponential" else self._lag_load
-            self._q, self._k1 = math.exp(-kernel.rate * dt), self._lags[-2]
+        self.load = None if params.kernel.is_zero else memory.StepLoad(params.kernel, dt, steps)
 
-    def state(self) -> PlateState:
-        n = self.n
-        return PlateState(t=float(self.times[n]), g=self.g[n], v=self.v[n], a=self.a[n], step_index=n)
+    def __len__(self) -> int:
+        return self.n + 1
 
-    # Each memory-load rule gives conv; the step's load is M2 (conv + w_end g_new).
-    def _lag_load(self):
-        """The product-trapezoid sum over the rows g_0 .. g_n, from the lag table."""
-        n = self.n
-        w = self._lags[-n - 2 : -1]
-        conv = w @ self.g[: n + 1]
-        conv -= (0.5 * w[0]) * self.g[0]  # the trapezoid halves the first node
-        return conv
+    def state(self, i: int = -1) -> PlateState:
+        """Row i of the rows 0 .. n; a negative i counts back from row n, and an
+        i past them raises IndexError."""
+        j = range(self.n + 1)[i]
+        return PlateState(t=float(self.times[j]), g=self.g[j], v=self.v[j], a=self.a[j], step_index=j)
 
-    def _exp_load(self):
-        """conv_n = q conv_n-1 + K[1] g_n, from the lag table on the first step."""
-        if self.n == 0:
-            return self._lag_load()
-        return self._q * self._conv + self._k1 * self.g[self.n]
+    def history(self) -> HistoryBuffer:
+        return HistoryBuffer(self.dt, self.g[: self.n + 1])
 
     def _newton(self, a, factor, g_n, v_n, a_n=None, h=None, conv=None, w_end=None):
         """Simplified Newton on R(a) = 0 for the Newmark step of size h after
@@ -355,13 +333,7 @@ class Stepper:
         raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
 
-def initial_state(
-    g0: np.ndarray,
-    v0: np.ndarray,
-    params: PhysicalParams,
-    grams: GramSet,
-    basis: Basis,
-) -> PlateState:
+def initial_state(g0: np.ndarray, v0: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> PlateState:
     """State at t = 0 with the acceleration solving R(a) = 0 at (g0, v0).
 
     It is row 0 of a Stepper for no steps, whose dt is never used.
@@ -372,7 +344,7 @@ def initial_state(
 def step(s: Stepper) -> None:
     """Advance s by one step of s.dt; falls back to 2/4/8 substeps on failure.
 
-    The whole step takes its memory load from the stepper's rule and starts
+    The whole step takes its memory load from the stepper's StepLoad and starts
     Newton at the extrapolation of the Newton-start rows of refined
     accelerations: with k rows stored (k <= _START_ROWS = 8), the next
     value of the degree-(k - 1) polynomial through them, with weights
@@ -387,11 +359,11 @@ def step(s: Stepper) -> None:
     n = s.n
     if n + 1 == len(s.times):
         raise InputError(f"the stepper has taken all of its {n} steps")
-    conv = s._load()
-    old = s._rows
+    load, old = s.load, s._rows
+    conv, w_end = (None, None) if load is None else (load.grid(s.g, n), load.w_end)
     try:
         g, v, a, r, factor = s._newton(
-            _START_WEIGHTS[len(old)] @ old, s._factor, s.g[n], s.v[n], s.a[n], s.dt, conv, s._w_end
+            _START_WEIGHTS[len(old)] @ old, s._factor, s.g[n], s.v[n], s.a[n], s.dt, conv, w_end
         )
     except DivergedError as exc:
         g, v, a, factor = _substeps(s, exc)
@@ -401,17 +373,16 @@ def step(s: Stepper) -> None:
     if not np.isfinite(np.concatenate((g, v, a))).all():
         raise DivergedError("the accepted step has non-finite coefficients", last_state=s.state())
     s.times[n + 1], s.g[n + 1], s.v[n + 1], s.a[n + 1] = (n + 1) * s.dt, g, v, a
-    s.n, s._rows, s._factor, s._conv = n + 1, rows, factor, conv
+    s.n, s._rows, s._factor = n + 1, rows, factor
 
 
 def _substeps(s: Stepper, error: DivergedError):
     """(g, v, a, factor) of step s.n taken as 2, 4, then 8 substeps.
 
     Each substep's memory integral runs over the stored rows and the
-    earlier substeps' nodes, weighted by memory.weights; each try starts
-    from the stepper's factor.
+    earlier substeps' nodes; each try starts from the stepper's factor.
     """
-    n, kernel = s.n, s.params.kernel
+    n = s.n
     for pieces in (2, 4, 8):
         h = s.dt / pieces
         t, g, v, a, factor = float(s.times[n]), s.g[n], s.v[n], s.a[n], s._factor
@@ -419,10 +390,7 @@ def _substeps(s: Stepper, error: DivergedError):
         try:
             for j in range(pieces):
                 t += h
-                conv = w_end = None
-                if not kernel.is_zero:
-                    w = memory.weights(np.append(times, t), t, kernel.value)
-                    conv, w_end = rows.T @ w[:-1], w[-1]
+                conv, w_end = (None, None) if s.load is None else s.load.off_grid(times, rows, t)
                 g, v, a, _, factor = s._newton(a, factor, g, v, a, h, conv, w_end)
                 if j < pieces - 1:
                     times = np.append(times, t)
@@ -432,41 +400,11 @@ def _substeps(s: Stepper, error: DivergedError):
             continue
         return g, v, a, factor
     state = s.state()
-    raise DivergedError(
-        f"step from t = {state.t} diverged even with 8 substeps: {error}", last_state=state
-    )
+    raise DivergedError(f"step from t = {state.t} diverged even with 8 substeps: {error}", last_state=state)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Complete discrete solution: times and coefficient arrays per state."""
-
-    times: np.ndarray
-    g: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    dt: float
-    params: PhysicalParams
-    basis: Basis
-    grams: GramSet
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def state(self, i: int) -> PlateState:
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        return PlateState(
-            t=float(self.times[i]), g=self.g[i], v=self.v[i], a=self.a[i], step_index=i
-        )
-
-    def history(self) -> HistoryBuffer:
-        return HistoryBuffer(self.dt, self.g)
-
-
-def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> Trajectory:
-    """Integrate a validated scenario from t = 0 to T.
+def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> Stepper:
+    """Integrate a validated scenario from t = 0 to T; returns the finished Stepper.
 
     The scenario supplies the discretization, physics, and initial data
     (see the scenario module).  The loop is deterministic: no randomness
@@ -483,6 +421,4 @@ def run(scenario, basis: Basis | None = None, grams: GramSet | None = None) -> T
     s = Stepper(params, grams, basis, g0, v0, scenario.dt, n_steps)
     for _ in range(n_steps):
         step(s)
-    return Trajectory(
-        times=s.times, g=s.g, v=s.v, a=s.a, dt=s.dt, params=params, basis=basis, grams=grams
-    )
+    return s

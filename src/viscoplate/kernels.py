@@ -49,6 +49,11 @@ def _result(out: np.ndarray, *inputs):
     return float(out[0]) if all(np.ndim(x) == 0 for x in inputs) else out
 
 
+def _targets(y: np.ndarray, extreme=np.max) -> str:
+    """y in an error message: the one target, or how many and the extreme one."""
+    return f"target {float(y[0])!r}" if y.size == 1 else f"{y.size} targets, {extreme.__name__} {float(extreme(y))!r}"
+
+
 def invert_increasing(f, y, lo=0.0, hi=None):
     """Solve f(s) = y elementwise by bisection, for an increasing elementwise f.
 
@@ -63,7 +68,7 @@ def invert_increasing(f, y, lo=0.0, hi=None):
     """
     target, y, lo = y, _vector(y), _vector(lo)
     if not np.isfinite(y).all():
-        raise DomainError(f"cannot invert at non-finite target {y!r}")
+        raise DomainError(f"cannot invert at non-finite {_targets(y[~np.isfinite(y)])}")
     with np.errstate(over="ignore"):
         if hi is None:
             hi = np.maximum(1.0, 2.0 * lo)
@@ -73,12 +78,12 @@ def invert_increasing(f, y, lo=0.0, hi=None):
                     break
                 hi = np.where(short, 2.0 * hi, hi)
             else:
-                raise DomainError(f"target {y!r} not reachable while expanding bracket")
+                raise DomainError(f"{_targets(y)} not reachable while expanding bracket")
         elif not (f(hi) >= y).all():  # a nan fails too, as in the expansion
-            raise DomainError(f"target {y!r} above f({hi}) = {f(hi)}")
+            raise DomainError(f"{_targets(y)} above f(hi)")
         flo = f(lo)
         if (flo > y).any():
-            raise DomainError(f"target {y!r} below f({lo}) = {flo}")
+            raise DomainError(f"{_targets(y, np.min)} below f(lo)")
         active = np.ones(y.shape, dtype=bool)
         for _ in range(INVERSION_MAX_ITER):
             mid = 0.5 * (lo + hi)
@@ -592,12 +597,25 @@ class DecayEnvelope:
         return _result(self._eval(t_arr), t)
 
 
+def check_decay_args(eps0: float, eps1: float | None, t0: float, linear: bool) -> None:
+    """Refuse the decay-law parameters the envelopes cannot take: eps0 and
+    eps1 (None where unused) must be positive, eps0 below 1 for a linear
+    modulus, and the start t0 nonnegative."""
+    if not eps0 > 0.0:
+        raise DomainError(f"eps0 must be positive, got {eps0}")
+    if linear and not eps0 < 1.0:
+        raise DomainError(f"eps0 must lie in (0, 1) for a linear modulus, got {eps0}")
+    if eps1 is not None and not eps1 > 0.0:
+        raise DomainError(f"eps1 must be positive, got {eps1}")
+    if not t0 >= 0.0:
+        raise InputError(f"t0 must be >= 0, got {t0}")
+
+
 def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEnvelope:
     """Envelope c * (1 + int_{t0}^t xi^(1+eps0))^(-1/eps0) for linear moduli."""
-    if not 0.0 < eps0 < 1.0:
-        raise DomainError(f"eps0 must lie in (0, 1), got {eps0}")
-    if c <= 0 or t0 < 0:
-        raise InputError("need c > 0 and t0 >= 0")
+    check_decay_args(eps0, None, t0, linear=True)
+    if c <= 0:
+        raise InputError("need c > 0")
 
     def _eval(t):
         acc = xi.integral_power(t0, t, 1.0 + eps0)
@@ -650,10 +668,9 @@ def envelope_nonlinear_B(
     """
     if modulus.is_linear:
         raise InputError("nonlinear-modulus envelope needs a strictly convex modulus")
+    check_decay_args(eps0, eps1, t0, linear=False)
     if not t1 > t0:
         raise InputError("need t1 > t0")
-    if eps0 <= 0.0:
-        raise DomainError(f"eps0 must be positive, got {eps0}")
     return _convex_envelope(xi, eps0, eps1, c, c1, t0, t1, (modulus,))
 
 
@@ -672,8 +689,7 @@ def envelope_nonlinear_both(
     """
     if modulusB.is_linear or dampingH.is_linear:
         raise InputError("both moduli must be strictly convex for this envelope")
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    check_decay_args(eps, eps1, t0, linear=False)
     return _convex_envelope(xi, eps, eps1, c, c, t0, t0, (modulusB, dampingH))
 
 

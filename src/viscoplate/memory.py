@@ -5,10 +5,13 @@ trapezoid weights on the history nodes times the kernel at the lag, which
 keeps the discrete energy identity exact.  `weights` evaluates it at one
 time, directly (the reference that acceptance criterion C07 checks);
 `series` evaluates it at every sample of a run as one FFT convolution
-(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985);
+`StepLoad` gives it to each step of the Newmark stepper.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -80,3 +83,49 @@ def series(times: np.ndarray, G: np.ndarray, M2: np.ndarray, fn, dt: float, lag_
     C, Bw = S[:, :-2], S[:, -1]
     scal = p * Bw + S[:, -2] - 2.0 * np.einsum("ij,ij->i", GM2, C)
     return scal, C, Bw
+
+
+class StepLoad:
+    """The memory sums of the Newmark steps of one run on the grid t_i = i dt.
+
+    The load of the step t_n -> t_n+1 is M2 (conv + w_end g_n+1), with the
+    product-trapezoid sum conv = sum_i w_i K[n+1-i] g_i over the rows
+    g_0 .. g_n (w_0 = 1/2, w_i = 1 otherwise) of the lags K[j] = dt b(j dt),
+    and w_end = K[0] / 2.  An exponential kernel has K[j+1] = q K[j] with
+    q = exp(-rate dt), so conv_n = q conv_n-1 + K[1] g_n is carried from
+    step to step, built from K[0] and K[1] alone: O(1) per step.  Any other
+    kernel takes conv as one product with the lag table of the run's steps,
+    built once.  Sums at the off-grid times of the substep fallback use
+    `weights`.
+    """
+
+    def __init__(self, kernel, dt: float, steps: int):
+        self.kernel = kernel
+        self._lags = None
+        if kernel.family == "exponential":
+            k0, self._k1 = dt * kernel.value(np.array([0.0, dt]))
+            self._q, self._n = math.exp(-kernel.rate * dt), -1
+        else:
+            # entry steps + 1 - j is K[j], so the lags n+1 .. 1 of step n
+            # are the contiguous slice [-n-2:-1]
+            self._lags = dt * kernel.value(np.arange(steps + 1, -1, -1) * dt)
+            k0 = self._lags[-1]
+        self.w_end = 0.5 * k0
+
+    def grid(self, G: np.ndarray, n: int) -> np.ndarray:
+        """conv of the step from t_n, over the rows G[0 .. n]; the carry
+        of an exponential kernel takes the steps in order."""
+        if self._lags is None:
+            if n != self._n:
+                self._conv = (0.5 * self._k1) * G[0] if n == 0 else self._q * self._conv + self._k1 * G[n]
+                self._n = n
+            return self._conv
+        w = self._lags[-n - 2 : -1]
+        conv = w @ G[: n + 1]
+        conv -= (0.5 * w[0]) * G[0]  # the trapezoid halves the first node
+        return conv
+
+    def off_grid(self, nodes: np.ndarray, rows: np.ndarray, t: float):
+        """(conv, w_end) of the integral to t over the nodes, with rows, and t."""
+        w = weights(np.append(nodes, t), t, self.kernel.value)
+        return rows.T @ w[:-1], w[-1]

@@ -17,9 +17,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import PhysicalParams, check_physics_args, step_count
-from .errors import ScenarioError, ViscoplateError
+from .errors import InputError, ScenarioError, ViscoplateError
 from .kernels import (
     call_args,
+    check_decay_args,
     parse_damping_spec,
     parse_kernel_spec,
     parse_modulus_spec,
@@ -108,6 +109,25 @@ class Scenario:
             return parse_modulus_spec(self.modulus)
         return parse_kernel_spec(self.kernel).natural_modulus()
 
+    def decay_case(self) -> str:
+        """Which decay envelope the run is fitted to: none, linear,
+        nonlinear-B or nonlinear-both."""
+        if parse_kernel_spec(self.kernel).is_zero:
+            return "none"
+        if self.memory_modulus().is_linear:
+            return "linear"  # with nonlinear friction too: the memory shape governs
+        damping = parse_damping_spec(self.damping)
+        if damping.is_none or damping.h1_is_linear:
+            return "nonlinear-B"
+        return "nonlinear-both"
+
+    def _linear_decay(self) -> bool:
+        # a natural modulus that cannot be built fails H2 before any fit
+        try:
+            return self.decay_case() == "linear"
+        except InputError:
+            return False
+
     def tail_start(self) -> float:
         return self.t1 if self.t1 is not None else 0.25 * self.T
 
@@ -122,8 +142,9 @@ class Scenario:
 
         A field of the wrong type (a float field takes int or float, an int
         field int, a str field str) is reported alone, before any comparison.
-        The step count, the basis, the physical coefficients and the spec
-        strings are checked by the code that uses them, one problem per check.
+        The step count, the basis, the physical coefficients, the spec
+        strings and the decay-law parameters are checked by the code that
+        uses them, one problem per check.
         """
         optional = {f.name for f in fields(self) if f.default is None}
         wrong, errs = [], []
@@ -160,10 +181,14 @@ class Scenario:
             ("physics.modulus", lambda: self.modulus is None or parse_modulus_spec(self.modulus)),
             ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, self.n**self.spatial_dim)),
             ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, self.n**self.spatial_dim)),
+            ("diagnostics", lambda: check_decay_args(self.eps0, self.eps1, self.t0, self._linear_decay())),
         ):
-            needs = {"time": "time.", "initial.u": "space:", "initial.v": "space:"}.get(name)
+            needs = {"time": "time.", "initial.u": "space:", "initial.v": "space:", "diagnostics": (
+                "physics.kernel", "physics.damping", "physics.modulus", "diagnostics.eps", "diagnostics.t0")}.get(name)
             if needs and any(e.startswith(needs) for e in errs):
-                continue  # no step count without a finite dt > 0 and T >= 0, no mode range without a space
+                # no step count without a finite dt > 0 and T >= 0, no mode range
+                # without a space, no decay case without the specs
+                continue
             try:
                 check()
             except ViscoplateError as exc:

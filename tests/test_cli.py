@@ -629,3 +629,51 @@ def test_run_scenario_api_returns_report_and_code(tmp_path):
     assert code == 0
     assert report["verdicts"]["monotone"] == "pass"
     assert report["energy"]["E0"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_that_cannot_be_created_exits_two(tmp_path, monkeypatch, capsys, command, target):
+    # an existing file where the output directory should go, or below it:
+    # an execution error (exit 2) with an error line, not a traceback
+    monkeypatch.setenv("VISCOPLATE_THREADS", "1")
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / target)
+    argv = ["run", "exp-linear"] if command == "run" else ["sweep", "exp-linear", "--axis", "T=0.5"]
+    assert main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and out in err
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_sweep_refuses_an_axis_given_twice(tmp_path, capsys):
+    # the later k axis used to replace the earlier one without a word
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "exp-linear", "--axis", "k=0.25", "--axis", "k=0.5", "--axis", "T=0.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'k' given twice" in err
+    assert not os.path.exists(out)
+
+
+_POWER_CUBIC = DISSIPATIVE.replace("exp(0.5,1.0)", "power(0.5,2.0)").replace("damp-linear(1)", "damp-cubic(0.5)")
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (DISSIPATIVE, "eps0 = 5\n"),
+        (DISSIPATIVE, "t0 = -1\n"),
+        (DISSIPATIVE.replace("exp(0.5,1.0)", "power(0.5,2.0)"), "eps0 = -0.5\n"),
+        (_POWER_CUBIC, "eps1 = 0\n"),
+        (_POWER_CUBIC, "eps1 = -0.5\n"),
+    ],
+    ids=["linear-eps0-5", "linear-t0-negative", "power-linear-eps0-negative", "cubic-eps1-0", "cubic-eps1-negative"],
+)
+def test_decay_parameters_out_of_range_exit_two_before_any_output(tmp_path, capsys, text, problem):
+    # each used to reach the decay fit and come out as a verdict
+    cfg = write_cfg(tmp_path, text.replace("T = 1.0", "T = 2.0") + "[diagnostics]\n" + problem)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"diagnostics: {problem.split()[0]} must" in err
+    assert not os.path.exists(out)

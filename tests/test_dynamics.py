@@ -58,11 +58,6 @@ class OneShotScenario:
         return self._g0, self._v0
 
 
-def history(s):
-    """The stepper's g rows so far, as the history that memory_term reads."""
-    return HistoryBuffer(s.dt, s.g[: s.n + 1])
-
-
 # --- history and convolution --------------------------------------------
 
 
@@ -76,7 +71,7 @@ def test_history_growth_and_views():
         st = s.state()
         assert st.step_index == i
         seen.append((st.t, st.g.copy()))
-    buf = history(s)
+    buf = s.history()
     assert len(buf) == 201
     assert buf.snapshots.shape == (201, 3)
     assert abs(buf.times[-1] - 20.0) < 1e-12
@@ -157,30 +152,41 @@ def test_memory_off_grid_time_rejected():
 
 
 @pytest.mark.parametrize("kernel", ["exp(0.5,1.3)", "power(0.4,3.0)"])
-def test_lag_table_load_matches_memory_weights(kernel):
-    # over 300 steps, each step's lag-table load must equal the
-    # memory.weights oracle over the explicit node times, evaluated once the
-    # new node is stored; the power kernel's step takes that load (the
-    # exponential kernel's steps carry theirs, checked below).  dt = 2^-7
-    # makes every node time and lag exact in binary, so the oracle's weights
+def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
+    # over 300 steps, each step's memory load must equal the memory.weights
+    # oracle over the explicit node times, evaluated once the new node is
+    # stored, and the step must take that load.  dt = 2^-7 makes every node
+    # time and lag exact in binary, so the oracle's weights
     # (s_i+1 - s_i-1)/2 carry no rounding of their own (at dt = 0.01 they
-    # do, up to 1.8e-13 of the convolution at t = 3).
+    # do, up to 1.8e-13 of the convolution at t = 3).  The power kernel's
+    # load is the lag-table product, within 1e-14; the exponential kernel
+    # builds no lag table and carries its load, whose rounding adds up over
+    # the steps (1.15e-14 measured at step 300), so it gets the bound of the
+    # carry test below, 300 eps (6.7e-14) with some margin
     dt = 2.0**-7
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.5, parse_kernel_spec(kernel), DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, 300)
+    newton, taken = Stepper._newton, []
+
+    def recorded(self, a0, factor, g, v, a=None, h=None, conv=None, w_end=None):
+        taken.append((conv, w_end))
+        return newton(self, a0, factor, g, v, a, h, conv, w_end)
+
+    monkeypatch.setattr(Stepper, "_newton", recorded)
+    assert (s.load._lags is None) == kernel.startswith("exp")
+    bound = 1e-14 if s.load._lags is not None else 1e-13
     for n in range(300):
-        conv, rows = s._lag_load(), s._rows
+        conv, rows = s.load.grid(s.g, n).copy(), s._rows
         step(s)
-        if kernel.startswith("power"):
-            assert np.array_equal(s._conv, conv)
+        assert np.array_equal(taken[-1][0], conv) and taken[-1][1] == s.load.w_end
         # the step's refined acceleration goes in front of the Newton-start rows
         assert s._rows.shape == (min(len(rows) + 1, dynamics._START_ROWS), 6)
         assert np.array_equal(s._rows[1:], rows[: len(s._rows) - 1])
-        got = grams.M2 @ (conv + s._w_end * s.g[n + 1])
-        want = memory_term(history(s), params.kernel, grams, (n + 1) * dt)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        got = grams.M2 @ (conv + s.load.w_end * s.g[n + 1])
+        want = memory_term(s.history(), params.kernel, grams, (n + 1) * dt)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatch):
@@ -199,18 +205,18 @@ def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatc
     params = PhysicalParams(0.0, 0.5, kernel, DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     loads = []
-    load = Stepper._exp_load
+    load = memory.StepLoad.grid
 
-    def recorded(self):
-        loads.append(load(self))
+    def recorded(self, G, n):
+        loads.append(load(self, G, n))
         return loads[-1]
 
-    monkeypatch.setattr(Stepper, "_exp_load", recorded)
+    monkeypatch.setattr(memory.StepLoad, "grid", recorded)
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, steps)
     for _ in range(steps):
         step(s)
     assert len(loads) == steps
-    assert s._w_end == 0.5 * dt * kernel.b0
+    assert s.load.w_end == 0.5 * dt * kernel.b0
     for n in [0, 1, 2, 3, *range(100, steps, 100), steps - 1]:
         w = np.ones(n + 1)
         w[0] = 0.5
@@ -454,7 +460,7 @@ def test_split_memory_matches_full_recomputation():
         for _ in range(50):
             step(s)
             st = s.state()
-            mem = memory_term(history(s), params.kernel, grams, st.t)
+            mem = memory_term(s.history(), params.kernel, grams, st.t)
             R = residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
             assert np.max(np.abs(R)) <= NEWTON_TOL
 
@@ -565,8 +571,9 @@ def test_run_forms_newton_matrix_at_most_twice(monkeypatch, rho):
 
 
 def _count_stepper_calls(monkeypatch):
-    """Counts of the calls that dynamics makes through its module globals."""
-    counts = {"step": 0, "residual": 0, "factor": 0, "solve": 0, "grid_load": 0}
+    """Counts of the calls that dynamics makes through its module globals,
+    of the step loads' sums and of the kernel evaluations (kept in "tables")."""
+    counts = {"step": 0, "residual": 0, "factor": 0, "solve": 0, "grid_load": 0, "tables": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -579,7 +586,11 @@ def _count_stepper_calls(monkeypatch):
         ("step", "step"), ("residual", "residual"), ("factor", "cho_factor"), ("solve", "cho_solve"),
     ):
         monkeypatch.setattr(dynamics, attr, counted(name, getattr(dynamics, attr)))
-    monkeypatch.setattr(Stepper, "_lag_load", counted("grid_load", Stepper._lag_load))
+    monkeypatch.setattr(memory.StepLoad, "grid", counted("grid_load", memory.StepLoad.grid))
+    value = RelaxationKernel.value
+    monkeypatch.setattr(
+        RelaxationKernel, "value", lambda self, t: counts["tables"].append(value(self, t)) or counts["tables"][-1]
+    )
     return counts
 
 
@@ -587,8 +598,8 @@ def test_exp_linear_work_count(monkeypatch):
     # the whole step starts Newton at the degree-7 extrapolation of refined
     # accelerations, which nearly always meets NEWTON_TOL at once: about one
     # residual per step, each followed by one solve, and one factor per run.
-    # The exponential kernel's memory load takes the product over the
-    # history on the first step only and is carried from then on
+    # The exponential kernel's memory load is carried from the first step
+    # on, from one kernel evaluation at the lags 0 and dt: no lag table
     counts = _count_stepper_calls(monkeypatch)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=1e-3, T=0.5))
     steps = len(traj) - 1
@@ -597,7 +608,10 @@ def test_exp_linear_work_count(monkeypatch):
     assert counts["residual"] <= 1.1 * steps
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
-    assert counts["grid_load"] == 1
+    assert counts["grid_load"] == steps
+    assert traj.load._lags is None
+    assert len(counts["tables"]) == 1
+    assert counts["tables"][0].shape == (2,)
 
 
 def test_power_steep_cubic_work_count(monkeypatch):
@@ -605,13 +619,10 @@ def test_power_steep_cubic_work_count(monkeypatch):
     # NEWTON_TOL at the first residual (113 residuals over 100 steps, with
     # the initial solve).  At rho = 1 the Newton matrix is the one formed
     # for the initial acceleration, and no third residual misses, so no
-    # factor follows it.  The run's stepper builds the lag table once, from
-    # one kernel evaluation at the steps + 2 lags, and each step's
+    # factor follows it.  The run's step load builds the lag table once,
+    # from one kernel evaluation at the steps + 2 lags, and each step's
     # lag-table product reads it
     counts = _count_stepper_calls(monkeypatch)
-    tables = []
-    value = RelaxationKernel.value
-    monkeypatch.setattr(RelaxationKernel, "value", lambda self, t: tables.append(value(self, t)) or tables[-1])
     traj = run(with_overrides(PRESETS["power-steep-cubic"], T=1.0))
     steps = len(traj) - 1
     assert steps == 100
@@ -620,8 +631,8 @@ def test_power_steep_cubic_work_count(monkeypatch):
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
     assert counts["grid_load"] == steps
-    assert len(tables) == 1
-    assert tables[0].shape == (steps + 2,)
+    assert len(counts["tables"]) == 1
+    assert counts["tables"][0].shape == (steps + 2,)
 
 
 # (rho, sigma) cases of the stepper checks: rho = 0.5 with small sigma is
@@ -679,7 +690,7 @@ def test_third_residual_reforms_stale_newton_matrix(monkeypatch):
     assert calls.count("matrix") == calls.count("factor") == 1
     assert s._factor is formed[0]
     new = s.state()
-    mem = memory_term(history(s), params.kernel, grams, new.t)
+    mem = memory_term(s.history(), params.kernel, grams, new.t)
     assert np.max(np.abs(residual(new.a, new.g, new.v, params, grams, basis, memory=mem))) <= NEWTON_TOL
 
 
@@ -787,6 +798,74 @@ def test_trajectory_state_and_history_roundtrip():
     hist = traj.history()
     assert len(hist) == len(traj)
     assert np.array_equal(hist.snapshots, traj.g)
+
+
+def test_partly_stepped_stepper_reads_as_the_run_so_far():
+    # run returns its Stepper; one sized for 10 steps and stepped 4 times
+    # reads as the 4-step run: len, state(i), history() and analyze see
+    # rows 0 .. 4 only, bit for bit, and never the unfilled rows
+    from viscoplate import diagnostics as dg
+
+    params = PhysicalParams(0.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
+    g0, v0 = np.array([0.05, -0.04, 0.0, 0.0]), np.array([0.0, 0.2, 0.0, 0.0])
+    full = run(OneShotScenario(params, 0.01, 0.04, g0, v0))
+    assert isinstance(full, Stepper) and len(full) == 5 and full.n == 4
+    s = Stepper(params, full.grams, full.basis, g0, v0, 0.01, 10)
+    s.g[1:], s.v[1:], s.times[1:] = np.nan, np.nan, np.nan
+    for _ in range(4):
+        step(s)
+    s.g[5:], s.v[5:], s.times[5:] = np.nan, np.nan, np.nan  # unfilled rows, never read
+    assert len(s) == 5
+    assert s.state().step_index == s.state(-1).step_index == s.state(4).step_index == 4
+    assert s.state(-5).step_index == s.state(0).step_index == 0
+    for i in (5, -6, 10):
+        with pytest.raises(IndexError):
+            s.state(i)
+    assert np.array_equal(s.history().snapshots, full.g)
+    assert np.array_equal(s.history().times, full.times)
+    got, want = dg.analyze(s), dg.analyze(full)
+    for name in ("times", "E", "memory", "psi2", "rate_residual"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+    assert np.isfinite(got.E).all()
+    assert np.array_equal(dg.zero_crossings(s), dg.zero_crossings(full))
+    assert len(dg.zero_crossings(full)) == 1
+
+
+def test_linear_system_converges_at_second_order_to_its_exact_flow():
+    # exp-linear physics with k = 0: (M0 + M2) g'' + M0 g + M2 g + C v
+    # = M2 (b * g) with b = b0 exp(-r t) and the linear friction matrix
+    # C_ij = c int w_i w_j on the shared quadrature.  With z' = g - r z,
+    # z(0) = 0, the memory is b0 z, and (g, v, z) solves X' = A X, which
+    # expm(A dt) steps exactly on the run's grid.  A is formed here from the
+    # basis and the Grams, not from the stepper's residual.  The maximum
+    # relative errors of g and v fall at slope 2 over dt = 0.02, 0.01 and
+    # 0.005 to T = 2 (measured 2.0000 for both, with error constants
+    # err / dt^2 of 0.070 for g and 0.145 for v at every dt).  A load
+    # without the first node's half weight would make the memory error
+    # first order
+    from scipy.linalg import expm
+
+    dts, errs = (0.02, 0.01, 0.005), []
+    for dt in dts:
+        s = run(with_overrides(PRESETS["exp-linear"], k=0.0, dt=dt, T=2.0))
+        basis, grams, kernel, c = s.basis, s.grams, s.params.kernel, s.params.damping.c
+        m = basis.dim
+        S_inv = np.linalg.inv(grams.M0 + grams.M2)
+        C = c * (basis.phi * basis.qw) @ basis.phi.T
+        I, Z = np.eye(m), np.zeros((m, m))
+        A = np.block([[Z, I, Z], [-I, -S_inv @ C, kernel.b0 * S_inv @ grams.M2], [I, Z, -kernel.rate * I]])
+        flow = expm(A * dt)
+        X = [np.concatenate([s.g[0], s.v[0], np.zeros(m)])]
+        for _ in range(len(s) - 1):
+            X.append(flow @ X[-1])
+        X = np.array(X)
+        pairs = ((s.g, X[:, :m]), (s.v, X[:, m : 2 * m]))
+        errs.append([np.abs(got - want).max() / np.abs(want).max() for got, want in pairs])
+    errs = np.array(errs)
+    for j, constant in ((0, 0.1), (1, 0.2)):  # g, v
+        slope = np.polyfit(np.log(dts), np.log(errs[:, j]), 1)[0]
+        assert abs(slope - 2.0) <= 0.1
+        assert np.all(errs[:, j] <= constant * np.array(dts) ** 2)
 
 
 # --- agreement with the closure-based stepper ------------------------------

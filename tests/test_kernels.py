@@ -803,3 +803,44 @@ def test_pointwise_law_branch_shortcuts_match_two_branch_formulas():
             assert edge == mod._eval(mod.r1, order)  # the edge _invert reads from ext
             y = s * (edge / mod.r1)
             assert np.array_equal(mod._invert(y, order), _two_branch_invert(mod, y, order))
+
+
+def test_invert_increasing_error_names_count_and_extreme_target():
+    # an array of targets is named by its count and its extreme target, not
+    # printed whole
+    y = np.linspace(1.0, 101.0, 101)
+    with pytest.raises(DomainError) as info:
+        invert_increasing(lambda s: s, y, 0.0, 50.0)
+    assert str(info.value) == "101 targets, max 101.0 above f(hi)"
+    with pytest.raises(DomainError) as info:
+        invert_increasing(lambda s: s + 30.0, y)
+    assert str(info.value) == "101 targets, min 1.0 below f(lo)"
+    with pytest.raises(DomainError, match="^cannot invert at non-finite target nan$"):
+        invert_increasing(lambda s: s, np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(DomainError, match="^target 100.0 above f"):
+        invert_increasing(lambda s: s**3, 100.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "eps0, eps1, t0, error, problem",
+    [
+        (0.0, 0.5, 0.0, DomainError, "eps0 must be positive"),
+        (1.0, 0.5, 0.0, DomainError, "eps0 must lie in (0, 1)"),
+        (0.5, 0.0, 0.0, DomainError, "eps1 must be positive"),
+        (0.5, 0.5, -1.0, InputError, "t0 must be >= 0"),
+    ],
+)
+def test_envelope_builders_share_the_decay_argument_check(eps0, eps1, t0, error, problem):
+    # one rule for the three builders; eps0 >= 1 only for the linear one
+    xi, sq = XiWeight.constant(1.0), ConvexModulus.power(2.0, r1=1.0)
+    builders = {
+        "linear": lambda: envelope_linear_B(xi, eps0, 1.0, t0),
+        "nonlinear-B": lambda: envelope_nonlinear_B(xi, eps0, eps1, 1.0, 1.0, t0, t0 + 1.0, sq),
+        "nonlinear-both": lambda: envelope_nonlinear_both(xi, eps0, eps1, 1.0, t0, sq, sq),
+    }
+    for case, build in builders.items():
+        if (case == "linear" and "eps1" in problem) or (case != "linear" and eps0 == 1.0):
+            build()  # the linear envelope takes no eps1, the others any eps0 > 0
+            continue
+        with pytest.raises(error, match=problem.replace("(", r"\(").replace(")", r"\)")):
+            build()

@@ -157,7 +157,7 @@ def valid_scenarios(draw):
     initial = st.just("zero") | st.lists(mode, min_size=1, max_size=3).map("+".join)
     rho = draw(_NONNEG)
     dt = draw(_finite(min_value=0.0, max_value=1e300, exclude_min=True))  # T = steps * dt stays finite
-    return replace(
+    scn = replace(
         draw(st.sampled_from(list(PRESETS.values()))),
         spatial_dim=dim, n=n, L=draw(_POS), quad_order=draw(st.none() | st.integers(2 * n + 4, 64)),
         dt=dt, T=draw(st.integers(0, 10**6)) * dt,
@@ -165,9 +165,11 @@ def valid_scenarios(draw):
         kernel=draw(_KERNELS), damping=draw(_DAMPINGS), xi=draw(_XIS), modulus=draw(_MODULI),
         initial_u=draw(initial), initial_v=draw(initial),
         out_dir=draw(st.text("abz019/._-", min_size=1, max_size=12)), stride=draw(st.integers(1, 10**6)),
-        a=draw(st.none() | _POS), eps0=draw(_ANY), eps1=draw(_ANY), t0=draw(_ANY), t1=draw(_MAYBE),
+        a=draw(st.none() | _POS), eps1=draw(_POS), t0=draw(_NONNEG), t1=draw(_MAYBE),
         delta=draw(_OPEN_UNIT), lyap_eps=draw(_POS),
     )
+    # eps0 lies below 1 where the decay envelope is the linear one
+    return replace(scn, eps0=draw(_OPEN_UNIT if scn._linear_decay() else _POS))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
