@@ -34,7 +34,6 @@ from .kernels import (
     DecayEnvelope,
     RelaxationKernel,
     XiWeight,
-    extend_modulus,
     invert_increasing,
 )
 from .spectral import Basis, GramSet, sample_product
@@ -468,25 +467,17 @@ def lyapunov_series(bundle: SeriesBundle, N: float, eps: float) -> LyapunovRepor
 
 
 def find_lyapunov_N(bundle: SeriesBundle, eps: float = 1e-2) -> float | None:
-    """Smallest N in 2^0 .. 2^10 with a positive L/E lower bound.
+    """Smallest N in 2^0 .. 2^10 for which lyapunov_series has a positive ratio_min.
 
-    All eleven candidates are tried at once with the arithmetic of
-    lyapunov_series, so the chosen N gives lyapunov_series a positive
-    ratio_min.  None when no sample has E > RATIO_FLOOR (a run at rest
-    has no ratio to bound).
+    None when no sample has E > RATIO_FLOOR (a run at rest has no ratio to bound).
     """
-    if eps <= 0:
-        raise InputError("Lyapunov weights must be positive")
-    sel = bundle.E > RATIO_FLOOR
-    if not np.any(sel):
-        return None
-    E = bundle.E[sel]
-    Ns = 2.0 ** np.arange(11)
-    L = Ns[:, None] * E + eps * bundle.psi1[sel] + bundle.psi2[sel]
-    ok = (L / E).min(axis=1) > 0.0
-    if not ok.any():
-        raise DomainError("no N up to 2^10 gives a positive Lyapunov ratio")
-    return float(Ns[np.argmax(ok)])
+    for k in range(11):
+        ratio_min = lyapunov_series(bundle, 2.0**k, eps).ratio_min
+        if ratio_min is None:
+            return None
+        if ratio_min > 0.0:
+            return 2.0**k
+    raise DomainError("no N up to 2^10 gives a positive Lyapunov ratio")
 
 
 # --- memory inequalities -------------------------------------------------
@@ -564,12 +555,9 @@ def damping_diag(
             M = float(-memory.weights(sub, t, kernel.deriv) @ q)
             tail_lhs = float(memory.weights(sub, t, kernel.value) @ q)
             if modulus is not None and xi is not None:
-                mod = modulus
-                if mod.form != "linear" and mod.ext is None:
-                    mod = extend_modulus(mod)
                 span = t - t1
                 xival = float(xi.value(t))
-                tail_rhs = span / delta * float(mod.inverse(delta * M / (span * xival)))
+                tail_rhs = span / delta * float(modulus.inverse(delta * M / (span * xival)))
                 tail_ok = tail_rhs >= tail_lhs - 1e-10
     return DampingDiagnostics(
         t=t, G=Gval, M=M, dissipation=diss, omega1_fraction=frac, omega1_empty=empty,

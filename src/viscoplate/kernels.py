@@ -14,18 +14,20 @@ convexifier H(s) = sqrt(s) * h1(sqrt(s)) drives the nonlinear decay rates.
 This module represents the families that the catalog spec strings build
 (exponential and power kernels, constant and rational weights, linear and
 power moduli, linear and cubic damping), validates the admissibility
-conditions on grids, extends moduli to the whole half line, computes convex
-conjugates, and builds the explicit energy-decay envelope curves implied by
-the decay law.  Moduli, weights, origin profiles, conjugates and envelopes
-evaluate arrays elementwise.  Moduli, their derivatives and origin profiles
-invert in closed form, so a convex conjugate is closed form too; the two
-nonlinear envelopes share one solver, a bisection over all their points that
-stops at width 1e-12 * min(1, |hi|) or after 200 halvings.
+conditions on grids, continues power moduli past their domain edge,
+computes convex conjugates, and builds the explicit energy-decay envelope
+curves implied by the decay law.  Moduli, weights, origin profiles,
+conjugates and envelopes evaluate arrays elementwise.  Moduli, their
+derivatives and origin profiles invert in closed form, so a convex
+conjugate is closed form too; the two nonlinear envelopes share one solver,
+a bisection over all their points that stops at width 1e-12 * min(1, |hi|)
+or after 200 halvings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import DomainError, InputError
 
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 200
-CURVATURE_FLOOR = 1e-8  # strict-convexity floor for modulus extensions
+CURVATURE_FLOOR = 1e-8  # strict-convexity floor for modulus continuations
 _REL_TOL = 1e-12
 
 
@@ -126,6 +128,8 @@ class RelaxationKernel:
             raise InputError("power kernel needs b0 > 0")
         if q <= 1:
             raise InputError(f"power kernel exponent must exceed 1, got {q}")
+        if not (q + 1.0) / q > 1.0:  # q above about 9e15: natural_modulus needs it above 1
+            raise InputError(f"power kernel exponent {q} too large: its modulus power (q + 1)/q rounds to 1")
         return cls("power", b0=float(b0), q=float(q))
 
     @classmethod
@@ -197,12 +201,13 @@ class RelaxationKernel:
 
 @dataclass(frozen=True, eq=False)
 class ConvexModulus:
-    """Convexity modulus B on (0, r1], optionally extended past r1.
+    """Convexity modulus B on (0, r1], continued past r1.
 
-    Forms: linear slope*s or power coef*s**p with p > 1.
-    An extension (set by `extend_modulus`) continues B quadratically beyond
-    r1 with matching value and first derivative and curvature at least
-    CURVATURE_FLOOR, keeping the extension strictly convex.
+    Forms: linear slope*s or power coef*s**p with p > 1, r1 > 0.
+    Past r1 a power modulus continues quadratically as B(r1) + B'(r1)(s-r1)
+    + 0.5*max(B''(r1), CURVATURE_FLOOR)(s-r1)^2, which matches value and
+    slope at r1 and stays strictly convex.  The continuation is formed on
+    first use past r1; a B''(r1) that is not finite raises DomainError there.
     """
 
     form: str
@@ -210,7 +215,10 @@ class ConvexModulus:
     coef: float = 1.0
     p: float = 2.0
     r1: float = 1.0
-    ext: tuple | None = None  # (B(r1), B'(r1), curvature)
+
+    def __post_init__(self):
+        if not self.r1 > 0:
+            raise InputError(f"modulus domain edge r1 must be positive, got {self.r1}")
 
     @classmethod
     def linear(cls, slope: float, r1: float = 1.0) -> "ConvexModulus":
@@ -228,23 +236,31 @@ class ConvexModulus:
     def is_linear(self) -> bool:
         return self.form == "linear"
 
+    @cached_property
+    def _edge(self) -> tuple:
+        """B(r1), B'(r1), B''(r1) of a power modulus."""
+        return tuple(self._eval(self.r1, order) for order in range(3))
+
+    @cached_property
+    def continuation(self) -> tuple:
+        """(B(r1), B'(r1), curvature) of a power modulus's continuation past r1."""
+        v1, d1, d2 = self._edge
+        if not np.isfinite(d2):
+            raise DomainError("modulus second derivative not finite at r1")
+        return v1, d1, max(d2, CURVATURE_FLOOR)
+
     def _eval(self, x, order):
         """B (order 0), B' (1) or B'' (2) elementwise; a scalar gives a float."""
         s = _vector(x)
         if self.is_linear:
             return _result((self.slope * s, np.full_like(s, self.slope), np.zeros_like(s))[order], x)
-        inside = s <= self.r1 * (1.0 + _REL_TOL)
-        if self.ext is None and not inside.all():
-            raise DomainError(
-                f"modulus evaluated at {np.max(s)} beyond domain edge {self.r1} "
-                "(call extend_modulus first)"
-            )
         c, p = self.coef, self.p
         # s**(p - 2) divides at s = 0, and far past r1 the unselected power form overflows
         with np.errstate(over="ignore", divide="ignore"):
             out = (c, c * p, c * p * (p - 1.0))[order] * s ** (p - order)
-        if self.ext is not None and not inside.all():
-            v1, d1, kap = self.ext
+        inside = s <= self.r1 * (1.0 + _REL_TOL)
+        if not inside.all():
+            v1, d1, kap = self.continuation
             ds = s - self.r1
             out = np.where(inside, out, (v1 + d1 * ds + 0.5 * kap * ds * ds, d1 + kap * ds, kap)[order])
         return _result(out, x)
@@ -262,47 +278,27 @@ class ConvexModulus:
             if order:
                 raise DomainError("derivative of a linear modulus is not invertible")
             return _result(y / self.slope, target)
-        edge = self._eval(self.r1, order) if self.ext is None else self.ext[order]
-        above = y > edge * (1.0 + _REL_TOL)
-        if self.ext is None and above.any():
-            name = "B'" if order else "B"
-            raise DomainError(f"inverse target {np.max(y)} above {name}(r1)")
         c, p = self.coef, self.p
         with np.errstate(over="ignore"):  # far past B'(r1) the unselected power form overflows
             out = (np.maximum(y, 0.0) / (c, c * p)[order]) ** (1.0 / (p - order))  # 0 for y <= 0
-        if self.ext is not None and above.any():
-            v1, d1, kap = self.ext
+        above = y > self._edge[order] * (1.0 + _REL_TOL)
+        if above.any():
+            v1, d1, kap = self.continuation
             if order:
                 beyond = self.r1 + (y - d1) / kap
             else:
-                # y >= v1 wherever the extension is selected
+                # y >= v1 wherever the continuation is selected
                 beyond = self.r1 + (np.sqrt(d1 * d1 + 2.0 * kap * (np.maximum(y, v1) - v1)) - d1) / kap
             out = np.where(above, beyond, out)
         return _result(out, target)
 
     def inverse(self, y):
-        """Inverse of B elementwise in closed form (linear, power, or the extension)."""
+        """Inverse of B elementwise in closed form (linear, power, or the continuation)."""
         return self._invert(y, 0)
 
     def deriv_inverse(self, y):
-        """Inverse of B' elementwise in closed form (power or the extension)."""
+        """Inverse of B' elementwise in closed form (power or the continuation)."""
         return self._invert(y, 1)
-
-
-def extend_modulus(modulus: ConvexModulus) -> ConvexModulus:
-    """Continue a convex modulus past its domain edge r1.
-
-    Beyond r1 the curve becomes B(r1) + B'(r1)(s-r1) + 0.5*max(B''(r1),
-    CURVATURE_FLOOR)(s-r1)^2, which matches value and slope at r1 and stays
-    strictly convex.  Linear moduli are returned unchanged (globally valid).
-    """
-    if modulus.is_linear:
-        return modulus
-    r1 = float(modulus.r1)
-    v1, d1, d2 = (modulus._eval(r1, order) for order in range(3))
-    if not np.isfinite(d2):
-        raise DomainError("modulus second derivative not finite at r1")
-    return replace(modulus, ext=(v1, d1, max(d2, CURVATURE_FLOOR)))
 
 
 def convex_conjugate(K: ConvexModulus, tau, r: float | None = None):
@@ -507,7 +503,7 @@ def validate_h2(
     grid = _check_grid(grid)
     b = kernel.value(grid)
     bmax = float(np.max(b))
-    if modulus.ext is None and bmax > modulus.r1 * (1.0 + _REL_TOL) and not modulus.is_linear:
+    if bmax > modulus.r1 * (1.0 + _REL_TOL) and not modulus.is_linear:
         raise DomainError(f"kernel range max {bmax} exceeds modulus domain edge {modulus.r1}")
     db = kernel.deriv(grid)
     bound = -xi.value(grid) * modulus.value(b)
@@ -627,18 +623,19 @@ def envelope_linear_B(xi: XiWeight, eps0: float, c: float, t0: float) -> DecayEn
 def _convex_envelope(xi, eps, eps1, c, c1, t0, t1, moduli) -> DecayEnvelope:
     """c tau W2^{-1}(c1 / (tau int_{t1}^t xi)) for strictly convex moduli, valid from t1.
 
-    phi(y) sums Bbar^{-1}(y)^(1/(1+eps)) over the extended moduli, W = phi^{-1},
+    phi(y) sums Bbar^{-1}(y)^(1/(1+eps)) over the continued moduli, W = phi^{-1},
     tau = (t-t0)^(1/(1+eps)) and W2(s) = s W'(eps1 s).  At s = phi(y)/eps1,
     W2(s) = phi(y) / (eps1 phi'(y)) increases in y: one bisection in y finds the root.
     """
-    ext = [extend_modulus(m) for m in moduli]
+    for m in moduli:  # formed now, so a modulus that cannot be continued fails the build
+        m.continuation
     expo = 1.0 / (1.0 + eps)
 
     def W2_of_y(y):
-        r = [m.inverse(y) for m in ext]
+        r = [m.inverse(y) for m in moduli]
         # r = 0 at y = 0, where W2 is 0 and the quotient is not used
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi_p = expo * sum(ri ** (expo - 1.0) / m.deriv(ri) for ri, m in zip(r, ext))
+            phi_p = expo * sum(ri ** (expo - 1.0) / m.deriv(ri) for ri, m in zip(r, moduli))
             return np.where(y > 0.0, sum(ri**expo for ri in r) / (eps1 * phi_p), 0.0)
 
     def _eval(t):
@@ -647,7 +644,7 @@ def _convex_envelope(xi, eps, eps1, c, c1, t0, t1, moduli) -> DecayEnvelope:
             raise DomainError("weight integral vanishes on the evaluation window")
         tau = (t - t0) ** expo
         y = invert_increasing(W2_of_y, c1 / (tau * acc))
-        return c * tau * sum(m.inverse(y) ** expo for m in ext) / eps1
+        return c * tau * sum(m.inverse(y) ** expo for m in moduli) / eps1
 
     return DecayEnvelope(t1, _eval)
 

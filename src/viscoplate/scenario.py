@@ -12,12 +12,12 @@ from __future__ import annotations
 import configparser
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .dynamics import PhysicalParams, check_physics_args, step_count
-from .errors import InputError, ScenarioError, ViscoplateError
+from .errors import ScenarioError, ViscoplateError
 from .kernels import (
     call_args,
     check_decay_args,
@@ -29,62 +29,40 @@ from .kernels import (
 )
 from .spectral import build_basis, check_basis_args, project_initial
 
-# Scenario field -> (INI section, key, type), in the order effective_config writes
-_FIELDS = {
-    "spatial_dim": ("space", "dim", int),
-    "n": ("space", "n", int),
-    "L": ("space", "L", float),
-    "quad_order": ("space", "quad_order", int),
-    "dt": ("time", "dt", float),
-    "T": ("time", "T", float),
-    "rho": ("physics", "rho", float),
-    "k": ("physics", "k", float),
-    "sigma": ("physics", "sigma", float),
-    "kernel": ("physics", "kernel", str),
-    "damping": ("physics", "damping", str),
-    "xi": ("physics", "xi", str),
-    "modulus": ("physics", "modulus", str),
-    "initial_u": ("initial", "u", str),
-    "initial_v": ("initial", "v", str),
-    "out_dir": ("output", "dir", str),
-    "stride": ("output", "stride", int),
-    "a": ("diagnostics", "a", float),
-    "eps0": ("diagnostics", "eps0", float),
-    "eps1": ("diagnostics", "eps1", float),
-    "t0": ("diagnostics", "t0", float),
-    "t1": ("diagnostics", "t1", float),
-    "delta": ("diagnostics", "delta", float),
-    "lyap_eps": ("diagnostics", "lyap_eps", float),
-}
-_FIELD_AT = {(section, key): fname for fname, (section, key, _) in _FIELDS.items()}
+
+def _ini(section: str, key: str, kind: type, default):
+    """A Scenario field read from and written to [section] key as kind."""
+    return field(default=default, metadata={"ini": (section, key, kind)})
 
 
 @dataclass(frozen=True)
 class Scenario:
-    spatial_dim: int = 1
-    n: int = 8
-    L: float = 1.0
-    quad_order: int | None = None
-    dt: float = 1e-2
-    T: float = 10.0
-    rho: float = 0.0
-    k: float = 0.5
-    sigma: float = 1e-8
-    kernel: str = "exp(0.5,1.0)"
-    damping: str = "damp-linear(1)"
-    xi: str | None = None
-    modulus: str | None = None
-    initial_u: str = "mode(1,0.04)"
-    initial_v: str = "zero"
-    out_dir: str = "out"
-    stride: int = 1
-    a: float | None = None
-    eps0: float = 0.5
-    eps1: float = 0.5
-    t0: float = 0.0
-    t1: float | None = None
-    delta: float = 0.5
-    lyap_eps: float = 1e-2
+    """One run's configuration; each field declares its INI section, key and type."""
+
+    spatial_dim: int = _ini("space", "dim", int, 1)
+    n: int = _ini("space", "n", int, 8)
+    L: float = _ini("space", "L", float, 1.0)
+    quad_order: int | None = _ini("space", "quad_order", int, None)
+    dt: float = _ini("time", "dt", float, 1e-2)
+    T: float = _ini("time", "T", float, 10.0)
+    rho: float = _ini("physics", "rho", float, 0.0)
+    k: float = _ini("physics", "k", float, 0.5)
+    sigma: float = _ini("physics", "sigma", float, 1e-8)
+    kernel: str = _ini("physics", "kernel", str, "exp(0.5,1.0)")
+    damping: str = _ini("physics", "damping", str, "damp-linear(1)")
+    xi: str | None = _ini("physics", "xi", str, None)
+    modulus: str | None = _ini("physics", "modulus", str, None)
+    initial_u: str = _ini("initial", "u", str, "mode(1,0.04)")
+    initial_v: str = _ini("initial", "v", str, "zero")
+    out_dir: str = _ini("output", "dir", str, "out")
+    stride: int = _ini("output", "stride", int, 1)
+    a: float | None = _ini("diagnostics", "a", float, None)
+    eps0: float = _ini("diagnostics", "eps0", float, 0.5)
+    eps1: float = _ini("diagnostics", "eps1", float, 0.5)
+    t0: float = _ini("diagnostics", "t0", float, 0.0)
+    t1: float | None = _ini("diagnostics", "t1", float, None)
+    delta: float = _ini("diagnostics", "delta", float, 0.5)
+    lyap_eps: float = _ini("diagnostics", "lyap_eps", float, 1e-2)
 
     # --- derived builders -------------------------------------------------
 
@@ -120,13 +98,6 @@ class Scenario:
         if damping.is_none or damping.h1_is_linear:
             return "nonlinear-B"
         return "nonlinear-both"
-
-    def _linear_decay(self) -> bool:
-        # a natural modulus that cannot be built fails H2 before any fit
-        try:
-            return self.decay_case() == "linear"
-        except InputError:
-            return False
 
     def tail_start(self) -> float:
         return self.t1 if self.t1 is not None else 0.25 * self.T
@@ -171,6 +142,8 @@ class Scenario:
             errs.append("diagnostics.delta must lie in (0, 1)")
         if self.lyap_eps <= 0:
             errs.append("diagnostics.lyap_eps must be positive")
+        if self.t1 is not None and self.t1 < 0:
+            errs.append("diagnostics.t1 must be >= 0")
         for name, check in (
             ("time", lambda: step_count(self.dt, self.T)),
             ("space", lambda: check_basis_args(self.spatial_dim, self.n, self.L, self.quad_order)),
@@ -181,7 +154,7 @@ class Scenario:
             ("physics.modulus", lambda: self.modulus is None or parse_modulus_spec(self.modulus)),
             ("initial.u", lambda: _parse_initial(self.initial_u, self.spatial_dim, self.n**self.spatial_dim)),
             ("initial.v", lambda: _parse_initial(self.initial_v, self.spatial_dim, self.n**self.spatial_dim)),
-            ("diagnostics", lambda: check_decay_args(self.eps0, self.eps1, self.t0, self._linear_decay())),
+            ("diagnostics", lambda: check_decay_args(self.eps0, self.eps1, self.t0, self.decay_case() == "linear")),
         ):
             needs = {"time": "time.", "initial.u": "space:", "initial.v": "space:", "diagnostics": (
                 "physics.kernel", "physics.damping", "physics.modulus", "diagnostics.eps", "diagnostics.t0")}.get(name)
@@ -194,6 +167,11 @@ class Scenario:
             except ViscoplateError as exc:
                 errs.append(f"{name}: {exc}")
         return errs
+
+
+# Scenario field -> (INI section, key, type), in the order effective_config writes
+_FIELDS = {f.name: f.metadata["ini"] for f in fields(Scenario)}
+_FIELD_AT = {(section, key): fname for fname, (section, key, _) in _FIELDS.items()}
 
 
 # --- initial data -------------------------------------------------------
@@ -264,9 +242,9 @@ def _initial_vector(spec: str, basis, grams) -> np.ndarray:
 # --- parsing ------------------------------------------------------------
 
 
-def parse_field(field: str, raw: str):
-    """raw as a value of the Scenario field, typed as the config file types it."""
-    section, key, typ = _FIELDS[field]
+def parse_field(fname: str, raw: str):
+    """raw as a value of the Scenario field fname, typed as the config file types it."""
+    section, key, typ = _FIELDS[fname]
     try:
         return raw.strip() if typ is str else typ(raw.strip())
     except ValueError:

@@ -14,6 +14,7 @@ form so that (1 - sigma) e^z stays O(1) even for beta ~ 100.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,14 @@ def check_basis_args(spatial_dim: int, n: int, L: float, quad_order: int | None)
         raise InputError(f"quad_order {quad_order} under-resolves {n} modes (need >= {2 * n + 4})")
 
 
+def _tensor(tables: list) -> np.ndarray:
+    """Kronecker product of per-axis (modes, points) tables, the first axis slowest."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = np.einsum("ja,kb->jkab", out, table).reshape(len(out) * len(table), -1)
+    return out
+
+
 def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None = None) -> Basis:
     """Assemble the normalized mode tables on a Gauss-Legendre grid.
 
@@ -127,29 +136,20 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
     scale = 1.0 / nrm
     W, W1, W2 = W * scale[:, None], W1 * scale[:, None], W2 * scale[:, None]
 
-    if spatial_dim == 1:
-        phi, lap, grad = W, W2, (W1,)
-        qw = wx
-        qpts = x[:, None]
-        dim = n
-    else:
-        dim = n * n
-        nq = quad_order * quad_order
-        phi = np.einsum("ja,kb->jkab", W, W).reshape(dim, nq)
-        lap = (
-            np.einsum("ja,kb->jkab", W2, W) + np.einsum("ja,kb->jkab", W, W2)
-        ).reshape(dim, nq)
-        gx = np.einsum("ja,kb->jkab", W1, W).reshape(dim, nq)
-        gy = np.einsum("ja,kb->jkab", W, W1).reshape(dim, nq)
-        grad = (gx, gy)
-        qw = np.outer(wx, wx).ravel()
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        qpts = np.column_stack([X.ravel(), Y.ravel()])
+    def per_axis(table):
+        # one tensor product per axis k, with table on axis k and W elsewhere
+        return [_tensor([table if i == k else W for i in range(spatial_dim)]) for k in range(spatial_dim)]
+
+    phi = _tensor([W] * spatial_dim)
+    lap = functools.reduce(np.add, per_axis(W2))
+    grad = tuple(per_axis(W1))
+    qw = _tensor([wx[None, :]] * spatial_dim)[0]
+    qpts = np.column_stack([X.ravel() for X in np.meshgrid(*[x] * spatial_dim, indexing="ij")])
 
     return Basis(
         spatial_dim=spatial_dim,
         modes_per_axis=n,
-        dim=dim,
+        dim=len(phi),
         beam_roots=roots,
         L=float(L),
         quad_order=quad_order,

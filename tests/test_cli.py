@@ -655,6 +655,41 @@ def test_sweep_refuses_an_axis_given_twice(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ("kernel = exp(0.5,1.0)", "kernel = power(0.5,1e17)", "physics.kernel: power kernel exponent 1e+17 too large"),
+        ("damping = damp-linear(1)", "damping = damp-linear(1)\nmodulus = pow(2,-1)",
+         "physics.modulus: modulus domain edge r1 must be positive, got -1.0"),
+        ("damping = damp-linear(1)", "damping = damp-linear(1)\nmodulus = pow(1.5,0)",
+         "physics.modulus: modulus domain edge r1 must be positive, got 0.0"),
+        ("[initial]", "[diagnostics]\nt1 = -1.0\n[initial]", "diagnostics.t1 must be >= 0"),
+    ],
+    ids=["power-exponent-1e17", "modulus-edge-negative", "modulus-edge-zero", "t1-negative"],
+)
+def test_inputs_that_used_to_run_exit_two_before_any_output(tmp_path, capsys, old, new, problem):
+    # the first two used to fail H2 with a message about the modulus (exit 1),
+    # the last to run with its tail start snapped to 0 (exit 0)
+    cfg = write_cfg(tmp_path, DISSIPATIVE.replace(old, new))
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err
+    assert not os.path.exists(out)
+
+
+def test_modulus_without_continuation_leaves_decay_not_applicable(tmp_path):
+    # validate accepts the modulus, as it holds on (0, r1]; the envelope,
+    # which needs it past r1, reports why it cannot be built
+    modulus = "modulus = pow(1.3407807929942597e+154)"
+    text = DISSIPATIVE.replace("damping = damp-linear(1)", "damping = damp-linear(1)\n" + modulus)
+    out = str(tmp_path / "out")
+    main(["run", write_cfg(tmp_path, text), "--out", out])
+    report = read_report(out)
+    assert report["verdicts"]["decay"] == "n/a"
+    assert report["decay"] == {"case": "nonlinear-B", "error": "modulus second derivative not finite at r1"}
+
+
 _POWER_CUBIC = DISSIPATIVE.replace("exp(0.5,1.0)", "power(0.5,2.0)").replace("damp-linear(1)", "damp-cubic(0.5)")
 
 

@@ -24,7 +24,6 @@ from viscoplate.kernels import (
     envelope_linear_B,
     envelope_nonlinear_B,
     envelope_nonlinear_both,
-    extend_modulus,
     invert_increasing,
     parse_damping_spec,
     parse_kernel_spec,
@@ -91,6 +90,24 @@ def test_h1_empty_grid():
 def test_power_kernel_rejects_nonintegrable():
     with pytest.raises(InputError):
         RelaxationKernel.power_law(0.5, 1.0)
+
+
+def test_power_kernel_rejects_exponent_whose_modulus_power_rounds_to_one():
+    # (q + 1)/q is 1.0 in floating point from q ~ 1e16, so no natural modulus exists
+    with pytest.raises(InputError, match=r"exponent 1e\+17 too large"):
+        RelaxationKernel.power_law(0.5, 1e17)
+    assert RelaxationKernel.power_law(0.5, 1e15).natural_modulus().p > 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConvexModulus.power(2.0, r1=-1.0),
+    lambda: ConvexModulus.power(1.5, r1=0.0),
+    lambda: ConvexModulus.linear(1.0, r1=0.0),
+    lambda: parse_modulus_spec("pow(2,-1)"),
+], ids=["power-negative", "power-zero", "linear-zero", "spec"])
+def test_modulus_domain_edge_must_be_positive(make):
+    with pytest.raises(InputError, match="domain edge r1 must be positive"):
+        make()
 
 
 def test_kernel_calculus_against_quadrature():
@@ -203,23 +220,23 @@ def test_linear_convexifier_slope():
     assert H.is_linear and abs(H.slope - 0.25) < 1e-15
 
 
-# --- modulus extension and conjugates ------------------------------------
+# --- modulus continuation and conjugates ---------------------------------
 
 
 def test_extend_square_is_exact():
-    ext = extend_modulus(ConvexModulus.power(2.0, r1=1.0))
+    ext = ConvexModulus.power(2.0, r1=1.0)
     for s in (0.5, 1.0, 3.0, 5.0):
         assert abs(float(ext.value(s)) - s * s) < 1e-12
 
 
 def test_extend_p32_continuation_value():
     # quadratic continuation 1 + 1.5 (s-1) + 0.5 * 0.75 (s-1)^2 at s = 2
-    ext = extend_modulus(ConvexModulus.power(1.5, r1=1.0))
+    ext = ConvexModulus.power(1.5, r1=1.0)
     assert abs(float(ext.value(2.0)) - 2.875) < 1e-12
 
 
 def test_extend_c2_matching():
-    ext = extend_modulus(ConvexModulus.power(1.5, r1=1.0))
+    ext = ConvexModulus.power(1.5, r1=1.0)
     h = 1e-4
     for order, fd in (
         (0, None),
@@ -235,14 +252,10 @@ def test_extend_c2_matching():
 
 
 def test_extend_linear_passthrough():
+    # a linear modulus holds on the whole half line: no continuation past r1
     mod = ConvexModulus.linear(2.0)
-    assert extend_modulus(mod) is mod
     assert abs(float(mod.value(5.0)) - 10.0) < 1e-15
-
-
-def test_unextended_power_raises_beyond_edge():
-    with pytest.raises(DomainError):
-        ConvexModulus.power(1.5, r1=1.0).value(2.0)
+    assert mod.inverse(10.0) == 5.0
 
 
 def test_conjugate_quadratic():
@@ -297,11 +310,27 @@ def test_deriv_inverse_roundtrip():
 
 
 def test_deriv_inverse_beyond_edge():
-    K = ConvexModulus.power(2.0)  # B'(1) = 2
-    with pytest.raises(DomainError, match="above B'"):
-        K.deriv_inverse(10.0)
-    # the extension B'(s) = 2 + 2 (s - 1) inverts past r1
-    assert extend_modulus(K).deriv_inverse(10.0) == 5.0
+    # the continuation B'(s) = 2 + 2 (s - 1) inverts past B'(r1) = 2
+    assert ConvexModulus.power(2.0).deriv_inverse(10.0) == 5.0
+
+
+def test_modulus_without_continuation_fails_only_past_r1():
+    # B''(1) = p (p - 1) overflows, so no quadratic continuation can be formed;
+    # the modulus still evaluates and inverts on (0, r1]
+    mod = parse_modulus_spec("pow(1.3407807929942597e+154)")
+    s = np.array([0.0, 0.5, 1.0])
+    assert np.array_equal(mod.value(s), [0.0, 0.0, 1.0])
+    assert mod.deriv(1.0) == mod.p
+    assert np.array_equal(mod.inverse(np.array([0.0, 1.0])), [0.0, 1.0])
+    assert mod.deriv_inverse(mod.p) == 1.0
+    beyond = (lambda: mod.value(1.5), lambda: mod.deriv(np.array([0.5, 2.0])),
+              lambda: mod.inverse(2.0), lambda: mod.deriv_inverse(2.0 * mod.p))
+    for call in beyond:
+        with pytest.raises(DomainError, match="^modulus second derivative not finite at r1$"):
+            call()
+    # an envelope over it forms the continuation when it is built
+    with pytest.raises(DomainError, match="^modulus second derivative not finite at r1$"):
+        envelope_nonlinear_B(XiWeight.constant(1.0), 0.5, 0.5, 1.0, 1.0, 0.0, 1.0, mod)
 
 
 @pytest.mark.parametrize(
@@ -481,9 +510,9 @@ def _bisect_to_ulp(f, y):
 
 
 def _float_inverse(mod):
-    """B^{-1} of an extended power modulus on plain floats: no numpy call per step."""
+    """B^{-1} of a power modulus and its continuation on plain floats: no numpy call per step."""
     c, p, r1 = mod.coef, mod.p, mod.r1
-    v1, d1, kap = (float(x) for x in mod.ext)
+    v1, d1, kap = (float(x) for x in mod.continuation)
 
     def inverse(y):
         if y <= v1:
@@ -499,7 +528,7 @@ def _two_level_both(xi, eps, eps1, c, t0, modB, modH, t):
     Returns the envelope value and y = W(eps1 * root), the modulus value at
     which Bbar and Hbar were inverted.
     """
-    Bbar, Hbar = extend_modulus(modB), extend_modulus(modH)
+    Bbar, Hbar = modB, modH
     e = 1.0 / (1.0 + eps)
     binv, hinv = _float_inverse(Bbar), _float_inverse(Hbar)
 
@@ -521,7 +550,7 @@ def _two_level_both(xi, eps, eps1, c, t0, modB, modH, t):
 
 def test_envelope_both_matches_two_level_bisection():
     # one bisection in y against the nested form on random power moduli; the
-    # small r1 and the early evaluation point reach the quadratic extensions
+    # small r1 and the early evaluation point reach the quadratic continuations
     rng = np.random.default_rng(20240607)
     worst, extended = 0.0, 0
     for draw in range(10):
@@ -569,7 +598,7 @@ BEYOND = np.concatenate([[R1 * (1.0 + 1e-11)], np.linspace(0.6, 40.0, 23)])
 MODULI = {
     "linear": (ConvexModulus.linear(2.0, r1=R1), np.concatenate([INSIDE, BEYOND])),
     "power": (ConvexModulus.power(1.5, coef=0.7, r1=R1), INSIDE),
-    "extended-power": (extend_modulus(ConvexModulus.power(2.5, r1=R1)), np.concatenate([INSIDE, BEYOND])),
+    "extended-power": (ConvexModulus.power(2.5, r1=R1), np.concatenate([INSIDE, BEYOND])),
 }
 
 
@@ -578,18 +607,9 @@ def test_modulus_arrays_match_scalar_calls(name):
     mod, s = MODULI[name]
     for fn in (mod.value, mod.deriv):
         assert np.array_equal(fn(s), _each(fn, s))
-    beyond = [1e3] if mod.ext is not None or mod.is_linear else []
-    y = np.concatenate([[-1.0, 0.0], mod.value(s), beyond])
+    y = np.concatenate([[-1.0, 0.0], mod.value(s), [1e3]])
     assert np.array_equal(mod.inverse(y), _each(mod.inverse, y))
     assert np.allclose(mod.inverse(mod.value(s)), s, rtol=1e-12, atol=1e-12)
-
-
-def test_unextended_modulus_array_raises_beyond_edge():
-    mod = ConvexModulus.power(1.5, coef=0.7, r1=R1)
-    with pytest.raises(DomainError):
-        mod.value(np.array([0.1, 0.7]))
-    with pytest.raises(DomainError):
-        mod.inverse(np.array([0.1, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -755,7 +775,7 @@ def _two_branch_h(law, s):
 
 
 def _two_branch_eval(mod, s, order):
-    v1, d1, kap = mod.ext
+    v1, d1, kap = mod.continuation
     ds = s - mod.r1
     c, p = mod.coef, mod.p
     with np.errstate(over="ignore", divide="ignore"):
@@ -765,7 +785,7 @@ def _two_branch_eval(mod, s, order):
 
 
 def _two_branch_invert(mod, y, order):
-    v1, d1, kap = mod.ext
+    v1, d1, kap = mod.continuation
     c, p = mod.coef, mod.p
     with np.errstate(over="ignore"):
         power = (np.maximum(y, 0.0) / (c, c * p)[order]) ** (1.0 / (p - order))
@@ -794,13 +814,13 @@ def test_pointwise_law_branch_shortcuts_match_two_branch_formulas():
     law = DampingLaw.origin_power(3.0, 0.5)
     for s in _inside_straddling_outside(law.eps):
         assert np.array_equal(law.h(s), _two_branch_h(law, s))
-    mod = extend_modulus(ConvexModulus.power(2.5, coef=0.7, r1=0.5))
+    mod = ConvexModulus.power(2.5, coef=0.7, r1=0.5)
     for s in _inside_straddling_outside(mod.r1):
         s = np.abs(s)
         for order in range(3):
             assert np.array_equal(mod._eval(s, order), _two_branch_eval(mod, s, order))
-        for order, edge in enumerate(mod.ext[:2]):
-            assert edge == mod._eval(mod.r1, order)  # the edge _invert reads from ext
+        for order, edge in enumerate(mod.continuation[:2]):
+            assert edge == mod._eval(mod.r1, order)  # the edge _invert compares against
             y = s * (edge / mod.r1)
             assert np.array_equal(mod._invert(y, order), _two_branch_invert(mod, y, order))
 

@@ -198,6 +198,24 @@ def test_non_finite_basis_raises_assembly_error(basis8):
         assemble_grams(replace(basis8, phi=phi))
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_2d_basis_is_the_tensor_product_of_the_1d_tables(n):
+    # the first axis varies slowest, in the modes and in the quadrature points
+    one, two = build_basis(1, n), build_basis(2, n)
+    W, W1, W2, wx, x = one.phi, one.grad[0], one.lap, one.qw, one.qpts[:, 0]
+    assert _same_bits(two.phi, np.kron(W, W))
+    assert _same_bits(two.lap, np.kron(W2, W) + np.kron(W, W2))
+    assert len(two.grad) == 2
+    assert _same_bits(two.grad[0], np.kron(W1, W)) and _same_bits(two.grad[1], np.kron(W, W1))
+    assert _same_bits(two.qw, np.kron(wx, wx))
+    assert _same_bits(two.qpts, np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))]))
+    assert two.dim == n * n and one.qpts.shape == (len(x), 1)
+
+
 def test_2d_mass_identity(grams2d):
     assert np.max(np.abs(grams2d.M0 - np.eye(16))) < 1e-10
 
