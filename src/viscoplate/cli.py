@@ -39,10 +39,13 @@ from .kernels import (
 from .scenario import PRESETS, Scenario, effective_config, load_scenario, parse_field, with_overrides
 from .spectral import assemble_grams, estimate_cp
 
-CSV_HEADER = (
-    "t,E,J,I,kin_rho,bend,bend_rate,mass,logterm,memory,"
-    "psi1,psi2,L,G,M,dissipation,rate_residual"
+# timeseries.csv columns in order: SeriesBundle fields, but for t (times),
+# L (the Lyapunov series), G (damping_avg) and M (memory_tail)
+CSV_COLUMNS = (
+    "t", "E", "J", "I", "kin_rho", "bend", "bend_rate", "mass", "logterm", "memory",
+    "psi1", "psi2", "L", "G", "M", "dissipation", "rate_residual",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 CSV_BLOCK_ROWS = 4096  # rows formatted at once, bounding the text held in memory
 MONOTONE_TOL = 1e-10
 OVERSHOOT_TOL = 1e-6
@@ -68,6 +71,9 @@ def _fmt(x) -> str:
 
 
 def _hypotheses(scn: Scenario, params) -> dict:
+    def entry(violations: list) -> dict:
+        return {"verdict": "fail" if violations else "pass", "violations": violations}
+
     out = {}
     grid = np.linspace(0.0, max(30.0, scn.T), 2001)
     sym = np.linspace(-3.0, 3.0, 1201)
@@ -75,18 +81,15 @@ def _hypotheses(scn: Scenario, params) -> dict:
         out["H1"] = {"verdict": "n/a"}
         out["H2"] = {"verdict": "n/a"}
     else:
-        rep = validate_h1(params.kernel, grid)
-        out["H1"] = {"verdict": "pass" if rep.passed else "fail", "violations": rep.violations}
+        out["H1"] = entry(validate_h1(params.kernel, grid))
         try:
-            rep2 = validate_h2(params.kernel, scn.memory_modulus(), scn.xi_weight(), grid)
-            out["H2"] = {"verdict": "pass" if rep2.passed else "fail", "violations": rep2.violations}
+            out["H2"] = entry(validate_h2(params.kernel, scn.memory_modulus(), scn.xi_weight(), grid))
         except (DomainError, InputError) as exc:
-            out["H2"] = {"verdict": "fail", "violations": [str(exc)]}
+            out["H2"] = entry([str(exc)])
     if params.damping.is_none:
         out["H3"] = {"verdict": "n/a"}
     else:
-        rep3 = validate_h3(params.damping, sym)
-        out["H3"] = {"verdict": "pass" if rep3.passed else "fail", "violations": rep3.violations}
+        out["H3"] = entry(validate_h3(params.damping, sym))
     return out
 
 
@@ -108,14 +111,11 @@ def _build_envelope(case: str, scn: Scenario, params):
 # --- artifacts -----------------------------------------------------------
 
 
-def _write_csv(path: str, bundle, L: np.ndarray, stride: int) -> None:
-    tail = bundle.memory_tail if bundle.memory_tail is not None else np.full_like(bundle.times, math.nan)
-    cols = (
-        bundle.times, bundle.E, bundle.J, bundle.I, bundle.kin_rho, bundle.bend, bundle.bend_rate,
-        bundle.mass, bundle.logterm, bundle.memory, bundle.psi1, bundle.psi2, L,
-        bundle.damping_avg, tail, bundle.dissipation, bundle.rate_residual,
-    )
-    table = np.column_stack(cols)[::stride]
+def _write_csv(path: str, bundle, L: np.ndarray | None, stride: int) -> None:
+    """CSV_COLUMNS of every stride-th sample; a missing L or memory tail is nan."""
+    named = {"t": bundle.times, "L": L, "G": bundle.damping_avg, "M": bundle.memory_tail}
+    cols = [named[c] if c in named else getattr(bundle, c) for c in CSV_COLUMNS]
+    table = np.column_stack([np.full_like(bundle.times, math.nan) if c is None else c for c in cols])[::stride]
     # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted a block
     # of rows per % operation instead of one row per Python iteration
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -269,22 +269,16 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
         report["log_sobolev"] = {"a": None, "gap_min": None}
 
     # Lyapunov weight search; n/a when no sample has energy to bound
-    L = np.full(len(traj), np.nan)
+    lrep = None
     report["lyapunov"] = {"N": None, "eps": scn.lyap_eps, "ratio_min": None, "ratio_max": None}
     try:
-        N = dg.find_lyapunov_N(bundle, eps=scn.lyap_eps)
-        if N is None:
-            verdicts["lyapunov"] = "n/a"
-        else:
-            lrep = dg.lyapunov_series(bundle, N, scn.lyap_eps)
-            L = lrep.L
-            verdicts["lyapunov"] = "pass" if lrep.ratio_min > 0.0 else "fail"
-            report["lyapunov"].update(
-                N=N, ratio_min=_num(lrep.ratio_min), ratio_max=_num(lrep.ratio_max)
-            )
+        lrep = dg.find_lyapunov_N(bundle, scn.lyap_eps)
+        verdicts["lyapunov"] = "n/a" if lrep is None else "pass"
     except DomainError as exc:
         verdicts["lyapunov"] = "fail"
         report["lyapunov"] = {"error": str(exc)}
+    if lrep is not None:
+        report["lyapunov"].update(N=lrep.N, ratio_min=_num(lrep.ratio_min), ratio_max=_num(lrep.ratio_max))
 
     # decay fit
     case = scn.decay_case()
@@ -334,7 +328,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
             verdicts["rate_slope"] = "pass" if abs(slope - 2.0) <= 0.1 else "fail"
     report["rate"] = rate_block
 
-    _write_csv(os.path.join(scn.out_dir, "timeseries.csv"), bundle, L, scn.stride)
+    _write_csv(os.path.join(scn.out_dir, "timeseries.csv"), bundle, None if lrep is None else lrep.L, scn.stride)
     return finish(1 if any(v == "fail" for v in verdicts.values()) else 0)
 
 

@@ -466,17 +466,17 @@ def lyapunov_series(bundle: SeriesBundle, N: float, eps: float) -> LyapunovRepor
     return LyapunovReport(L, float(ratios.min()), float(ratios.max()), N, eps)
 
 
-def find_lyapunov_N(bundle: SeriesBundle, eps: float = 1e-2) -> float | None:
-    """Smallest N in 2^0 .. 2^10 for which lyapunov_series has a positive ratio_min.
+def find_lyapunov_N(bundle: SeriesBundle, eps: float) -> LyapunovReport | None:
+    """lyapunov_series at the smallest N in 2^0 .. 2^10 with a positive ratio_min.
 
     None when no sample has E > RATIO_FLOOR (a run at rest has no ratio to bound).
     """
     for k in range(11):
-        ratio_min = lyapunov_series(bundle, 2.0**k, eps).ratio_min
-        if ratio_min is None:
+        rep = lyapunov_series(bundle, 2.0**k, eps)
+        if rep.ratio_min is None:
             return None
-        if ratio_min > 0.0:
-            return 2.0**k
+        if rep.ratio_min > 0.0:
+            return rep
     raise DomainError("no N up to 2^10 gives a positive Lyapunov ratio")
 
 

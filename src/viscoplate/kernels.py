@@ -27,7 +27,7 @@ or after 200 halvings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -167,11 +167,7 @@ class RelaxationKernel:
 
     @property
     def total_integral(self) -> float:
-        if self.family == "exponential":
-            return self.b0 / self.rate
-        if self.family == "power":
-            return self.b0 / (self.q - 1.0)
-        return 0.0
+        return float(self.integral_to(np.inf))
 
     @property
     def l(self) -> float:
@@ -454,16 +450,6 @@ class DampingLaw:
 # Admissibility validation
 
 
-@dataclass
-class ValidationReport:
-    passed: bool
-    violations: list[str]
-    data: dict
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -473,8 +459,8 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def validate_h1(kernel: RelaxationKernel, grid) -> ValidationReport:
-    """Check kernel positivity at 0, monotone decrease on the grid, and l > 0."""
+def validate_h1(kernel: RelaxationKernel, grid) -> list[str]:
+    """Violations of kernel positivity at 0, monotone decrease on the grid, and l > 0."""
     grid = _check_grid(grid)
     violations = []
     b = kernel.value(grid)
@@ -489,7 +475,7 @@ def validate_h1(kernel: RelaxationKernel, grid) -> ValidationReport:
     l = kernel.l
     if l <= 0.0:
         violations.append(f"integral deficit l = {l:.6g} <= 0")
-    return ValidationReport(not violations, violations, {"l": l, "b0": b0})
+    return violations
 
 
 def validate_h2(
@@ -498,8 +484,8 @@ def validate_h2(
     xi: XiWeight,
     grid,
     rel_tol: float = 1e-12,
-) -> ValidationReport:
-    """Check the decay law b' <= -xi * B(b) pointwise on the grid."""
+) -> list[str]:
+    """Violations of the decay law b' <= -xi * B(b) pointwise on the grid."""
     grid = _check_grid(grid)
     b = kernel.value(grid)
     bmax = float(np.max(b))
@@ -514,11 +500,11 @@ def validate_h2(
     if worst > rel_tol:
         t_bad = grid[int(np.argmax(residual))]
         violations.append(f"decay law violated near t = {t_bad:.6g} (relative excess {worst:.3g})")
-    return ValidationReport(not violations, violations, {"max_relative_excess": worst})
+    return violations
 
 
-def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> ValidationReport:
-    """Check damping monotonicity, sign, sandwich bounds, and convexifier convexity."""
+def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> list[str]:
+    """Violations of damping monotonicity, sign, sandwich bounds, and convexifier convexity."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise InputError("damping grid needs at least 3 points")
@@ -564,7 +550,7 @@ def validate_h3(damping: DampingLaw, grid, rel_tol: float = 1e-10) -> Validation
         second = Hv[2:] - 2.0 * Hv[1:-1] + Hv[:-2]
         if np.any(second <= 0):
             violations.append("convexifier H fails strict convexity on (0, r2]")
-    return ValidationReport(not violations, violations, {"c1": damping.c1, "c2": damping.c2})
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -735,45 +721,49 @@ def _numbers(spec: str, name: str, count: tuple) -> list[float] | None:
     return values
 
 
+def _parse_spec(kind: str, spec: str, forms: dict):
+    """spec read against forms, a table of call name -> (argument counts, constructor).
+
+    A name with no argument counts is a bare word, such as "none".
+    """
+    s = spec.strip()
+    for name, (count, make) in forms.items():
+        if not count and s == name:
+            return make()
+        if count and (args := _numbers(s, name, count)) is not None:
+            return make(*args)
+    raise InputError(f"unknown {kind} spec {spec!r}")
+
+
 def parse_kernel_spec(spec: str) -> RelaxationKernel:
     """Parse catalog kernel strings: "exp(b0,a)", "power(b0,q)", "none"."""
-    s = spec.strip()
-    if s == "none":
-        return RelaxationKernel.zero()
-    if (args := _numbers(s, "exp", (2,))) is not None:
-        return RelaxationKernel.exponential(*args)
-    if (args := _numbers(s, "power", (2,))) is not None:
-        return RelaxationKernel.power_law(*args)
-    raise InputError(f"unknown kernel spec {spec!r}")
+    return _parse_spec("kernel", spec, {
+        "none": ((), RelaxationKernel.zero),
+        "exp": ((2,), RelaxationKernel.exponential),
+        "power": ((2,), RelaxationKernel.power_law),
+    })
 
 
 def parse_damping_spec(spec: str) -> DampingLaw:
     """Parse catalog damping strings: "damp-linear(c)", "damp-cubic(eps)", "none"."""
-    s = spec.strip()
-    if s == "none":
-        return DampingLaw.none()
-    if (args := _numbers(s, "damp-linear", (1,))) is not None:
-        return DampingLaw.linear(*args)
-    if (args := _numbers(s, "damp-cubic", (1,))) is not None:
-        return DampingLaw.origin_power(3.0, *args)
-    raise InputError(f"unknown damping spec {spec!r}")
+    return _parse_spec("damping", spec, {
+        "none": ((), DampingLaw.none),
+        "damp-linear": ((1,), DampingLaw.linear),
+        "damp-cubic": ((1,), partial(DampingLaw.origin_power, 3.0)),
+    })
 
 
 def parse_xi_spec(spec: str) -> XiWeight:
     """Parse weight strings: "const(x0)", "rational(theta)" or "rational(theta,x0)"."""
-    s = spec.strip()
-    if (args := _numbers(s, "const", (1,))) is not None:
-        return XiWeight.constant(*args)
-    if (args := _numbers(s, "rational", (1, 2))) is not None:
-        return XiWeight.rational(*args)
-    raise InputError(f"unknown weight spec {spec!r}")
+    return _parse_spec("weight", spec, {
+        "const": ((1,), XiWeight.constant),
+        "rational": ((1, 2), XiWeight.rational),
+    })
 
 
 def parse_modulus_spec(spec: str) -> ConvexModulus:
     """Parse modulus strings: "linear(slope)", "pow(p)", "pow(p,r1)"."""
-    s = spec.strip()
-    if (args := _numbers(s, "linear", (1,))) is not None:
-        return ConvexModulus.linear(*args)
-    if (args := _numbers(s, "pow", (1, 2))) is not None:
-        return ConvexModulus.power(args[0], r1=args[1] if len(args) == 2 else 1.0)
-    raise InputError(f"unknown modulus spec {spec!r}")
+    return _parse_spec("modulus", spec, {
+        "linear": ((1,), ConvexModulus.linear),
+        "pow": ((1, 2), lambda p, r1=1.0: ConvexModulus.power(p, r1=r1)),
+    })

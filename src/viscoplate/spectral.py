@@ -9,7 +9,9 @@ boundary, and the 1D modes diagonalize the bending Gram matrix.
 Mode shapes are evaluated in an exponential form that avoids the cosh/cos
 cancellation: with z = beta x / L and sigma the standard clamped-mode mixing
 ratio, the difference 1 - sigma is computed from a cancellation-free closed
-form so that (1 - sigma) e^z stays O(1) even for beta ~ 100.
+form so that (1 - sigma) e^z stays O(1).  e^beta itself must stay finite:
+the j-th root tends to (j + 1/2) pi exponentially fast, so at most
+MAX_MODES = 225 modes per axis have roots below log(float max) = 709.78.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import AssemblyError, InputError
 from .kernels import invert_increasing
+
+_LOG_MAX = math.log(np.finfo(float).max)  # 709.78
+MAX_MODES = int(_LOG_MAX / math.pi - 0.5)  # 225, the last beam root below _LOG_MAX
 
 
 def beam_roots(count: int) -> np.ndarray:
@@ -98,12 +103,19 @@ def check_basis_args(spatial_dim: int, n: int, L: float, quad_order: int | None)
     """Refuse the arguments build_basis cannot honour.
 
     A quad_order below 2n + 4 is refused since products of the highest
-    modes would alias.
+    modes would alias, and more than MAX_MODES modes since their tables
+    would overflow.
     """
     if spatial_dim not in (1, 2):
         raise InputError(f"spatial_dim must be 1 or 2, got {spatial_dim}")
     if n < 1:
         raise InputError("need at least one mode per axis")
+    if n > MAX_MODES:
+        raise InputError(
+            f"{n} modes per axis overflow the mode tables: the largest beam root, about "
+            f"{(n + 0.5) * math.pi:.2f}, passes log(float max) = {_LOG_MAX:.2f} "
+            f"(at most {MAX_MODES} modes)"
+        )
     if L <= 0:
         raise InputError("domain length must be positive")
     if quad_order is not None and quad_order < 2 * n + 4:
@@ -122,19 +134,33 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
     """Assemble the normalized mode tables on a Gauss-Legendre grid.
 
     quad_order defaults to 2n + 16; see check_basis_args for what is refused.
+    Tables too large to allocate raise InputError.
     """
     check_basis_args(spatial_dim, n, L, quad_order)
     if quad_order is None:
         quad_order = 2 * n + 16
+    try:
+        return _build_basis(spatial_dim, n, float(L), quad_order)
+    except MemoryError:
+        # the largest table: leggauss's q x q companion matrix in 1D, phi's n^2 x q^2 in 2D
+        nbytes = 8 * max(quad_order**2, (n * quad_order) ** spatial_dim)
+        raise InputError(
+            f"{n} modes per axis at quadrature order {quad_order} in {spatial_dim}D need a "
+            f"{nbytes:.3g}-byte table, more than can be allocated"
+        ) from None
 
+
+def _build_basis(spatial_dim: int, n: int, L: float, quad_order: int) -> Basis:
     t, wt = leggauss(quad_order)
     x = 0.5 * L * (t + 1.0)
     wx = 0.5 * L * wt
     roots = beam_roots(n)
-    W, W1, W2 = _mode_tables(roots, x, L)
-    nrm = np.sqrt((W**2) @ wx)
-    scale = 1.0 / nrm
-    W, W1, W2 = W * scale[:, None], W1 * scale[:, None], W2 * scale[:, None]
+    # an L near 0 overflows the derivative tables; assemble_grams refuses the inf
+    with np.errstate(over="ignore"):
+        W, W1, W2 = _mode_tables(roots, x, L)
+        nrm = np.sqrt((W**2) @ wx)
+        scale = 1.0 / nrm
+        W, W1, W2 = W * scale[:, None], W1 * scale[:, None], W2 * scale[:, None]
 
     def per_axis(table):
         # one tensor product per axis k, with table on axis k and W elsewhere
@@ -151,7 +177,7 @@ def build_basis(spatial_dim: int, n: int, L: float = 1.0, quad_order: int | None
         modes_per_axis=n,
         dim=len(phi),
         beam_roots=roots,
-        L=float(L),
+        L=L,
         quad_order=quad_order,
         axis_scale=scale,
         phi=phi,
@@ -174,16 +200,17 @@ class GramSet:
 
 
 def assemble_grams(basis: Basis) -> GramSet:
-    """Quadrature assembly of M0, M1, M2; SPD verified by Cholesky."""
+    """Quadrature assembly of M0, M1, M2; finite entries and SPD verified (Cholesky)."""
     qw = basis.qw
-    M0 = basis.phi_qw @ basis.phi.T
-    M2 = (basis.lap * qw) @ basis.lap.T
-    M1 = np.zeros_like(M0)
-    for g in basis.grad:
-        M1 += (g * qw) @ g.T
-    M0 = 0.5 * (M0 + M0.T)
-    M1 = 0.5 * (M1 + M1.T)
-    M2 = 0.5 * (M2 + M2.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite tables are refused below
+        M0 = basis.phi_qw @ basis.phi.T
+        M2 = (basis.lap * qw) @ basis.lap.T
+        M1 = np.zeros_like(M0)
+        for g in basis.grad:
+            M1 += (g * qw) @ g.T
+        M0 = 0.5 * (M0 + M0.T)
+        M1 = 0.5 * (M1 + M1.T)
+        M2 = 0.5 * (M2 + M2.T)
     for M in (M0, M1, M2):
         if not np.isfinite(M).all():
             raise AssemblyError("Gram assembly produced invalid entries: non-finite values")

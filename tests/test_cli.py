@@ -14,7 +14,7 @@ import viscoplate.diagnostics as dg
 from viscoplate.cli import CSV_HEADER, _parse_axes, main, run_scenario
 from viscoplate.errors import InputError
 from viscoplate.kernels import split_top
-from viscoplate.scenario import load_scenario, with_overrides
+from viscoplate.scenario import PRESETS, load_scenario, with_overrides
 
 
 DISSIPATIVE = """
@@ -664,18 +664,74 @@ def test_sweep_refuses_an_axis_given_twice(tmp_path, capsys):
         ("damping = damp-linear(1)", "damping = damp-linear(1)\nmodulus = pow(1.5,0)",
          "physics.modulus: modulus domain edge r1 must be positive, got 0.0"),
         ("[initial]", "[diagnostics]\nt1 = -1.0\n[initial]", "diagnostics.t1 must be >= 0"),
+        ("n = 6", "n = 226", "space: 226 modes per axis overflow the mode tables"),
+        ("dim = 1\nn = 6", "dim = 2\nn = 226", "space: 226 modes per axis overflow the mode tables"),
     ],
-    ids=["power-exponent-1e17", "modulus-edge-negative", "modulus-edge-zero", "t1-negative"],
+    ids=["power-exponent-1e17", "modulus-edge-negative", "modulus-edge-zero", "t1-negative", "1d-n226", "2d-n226"],
 )
 def test_inputs_that_used_to_run_exit_two_before_any_output(tmp_path, capsys, old, new, problem):
     # the first two used to fail H2 with a message about the modulus (exit 1),
-    # the last to run with its tail start snapped to 0 (exit 0)
+    # t1 = -1 to run with its tail start snapped to 0 (exit 0), and n = 226
+    # to overflow its mode tables (numpy warnings, then exit 2 from Gram assembly)
     cfg = write_cfg(tmp_path, DISSIPATIVE.replace(old, new))
     out = str(tmp_path / "out")
     assert main(["run", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and problem in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "space, problem",
+    [
+        ("quad_order = 10000000", "need a 8e+14-byte table, more than can be allocated"),
+        ("L = 1e-300", "Gram assembly produced invalid entries: non-finite values"),
+    ],
+    ids=["quad-order-1e7", "L-1e-300"],
+)
+def test_basis_that_cannot_be_built_exits_two_with_one_error_line(tmp_path, capsys, space, problem):
+    # these used to end in an uncaught MemoryError (exit 1) and in numpy
+    # RuntimeWarnings (errors in this suite); the quadrature rule of order 1e7
+    # needs a 1e7 x 1e7 matrix, past any machine's memory, so nothing is allocated
+    cfg = write_cfg(tmp_path, DISSIPATIVE.replace("n = 6", "n = 6\n" + space))
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err and len(err.splitlines()) == 1
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_lyapunov_search_past_2_to_10_fails_the_run(tmp_path):
+    scn = with_overrides(PRESETS["exp-linear"], T=2.0, lyap_eps=1000.0, out_dir=str(tmp_path / "out"))
+    report, code = run_scenario(scn)
+    assert code == 1
+    assert report["verdicts"]["lyapunov"] == "fail"
+    assert report["lyapunov"] == {"error": "no N up to 2^10 gives a positive Lyapunov ratio"}
+    assert [v for k, v in report["verdicts"].items() if k != "lyapunov"].count("fail") == 0
+    with open(os.path.join(scn.out_dir, "timeseries.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row["L"] == "nan" for row in rows)
+
+
+def test_modulus_domain_below_kernel_range_fails_h2_and_skips_run(tmp_path):
+    scn = with_overrides(PRESETS["exp-linear"], T=2.0, modulus="pow(2,0.1)", out_dir=str(tmp_path / "out"))
+    report, code = run_scenario(scn)
+    assert code == 1
+    assert report["hypotheses"]["H2"] == {
+        "verdict": "fail", "violations": ["kernel range max 0.5 exceeds modulus domain edge 0.1"],
+    }
+    assert "skipped" in report["note"]
+    assert not os.path.exists(os.path.join(scn.out_dir, "timeseries.csv"))
+
+
+def test_nonlinear_both_envelope_through_run_scenario(tmp_path):
+    scn = with_overrides(PRESETS["power-cubic"], T=2.0, out_dir=str(tmp_path / "out"))
+    report, code = run_scenario(scn)
+    assert code == 0
+    assert report["decay"]["case"] == "nonlinear-both"
+    assert report["verdicts"]["decay"] == "pass"
+    c = report["decay"]["c"]
+    assert c is not None and np.isfinite(c) and c > 0.0
 
 
 def test_modulus_without_continuation_leaves_decay_not_applicable(tmp_path):

@@ -182,9 +182,9 @@ def test_energy_monotone_on_random_dissipative_physics(drawn):
     scn, k_frac = drawn
     params = scn.physical_params()
     grid = np.linspace(0.0, 30.0, 2001)
-    assert validate_h1(params.kernel, grid).passed
-    assert validate_h2(params.kernel, scn.memory_modulus(), scn.xi_weight(), grid).passed
-    assert validate_h3(params.damping, np.linspace(-3.0, 3.0, 1201)).passed
+    assert validate_h1(params.kernel, grid) == []
+    assert validate_h2(params.kernel, scn.memory_modulus(), scn.xi_weight(), grid) == []
+    assert validate_h3(params.damping, np.linspace(-3.0, 3.0, 1201)) == []
     basis = scn.make_basis()
     grams = assemble_grams(basis)
     k = k_frac * min(dg.log_source_bound(params, estimate_cp(grams)), 100.0)
@@ -536,7 +536,7 @@ def test_lyapunov_zero_trajectory():
 
 
 def test_lyapunov_search_and_bounds(dissipative_bundle):
-    N = dg.find_lyapunov_N(dissipative_bundle, eps=1e-2)
+    N = dg.find_lyapunov_N(dissipative_bundle, eps=1e-2).N
     rep = dg.lyapunov_series(dissipative_bundle, N, 1e-2)
     assert rep.ratio_min > 0.0
     assert math.isfinite(rep.ratio_max) and rep.ratio_max >= rep.ratio_min
@@ -578,7 +578,7 @@ def _doubling_N(b, eps):
 @pytest.mark.parametrize("eps, expected", [(0.01, 1.0), (1.0, 2.0), (10.0, 16.0), (200.0, 256.0)])
 def test_find_lyapunov_N_matches_doubling_search(coarse_dissipative_bundle, eps, expected):
     b = coarse_dissipative_bundle
-    N = dg.find_lyapunov_N(b, eps=eps)
+    N = dg.find_lyapunov_N(b, eps=eps).N
     assert N == _doubling_N(b, eps) == expected
     rep = dg.lyapunov_series(b, N, eps)
     assert rep.ratio_min > 0.0

@@ -60,16 +60,17 @@ def test_invert_increasing_above_explicit_bracket():
 
 
 def test_h1_exponential_pass():
-    rep = validate_h1(RelaxationKernel.exponential(0.5, 1.0), GRID)
-    assert rep.passed
-    assert abs(rep.data["l"] - 0.5) < 1e-14
+    kernel = RelaxationKernel.exponential(0.5, 1.0)
+    assert validate_h1(kernel, GRID) == []
+    assert abs(kernel.l - 0.5) < 1e-14
 
 
 def test_h1_overweight_fail():
-    rep = validate_h1(RelaxationKernel.exponential(2.0, 1.0), GRID)
-    assert not rep.passed
-    assert abs(rep.data["l"] + 1.0) < 1e-14
-    assert any("deficit" in v for v in rep.violations)
+    kernel = RelaxationKernel.exponential(2.0, 1.0)
+    violations = validate_h1(kernel, GRID)
+    assert violations != []
+    assert abs(kernel.l + 1.0) < 1e-14
+    assert any("deficit" in v for v in violations)
 
 
 def test_h1_nonmonotone_tabulated_fail():
@@ -77,9 +78,9 @@ def test_h1_nonmonotone_tabulated_fail():
     t = np.linspace(0.0, 10.0, 4001)
     wiggly = np.exp(-t) * (1.0 + 0.5 * np.sin(10.0 * t))
     kernel = SimpleNamespace(value=lambda s: np.interp(s, t, wiggly), l=1.0 - np.trapezoid(wiggly, t))
-    rep = validate_h1(kernel, t)
-    assert not rep.passed
-    assert any("increase" in v for v in rep.violations)
+    violations = validate_h1(kernel, t)
+    assert violations != []
+    assert any("increase" in v for v in violations)
 
 
 def test_h1_empty_grid():
@@ -125,9 +126,8 @@ def test_kernel_calculus_against_quadrature():
 
 def test_h2_exponential_equality():
     ker = RelaxationKernel.exponential(0.5, 1.0)
-    rep = validate_h2(ker, ker.natural_modulus(), ker.natural_xi(), GRID)
-    assert rep.passed
-    assert rep.data["max_relative_excess"] <= 1e-12
+    # no violation at rel_tol = 1e-12: the largest relative excess is at most 1e-12
+    assert validate_h2(ker, ker.natural_modulus(), ker.natural_xi(), GRID, rel_tol=1e-12) == []
 
 
 def test_h2_power_equality():
@@ -135,15 +135,13 @@ def test_h2_power_equality():
     mod = ker.natural_modulus()
     xi = ker.natural_xi()
     assert abs(xi.xi0 - 2.0 / math.sqrt(0.5)) < 1e-14
-    rep = validate_h2(ker, mod, xi, GRID)
-    assert rep.passed
-    assert rep.data["max_relative_excess"] <= 1e-12
+    # no violation at rel_tol = 1e-12: the largest relative excess is at most 1e-12
+    assert validate_h2(ker, mod, xi, GRID, rel_tol=1e-12) == []
 
 
 def test_h2_overtight_weight_fails():
     ker = RelaxationKernel.exponential(0.5, 1.0)
-    rep = validate_h2(ker, ConvexModulus.linear(1.0, r1=0.5), XiWeight.constant(2.0), GRID)
-    assert not rep.passed
+    assert validate_h2(ker, ConvexModulus.linear(1.0, r1=0.5), XiWeight.constant(2.0), GRID) != []
 
 
 def test_h2_range_exceeds_modulus_domain():
@@ -161,9 +159,9 @@ def test_catalog_natural_pairs_pass_at_1e10():
         RelaxationKernel.power_law(0.6, 3.0),
     ]
     for ker in kernels:
-        assert validate_h1(ker, GRID).passed
-        rep = validate_h2(ker, ker.natural_modulus(), ker.natural_xi(), GRID, rel_tol=1e-10)
-        assert rep.passed, (ker.family, rep.violations)
+        assert validate_h1(ker, GRID) == []
+        violations = validate_h2(ker, ker.natural_modulus(), ker.natural_xi(), GRID, rel_tol=1e-10)
+        assert violations == [], (ker.family, violations)
 
 
 # --- damping -------------------------------------------------------------
@@ -173,9 +171,8 @@ SYM_GRID = np.linspace(-3.0, 3.0, 1201)
 
 def test_h3_identity_damping():
     law = DampingLaw.linear(1.0)
-    rep = validate_h3(law, SYM_GRID)
-    assert rep.passed
-    assert rep.data["c1"] == 1.0 and rep.data["c2"] == 1.0
+    assert validate_h3(law, SYM_GRID) == []
+    assert law.c1 == 1.0 and law.c2 == 1.0
 
 
 def test_h3_cubic_splice():
@@ -185,15 +182,15 @@ def test_h3_cubic_splice():
     assert abs(law.r2 - 0.25) < 1e-15
     assert abs(float(law.h(0.3)) - 0.027) < 1e-15
     assert abs(float(law.h(0.8)) - (0.125 + 0.75 * 0.3)) < 1e-15
-    rep = validate_h3(law, SYM_GRID)
-    assert rep.passed, rep.violations
+    violations = validate_h3(law, SYM_GRID)
+    assert violations == [], violations
 
 
 def test_h3_sign_violation():
     law = replace(DampingLaw.linear(1.0), c=-1.0)  # h(s) = -s
-    rep = validate_h3(law, SYM_GRID)
-    assert not rep.passed
-    assert any("sign" in v for v in rep.violations)
+    violations = validate_h3(law, SYM_GRID)
+    assert violations != []
+    assert any("sign" in v for v in violations)
 
 
 def test_h3_asymmetric_grid_rejected():

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 from viscoplate.errors import AssemblyError, InputError
 from viscoplate.spectral import (
+    MAX_MODES,
     ROW_BLOCK,
     Basis,
     _mode_tables,
@@ -196,6 +197,31 @@ def test_non_finite_basis_raises_assembly_error(basis8):
     phi[2, 5] = np.nan
     with pytest.raises(AssemblyError, match="invalid entries"):
         assemble_grams(replace(basis8, phi=phi))
+
+
+def test_basis_whose_tables_would_overflow_is_refused():
+    # the 226th beam root, 711.57, passes log(float max) = 709.78: e^beta overflows
+    assert MAX_MODES == 225
+    with pytest.raises(InputError, match="226 modes per axis overflow the mode tables"):
+        build_basis(1, 226)
+    with pytest.raises(InputError, match="at most 225 modes"):
+        build_basis(2, 226)
+    basis = build_basis(1, 225)  # root 708.43
+    for table in (basis.phi, basis.lap, *basis.grad, basis.qw):
+        assert np.isfinite(table).all()
+
+
+def test_basis_too_large_to_allocate_is_an_input_error():
+    # leggauss's 1e7 x 1e7 companion matrix: 8e14 bytes, past any memory and a
+    # 47-bit address space, so the allocation fails without touching memory
+    with pytest.raises(InputError, match="need a 8e\\+14-byte table, more than can be allocated"):
+        build_basis(1, 8, quad_order=10**7)
+
+
+def test_tiny_domain_fails_gram_assembly_without_a_warning():
+    # L = 1e-300 overflows the derivative tables; RuntimeWarnings are errors in this suite
+    with pytest.raises(AssemblyError, match="invalid entries: non-finite values"):
+        assemble_grams(build_basis(1, 6, L=1e-300))
 
 
 def _same_bits(a, b):

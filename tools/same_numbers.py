@@ -10,6 +10,9 @@ checkout's working tree, with OPENBLAS_NUM_THREADS=1:
 - exp-linear with --refine 3;
 - dt = 2, T = 8 with kernels exp(0.5,1.0) and power(0.4,3.0), which take
   the substep fallback on every step;
+- exp-linear with lyap_eps = 1000, whose Lyapunov search fails past 2^10;
+- exp-linear with modulus = pow(2,0.1), whose domain edge 0.1 lies below
+  b(0) = 0.5, so H2 fails through a DomainError and the run is skipped;
 - the three perfbench workloads at seed 3, from the scenario files that
   perfbench/harness.write_scenario writes (into the temporary directory).
 
@@ -33,6 +36,13 @@ PRESETS = (
     "exp-fast-linear", "power-steep-cubic", "conservative", "well-certified",
 )
 FALLBACK = "[time]\ndt = 2.0\nT = 8.0\n[physics]\nkernel = {kernel}\n"
+# case name -> scenario file; exp-linear is the defaults with a = 0.25
+SCENARIOS = {
+    "fallback-exp": FALLBACK.format(kernel="exp(0.5,1.0)"),
+    "fallback-power": FALLBACK.format(kernel="power(0.4,3.0)"),
+    "lyapunov-fail": "[diagnostics]\na = 0.25\nlyap_eps = 1000.0\n",
+    "h2-domain-error": "[physics]\nmodulus = pow(2,0.1)\n[diagnostics]\na = 0.25\n",
+}
 SEED = 3
 RUN = "import sys; from viscoplate.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -41,10 +51,10 @@ def cases(work: str) -> dict:
     """Case name -> `viscoplate run` arguments; scenario files go under work."""
     out = {name: [name] for name in PRESETS}
     out["exp-linear --refine 3"] = ["exp-linear", "--refine", "3"]
-    for name, kernel in (("fallback-exp", "exp(0.5,1.0)"), ("fallback-power", "power(0.4,3.0)")):
+    for name, text in SCENARIOS.items():
         path = os.path.join(work, f"{name}.ini")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(FALLBACK.format(kernel=kernel))
+            fh.write(text)
         out[name] = [path]
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
