@@ -180,7 +180,6 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     if refine < 0 or refine == 1:
         raise InputError(f"refine must be 0 or >= 2, got {refine}")
     t_begin = time.perf_counter()
-    os.makedirs(scn.out_dir, exist_ok=True)
     params = scn.physical_params()
     report: dict = {"scenario": asdict(scn), "diverged": False}
     verdicts: dict = {}
@@ -192,6 +191,8 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
 
     basis = scn.make_basis()
     grams = assemble_grams(basis)
+    # created once the basis is built, so a refused basis leaves no directory
+    os.makedirs(scn.out_dir, exist_ok=True)
     cp = estimate_cp(grams)
     report["cp"] = cp
     if dump_grams:

@@ -29,10 +29,18 @@ NEWTON_TOL) by the O(dt) coupling, so even the weights' sum of |c| = 255
 keeps it below NEWTON_TOL (1.001 residuals per step at dt = 2.5e-4 with 4
 to 10 rows), while at dt = 0.01 the start mostly meets it at once.
 
-The residual is fused: every pointwise term is summed at the quadrature
-points and projected by one product with Basis.phi_qw, and a field is
-synthesized at the points only when some term reads it.  At rho = 0 the
-inertia and stiffness terms are GramSet.S (a + g).
+Within a step of size h, g = g_c + cb a and v = v_c + cg a are affine in
+the unknown acceleration a, so the residual is R(a) = R_c + A a plus the
+projected pointwise terms at the quadrature points (StepForm).  What
+depends on (h, w_end) alone is built once per run, or per substep of the
+fallback: the predictor matrix, A, and the product tables
+[(S - w_end M2)^T | Basis.phi] and [A^T | Basis.phi].  A step forms
+(g_c, v_c) by one (2 x 3) product, then R_c and (g_c, v_c) at the points
+by one product with the first table; each Newton iteration is one product
+a @ [A^T | phi], giving A a and a at the points, then the pointwise terms
+and one projection by Basis.phi_qw.  The initial acceleration is the same
+form at h = 0.  A step holds one np.errstate for all of this, so an
+overflowing iterate shows only as the residual's DivergedError.
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
 and the Newton factor and start rows.  Its g rows are the trajectory's g
@@ -183,41 +191,76 @@ def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: B
     return 0.5 * (N + N.T)
 
 
-def residual(
-    a: np.ndarray,
-    g: np.ndarray,
-    v: np.ndarray,
-    params: PhysicalParams,
-    grams: GramSet,
-    basis: Basis,
-    memory: np.ndarray | None = None,
-) -> np.ndarray:
-    """Galerkin residual R(a) at coefficients (g, v) with trial acceleration a.
+class StepForm:
+    """The residual of a Newmark step of size h as an affine map of the
+    acceleration a plus pointwise terms.
 
-    `memory` is the convolution load M2 (b * g)(t), zero when absent.  The
-    pointwise terms are summed at the quadrature points and projected by
-    one product with basis.phi_qw.  Any non-finite entry, from the
-    coefficients or from overflow, raises DivergedError.
+    Within the step g = g_c + cb a and v = v_c + cg a, where the stacked
+    predictors are (g_c, v_c) = P (g_n, v_n, a_n) with P = [[1, h,
+    h^2 (1/2 - beta)], [0, 1, h (1 - gamma)]], and c = (cb, cg) =
+    (h^2 beta, h gamma).  With the memory load M2 (conv + w_end g),
+
+        R(a) = R_c + A a + phi_qw point(g_q, v_q, a_q),
+        R_c = (S - w_end M2) g_c - M2 conv,   A = cb (S - w_end M2) + B,
+
+    where B is S at rho = 0 (the inertia term is then M0 a) and M2 otherwise,
+    and point sums the inertia, damping and log-source terms at the
+    quadrature points.  The form holds what depends on (h, w_end) alone:
+    Gs = [(S - w_end M2)^T | phi], so that one product of the stacked
+    (g_c, v_c) with it gives (S - w_end M2) g_c and (g_c, v_c) at the
+    points, and Ga = [A^T | phi], so that a @ Ga gives A a and a_q (without
+    phi when no pointwise term is present).  `at` puts the form at one
+    step: (g_c, v_c) as gv, R_c, and gv at the points as gv_q.  h = 0 holds
+    (g, v) at (g_n, v_n): the form of an initial acceleration.
     """
-    phi = basis.phi
-    with np.errstate(over="ignore", invalid="ignore"):
-        point = vq = None
-        if params.rho == 0.0:
-            R = grams.S @ (a + g)
-        else:
-            vq = v @ phi
-            point = _inertia_weight(vq, params) * (a @ phi)
-            R = grams.S @ g + grams.M2 @ a
+
+    def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, h: float, w_end: float = 0.0):
+        self.params, self.grams, self.basis, self.h, self.w_end = params, grams, basis, h, w_end
+        self.P = np.array([[1.0, h, h * h * (0.5 - NEWMARK_BETA)], [0.0, 1.0, h * (1.0 - NEWMARK_GAMMA)]])
+        self.c = np.array([[h * h * NEWMARK_BETA], [h * NEWMARK_GAMMA]])
+        Sw = grams.S - w_end * grams.M2
+        A = self.c[0, 0] * Sw + (grams.S if params.rho == 0.0 else grams.M2)
+        self.pointwise = params.rho != 0.0 or not params.damping.is_none or params.k != 0.0
+        phi = basis.phi if self.pointwise else basis.phi[:, :0]
+        self._Gs, self.Ga = np.hstack((Sw.T, phi)), np.hstack((A.T, phi))
+
+    def at(self, rows: np.ndarray, conv: np.ndarray | None = None) -> None:
+        """Put the form at the step from rows = (g_n, v_n, a_n), stacked, with
+        memory sum conv; None is no memory load."""
+        m = len(self.Ga)
+        # the step's products use ndarray.dot: at these sizes matmul's ufunc
+        # dispatch costs about as much as the product itself
+        self.gv = self.P.dot(rows)
+        Y = self.gv.dot(self._Gs)
+        self.R_c = Y[0, :m] if conv is None else Y[0, :m] - self.grams.M2.dot(conv)
+        self.gv_q = Y[:, m:]
+
+    def state(self, a: np.ndarray) -> np.ndarray:
+        """(g, v) of the step at acceleration a, stacked."""
+        return self.gv + self.c * a
+
+
+def residual(a: np.ndarray, form: StepForm) -> np.ndarray:
+    """Galerkin residual R(a) of the step the form is at, for trial acceleration a.
+
+    Any non-finite entry, from the coefficients or from overflow, raises
+    DivergedError; callers that step silence numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"), as `step` does.
+    """
+    m = len(a)
+    y = a.dot(form.Ga)
+    R = form.R_c + y[:m]
+    if form.pointwise:
+        params, aq = form.params, y[m:]
+        gq, vq = form.gv_q + form.c * aq
+        point = _inertia_weight(vq, params) * aq if params.rho != 0.0 else None
         if not params.damping.is_none:
-            h = params.damping.h(v @ phi if vq is None else vq)
+            h = params.damping.h(vq)
             point = h if point is None else point + h
         if params.k != 0.0:
-            src = params.k * _log_source(g @ phi)
+            src = params.k * _log_source(gq)
             point = -src if point is None else point - src
-        if point is not None:
-            R += basis.phi_qw @ point
-        if memory is not None:
-            R -= memory
+        R += form.basis.phi_qw.dot(point)
     if not np.isfinite(R).all():
         raise DivergedError("residual evaluation produced non-finite values")
     return R
@@ -240,7 +283,7 @@ def cho_factor(J: np.ndarray) -> np.ndarray:
 
 def cho_solve(c: np.ndarray, R: np.ndarray) -> np.ndarray:
     """J^-1 R, with c = cho_factor(J)."""
-    return c @ R
+    return c.dot(R)
 
 
 class Stepper:
@@ -248,14 +291,16 @@ class Stepper:
 
     It holds what the run decides once: the physics, Grams, basis and dt;
     the arrays times, g, v and a of steps + 1 rows, of which rows 0 .. n
-    are filled; the memory load, None for the zero kernel; and what each
-    step hands the next: the Newton factor and the Newton-start rows.  The
-    g rows are also the memory history.  The constructor fills row 0:
-    (g0, v0) and the acceleration solving R(a) = 0 there, where the memory
-    load vanishes, R is affine in a and N(v0) + M2 is its exact Jacobian,
-    so Newton converges in one iteration up to rounding.  A stepper reads
-    as the run so far: len is n + 1, state(i) is row i and history() the
-    rows 0 .. n.
+    are filled (g, v and a are views of one (steps + 1, 3, m) array, whose
+    row i is the stacked (g_i, v_i, a_i)); the memory load, None for the
+    zero kernel; the whole step's StepForm; and what each step hands the
+    next: the Newton factor and the Newton-start rows.  The g rows are also
+    the memory history.  The constructor fills row 0: (g0, v0) and the
+    acceleration solving R(a) = 0 of the StepForm at h = 0, where the
+    memory load vanishes, R is affine in a and N(v0) + M2 is its exact
+    Jacobian, so Newton converges in one iteration up to rounding.  A
+    stepper reads as the run so far: len is n + 1, state(i) is row i and
+    history() the rows 0 .. n.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, g0, v0, dt: float, steps: int):
@@ -265,20 +310,25 @@ class Stepper:
         m = basis.dim
         try:
             self.times = np.empty(steps + 1)
-            self.g, self.v, self.a = (np.empty((steps + 1, m)) for _ in range(3))
+            self._gva = np.empty((steps + 1, 3, m))
         except MemoryError:
             nbytes = 8 * (steps + 1) * (3 * m + 1)
             raise InputError(
                 f"{steps} steps of {m} coefficients need {nbytes:.3g} bytes of trajectory arrays, "
                 "more than can be allocated"
             ) from None
+        self.g, self.v, self.a = self._gva.transpose(1, 0, 2)
         self.n = 0
-        self.times[0], self.g[0], self.v[0] = 0.0, g0, v0
+        self.times[0], self.g[0], self.v[0], self.a[0] = 0.0, g0, v0, 0.0
         if not np.isfinite(self.g[0]).all() or not np.isfinite(self.v[0]).all():
             raise InputError("state coefficients must be finite")
-        _, _, self.a[0], _, self._factor = self._newton(np.zeros(m), None, self.g[0], self.v[0])
+        hold = StepForm(params, grams, basis, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hold.at(self._gva[0])
+            self.a[0], _, self._factor = _newton(hold, np.zeros(m), None)
         self._rows = self.a[:1]  # Newton-start rows, newest first
         self.load = None if params.kernel.is_zero else memory.StepLoad(params.kernel, dt, steps)
+        self._form = StepForm(params, grams, basis, dt, 0.0 if self.load is None else self.load.w_end)
 
     def __len__(self) -> int:
         return self.n + 1
@@ -292,45 +342,31 @@ class Stepper:
     def history(self) -> HistoryBuffer:
         return HistoryBuffer(self.dt, self.g[: self.n + 1])
 
-    def _newton(self, a, factor, g_n, v_n, a_n=None, h=None, conv=None, w_end=None):
-        """Simplified Newton on R(a) = 0 for the Newmark step of size h after
-        (g_n, v_n, a_n), started at a.
 
-        The step puts g = g_c + cb a and v = v_c + cg a with the predictors
-        g_c = g_n + h v_n + h^2 (1/2 - beta) a_n, v_c = v_n + h (1 - gamma) a_n
-        and cb = h^2 beta, cg = h gamma; h = None holds (g, v) at (g_n, v_n).
-        The memory load is M2 (conv + w_end g), absent when conv is None.
-        factor, the inverse of N(v) + M2 at some earlier v, is formed at the
-        current v when None and re-formed there when the third residual
-        misses NEWTON_TOL.  Returns (g, v, a) at the root, where
-        |R|_inf <= NEWTON_TOL, the refined a - J^-1 R(a) one update past it,
-        and the factor.
-        """
-        params, grams, basis = self.params, self.grams, self.basis
-        # a diverging iterate overflows here; residual's finite check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, v = g_n, v_n
-            if h is not None:
-                g_c = g_n + h * v_n + h * h * (0.5 - NEWMARK_BETA) * a_n
-                v_c = v_n + h * (1.0 - NEWMARK_GAMMA) * a_n
-                cb, cg = h * h * NEWMARK_BETA, h * NEWMARK_GAMMA
-                g, v = g_c + cb * a, v_c + cg * a
-            for i in range(NEWTON_MAX_ITER):
-                mem = None if conv is None else grams.M2 @ (conv + w_end * g)
-                R = residual(a, g, v, params, grams, basis, memory=mem)
-                done = np.abs(R).max() <= NEWTON_TOL
-                if factor is None or (i == 2 and not done):
-                    J = inertia_mass(v, params, grams, basis) + grams.M2
-                    if not np.isfinite(J).all():
-                        raise DivergedError("Newton matrix has non-finite entries")
-                    factor = cho_factor(J)
-                da = cho_solve(factor, R)
-                if done:
-                    return g, v, a, a - da, factor
-                a = a - da
-                if h is not None:
-                    g, v = g_c + cb * a, v_c + cg * a
-        raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
+def _newton(form: StepForm, a: np.ndarray, factor):
+    """Simplified Newton on R(a) = 0 for the step the form is at, started at a.
+
+    factor, the inverse of N(v) + M2 at some earlier v, is formed at the
+    current v = v_c + cg a when None and re-formed there when the third
+    residual misses NEWTON_TOL.  Returns the root a, where |R|_inf <=
+    NEWTON_TOL, the refined a - J^-1 R(a) one update past it, and the
+    factor.  A diverging iterate overflows; under the caller's np.errstate
+    residual's finite check reports it.
+    """
+    grams = form.grams
+    for i in range(NEWTON_MAX_ITER):
+        R = residual(a, form)
+        done = np.abs(R).max() <= NEWTON_TOL
+        if factor is None or (i == 2 and not done):
+            J = inertia_mass(form.gv[1] + form.c[1] * a, form.params, grams, form.basis) + grams.M2
+            if not np.isfinite(J).all():
+                raise DivergedError("Newton matrix has non-finite entries")
+            factor = cho_factor(J)
+        da = cho_solve(factor, R)
+        if done:
+            return a, a - da, factor
+        a = a - da
+    raise DivergedError(f"Newton stalled above tolerance {NEWTON_TOL}")
 
 
 def initial_state(g0: np.ndarray, v0: np.ndarray, params: PhysicalParams, grams: GramSet, basis: Basis) -> PlateState:
@@ -344,61 +380,69 @@ def initial_state(g0: np.ndarray, v0: np.ndarray, params: PhysicalParams, grams:
 def step(s: Stepper) -> None:
     """Advance s by one step of s.dt; falls back to 2/4/8 substeps on failure.
 
-    The whole step takes its memory load from the stepper's StepLoad and starts
-    Newton at the extrapolation of the Newton-start rows of refined
-    accelerations: with k rows stored (k <= _START_ROWS = 8), the next
-    value of the degree-(k - 1) polynomial through them, with weights
-    c_j = (-1)^j C(k, j + 1), newest row first; row 0 holds the initial a.
-    The step's refined acceleration goes in front of the rows, or they
-    restart from the accepted a after a substep fallback.  The refined rows
-    only start Newton; g, v and a are the accepted root, checked for finite
-    values and stored in row n + 1 at t = (n + 1) dt.  Newton takes the
-    stepper's factor, which then becomes the one the last solve ended with.
-    Substep nodes extend the memory grid only within the step.
+    The whole step puts the stepper's StepForm at row n with the memory sum
+    of its StepLoad, and starts Newton at the extrapolation of the
+    Newton-start rows of refined accelerations: with k rows stored (k <=
+    _START_ROWS = 8), the next value of the degree-(k - 1) polynomial
+    through them, with weights c_j = (-1)^j C(k, j + 1), newest row first;
+    row 0 holds the initial a.  The step's refined acceleration goes in
+    front of the rows, or they restart from the accepted a after a substep
+    fallback.  The refined rows only start Newton; g, v and a are the
+    accepted root, written to row n + 1 at t = (n + 1) dt and checked there
+    for finite values before n advances.  Newton takes the stepper's factor,
+    which then becomes the one the last solve ended with.  Substep nodes
+    extend the memory grid only within the step.
     """
     n = s.n
     if n + 1 == len(s.times):
         raise InputError(f"the stepper has taken all of its {n} steps")
-    load, old = s.load, s._rows
-    conv, w_end = (None, None) if load is None else (load.grid(s.g, n), load.w_end)
-    try:
-        g, v, a, r, factor = s._newton(
-            _START_WEIGHTS[len(old)] @ old, s._factor, s.g[n], s.v[n], s.a[n], s.dt, conv, w_end
-        )
-    except DivergedError as exc:
-        g, v, a, factor = _substeps(s, exc)
-        rows = a[None, :]
-    else:
-        rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
-    if not np.isfinite(np.concatenate((g, v, a))).all():
+    form, old, new = s._form, s._rows, s._gva[n + 1]
+    # a diverging iterate overflows here; residual's finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        form.at(s._gva[n], None if s.load is None else s.load.grid(s.g, n))
+        try:
+            a, r, factor = _newton(form, _START_WEIGHTS[len(old)].dot(old), s._factor)
+        except DivergedError as exc:
+            form, a, factor = _substeps(s, exc)
+            rows = a[None, :]
+        else:
+            rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
+        new[:2] = form.state(a)
+        new[2] = a
+    if not np.isfinite(new).all():
         raise DivergedError("the accepted step has non-finite coefficients", last_state=s.state())
-    s.times[n + 1], s.g[n + 1], s.v[n + 1], s.a[n + 1] = (n + 1) * s.dt, g, v, a
+    s.times[n + 1] = (n + 1) * s.dt
     s.n, s._rows, s._factor = n + 1, rows, factor
 
 
 def _substeps(s: Stepper, error: DivergedError):
-    """(g, v, a, factor) of step s.n taken as 2, 4, then 8 substeps.
+    """(form, a, factor) of step s.n taken as 2, 4, then 8 substeps, the form
+    at the last substep.
 
-    Each substep's memory integral runs over the stored rows and the
+    Each substep has its own StepForm, of size dt / pieces and the end
+    weight of its memory integral, which runs over the stored rows and the
     earlier substeps' nodes; each try starts from the stepper's factor.
     """
     n = s.n
     for pieces in (2, 4, 8):
         h = s.dt / pieces
-        t, g, v, a, factor = float(s.times[n]), s.g[n], s.v[n], s.a[n], s._factor
-        times, rows = s.times[: n + 1], s.g[: n + 1]
+        t, gva, factor = float(s.times[n]), s._gva[n], s._factor
+        times, G = s.times[: n + 1], s.g[: n + 1]
         try:
             for j in range(pieces):
                 t += h
-                conv, w_end = (None, None) if s.load is None else s.load.off_grid(times, rows, t)
-                g, v, a, _, factor = s._newton(a, factor, g, v, a, h, conv, w_end)
+                conv, w_end = (None, 0.0) if s.load is None else s.load.off_grid(times, G, t)
+                form = StepForm(s.params, s.grams, s.basis, h, w_end)
+                form.at(gva, conv)
+                a, _, factor = _newton(form, gva[2], factor)
+                gva = np.vstack((form.state(a), a))
                 if j < pieces - 1:
                     times = np.append(times, t)
-                    rows = np.vstack([rows, g[None, :]])
+                    G = np.vstack([G, gva[:1]])
         except DivergedError as exc:
             error = exc
             continue
-        return g, v, a, factor
+        return form, a, factor
     state = s.state()
     raise DivergedError(f"step from t = {state.t} diverged even with 8 substeps: {error}", last_state=state)
 

@@ -692,13 +692,15 @@ def test_inputs_that_used_to_run_exit_two_before_any_output(tmp_path, capsys, ol
 def test_basis_that_cannot_be_built_exits_two_with_one_error_line(tmp_path, capsys, space, problem):
     # these used to end in an uncaught MemoryError (exit 1) and in numpy
     # RuntimeWarnings (errors in this suite); the quadrature rule of order 1e7
-    # needs a 1e7 x 1e7 matrix, past any machine's memory, so nothing is allocated
+    # needs a 1e7 x 1e7 matrix, past any machine's memory, so nothing is
+    # allocated.  The output directory is created only once the basis and
+    # its Grams are built, so the refused run leaves none
     cfg = write_cfg(tmp_path, DISSIPATIVE.replace("n = 6", "n = 6\n" + space))
     out = str(tmp_path / "out")
     assert main(["run", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and problem in err and len(err.splitlines()) == 1
-    assert not os.path.exists(os.path.join(out, "report.json"))
+    assert not os.path.exists(out)
 
 
 def test_lyapunov_search_past_2_to_10_fails_the_run(tmp_path):

@@ -1,4 +1,4 @@
-"""Integrator tests: memory quadrature, residual structure, Newton, Newmark.
+"""Integrator tests: memory quadrature, the step form's residual, Newton, Newmark.
 
 The memory oracle re-sums the convolution node by node in a python loop,
 independent of the vectorized path.  The linear oscillator checks use the
@@ -18,6 +18,7 @@ from viscoplate.dynamics import (
     HistoryBuffer,
     PhysicalParams,
     PlateState,
+    StepForm,
     Stepper,
     initial_state,
     inertia_mass,
@@ -39,6 +40,14 @@ CONSERVATIVE = PhysicalParams(
 def make_setup(n=6):
     basis = build_basis(1, n)
     return basis, assemble_grams(basis)
+
+
+def hold_residual(a, g, v, params, grams, basis, conv=None, w_end=0.0):
+    """residual at (g, v) held fixed: the StepForm at h = 0, whose memory
+    load is M2 (conv + w_end g), none when conv is None."""
+    form = StepForm(params, grams, basis, 0.0, w_end)
+    form.at(np.array([g, v, np.zeros_like(g)]), conv)
+    return residual(a, form)
 
 
 class OneShotScenario:
@@ -168,13 +177,13 @@ def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
     params = PhysicalParams(0.0, 0.5, parse_kernel_spec(kernel), DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, 300)
-    newton, taken = Stepper._newton, []
+    at, taken = StepForm.at, []
 
-    def recorded(self, a0, factor, g, v, a=None, h=None, conv=None, w_end=None):
-        taken.append((conv, w_end))
-        return newton(self, a0, factor, g, v, a, h, conv, w_end)
+    def recorded(self, rows, conv=None):
+        taken.append((conv, self.w_end))
+        return at(self, rows, conv)
 
-    monkeypatch.setattr(Stepper, "_newton", recorded)
+    monkeypatch.setattr(StepForm, "at", recorded)
     assert (s.load._lags is None) == kernel.startswith("exp")
     bound = 1e-14 if s.load._lags is not None else 1e-13
     for n in range(300):
@@ -231,14 +240,14 @@ def test_residual_zero_state():
     basis, grams = make_setup()
     z = np.zeros(6)
     params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), sigma=0.0)
-    assert np.all(residual(z, z, z, params, grams, basis) == 0.0)
+    assert np.all(hold_residual(z, z, z, params, grams, basis) == 0.0)
 
 
 def test_residual_linear_degenerate():
     basis, grams = make_setup()
     rng = np.random.RandomState(2)
     g, v, a = rng.standard_normal((3, 6))
-    R = residual(a, g, v, CONSERVATIVE, grams, basis)
+    R = hold_residual(a, g, v, CONSERVATIVE, grams, basis)
     expect = (grams.M0 + grams.M2) @ (a + g)
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(R - expect)) < 1e-12 * scale
@@ -250,10 +259,10 @@ def test_log_source_against_oversampled_quadrature():
     coeffs = np.zeros(8)
     coeffs[0] = 0.7
     z = np.zeros(8)
-    with_log = residual(
+    with_log = hold_residual(
         z, coeffs, z, PhysicalParams(0.0, k, RelaxationKernel.zero(), DampingLaw.none(), 0.0), grams, basis
     )
-    without = residual(z, coeffs, z, CONSERVATIVE, grams, basis)
+    without = hold_residual(z, coeffs, z, CONSERVATIVE, grams, basis)
     load = without - with_log  # k * P(u ln|u|)
 
     from numpy.polynomial.legendre import leggauss
@@ -271,8 +280,9 @@ def test_log_source_against_oversampled_quadrature():
 
 @pytest.mark.parametrize("rho, sigma", [(0.0, 0.0), (0.5, 0.1), (1.0, 0.0), (2.0, 0.0)])
 def test_fused_residual_matches_quadrature_form(rho, sigma):
-    # _ref_residual (below) projects each pointwise term on its own and
-    # adds the Gram products one by one
+    # the StepForm at h = 0 against _ref_residual (below), which projects
+    # each pointwise term on its own and adds the Gram products one by one,
+    # with the memory load M2 (conv + w_end g) or none
     basis, grams = make_setup()
     rng = np.random.default_rng(11)
     kernel = RelaxationKernel.exponential(0.5, 1.0)
@@ -280,20 +290,54 @@ def test_fused_residual_matches_quadrature_form(rho, sigma):
         for k in (0.0, 0.5):
             params = PhysicalParams(rho, k, kernel, parse_damping_spec(damping), sigma)
             for _ in range(5):
-                a, g, v, mem = 0.1 * rng.standard_normal((4, 6))
+                a, g, v, conv = 0.1 * rng.standard_normal((4, 6))
                 g[rng.integers(6)] = 0.0
-                for memory in (None, mem):
-                    got = residual(a, g, v, params, grams, basis, memory=memory)
+                for conv, w_end in ((None, 0.0), (conv, 0.3)):
+                    got = hold_residual(a, g, v, params, grams, basis, conv, w_end)
+                    memory = None if conv is None else grams.M2 @ (conv + w_end * g)
                     want = _ref_residual(a, g, v, params, grams, basis, memory=memory)
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_form_matches_reference_residual(dim):
+    # whole-step forms at h = dt and dt / 4: residual(a, form) is
+    # _ref_residual at the Newmark-predicted g = g_c + h^2 beta a,
+    # v = v_c + h gamma a (predictors formed here), with the memory load
+    # M2 (conv + w_end g) and w_end the step load's, for an exponential and
+    # a power kernel, in 1D at n = 6 and 2D at n = 4 (16 modes)
+    basis = build_basis(dim, 6 if dim == 1 else 4)
+    grams = assemble_grams(basis)
+    rng = np.random.default_rng(dim)
+    beta, gamma, dt = dynamics.NEWMARK_BETA, dynamics.NEWMARK_GAMMA, 0.01
+    for kernel in ("exp(0.5,1.0)", "power(0.4,3.0)"):
+        for rho, sigma, damping in ((0.0, 0.0, "damp-linear(1)"), (1.0, 0.0, "damp-cubic(0.5)"), (0.5, 0.1, "none")):
+            params = PhysicalParams(rho, 0.5, parse_kernel_spec(kernel), parse_damping_spec(damping), sigma)
+            for h in (dt, dt / 4):
+                w_end = memory.StepLoad(params.kernel, h, 10).w_end
+                form = StepForm(params, grams, basis, h, w_end)
+                for _ in range(3):
+                    g_n, v_n, a_n, conv, a = 0.1 * rng.standard_normal((5, basis.dim))
+                    form.at(np.array([g_n, v_n, a_n]), conv)
+                    g = g_n + h * v_n + h * h * (0.5 - beta) * a_n + h * h * beta * a
+                    v = v_n + h * (1.0 - gamma) * a_n + h * gamma * a
+                    want = _ref_residual(a, g, v, params, grams, basis, memory=grams.M2 @ (conv + w_end * g))
+                    got = residual(a, form)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                    assert np.max(np.abs(np.concatenate(form.state(a)) - np.concatenate((g, v)))) <= 1e-15
+
+
 def test_residual_diverges_on_overflow():
+    # residual opens no np.errstate of its own: under the one the stepper
+    # holds, the overflow is the residual's DivergedError, and the stepper's
+    # initial solve raises it with no numpy warning
     basis, grams = make_setup()
     g = np.full(6, 1e305)
     params = PhysicalParams(0.0, 1.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
-    with pytest.raises(DivergedError):
-        residual(np.zeros(6), g, np.zeros(6), params, grams, basis)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError):
+        hold_residual(np.zeros(6), g, np.zeros(6), params, grams, basis)
+    with pytest.raises(DivergedError, match="residual"):
+        Stepper(params, grams, basis, g, np.zeros(6), 0.01, 1)
 
 
 # --- Newton --------------------------------------------------------------
@@ -306,7 +350,7 @@ def test_newton_linear_case_matches_direct_solve():
     a = initial_state(g, v, CONSERVATIVE, grams, basis).a
     direct = np.linalg.solve(grams.M0 + grams.M2, -(grams.M0 + grams.M2) @ g)
     assert np.max(np.abs(a - direct)) < 1e-11
-    assert np.max(np.abs(residual(a, g, v, CONSERVATIVE, grams, basis))) <= 1e-10
+    assert np.max(np.abs(hold_residual(a, g, v, CONSERVATIVE, grams, basis))) <= 1e-10
 
 
 def test_newton_rho2_small_state():
@@ -316,7 +360,7 @@ def test_newton_rho2_small_state():
     for _ in range(3):
         g, v = 0.05 * rng.standard_normal((2, 6))
         a = initial_state(g, v, params, grams, basis).a
-        assert np.max(np.abs(residual(a, g, v, params, grams, basis))) <= 1e-10
+        assert np.max(np.abs(hold_residual(a, g, v, params, grams, basis))) <= 1e-10
 
 
 def test_jacobian_matches_central_differences():
@@ -332,8 +376,8 @@ def test_jacobian_matches_central_differences():
             e = np.zeros(6)
             e[j] = h
             J_fd[:, j] = (
-                residual(a + e, g, v, params, grams, basis)
-                - residual(a - e, g, v, params, grams, basis)
+                hold_residual(a + e, g, v, params, grams, basis)
+                - hold_residual(a - e, g, v, params, grams, basis)
             ) / (2 * h)
         assert np.max(np.abs(J_fd - J)) <= 1e-6 * np.max(np.abs(J))
 
@@ -415,19 +459,20 @@ def test_stepper_refuses_bad_input():
 
 
 def test_step_refuses_a_non_finite_accepted_state(monkeypatch):
-    # a solve that returned non-finite coefficients (forced here) ends the
-    # run with DivergedError at that step, and the stepper stays where it was
+    # a solve that returned a non-finite acceleration (forced here), and so
+    # non-finite coefficients, ends the run with DivergedError at that step,
+    # and the stepper stays where it was
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
     s = Stepper(params, grams, basis, np.full(6, 0.01), np.zeros(6), 0.01, 3)
     step(s)
-    newton = Stepper._newton
+    newton = dynamics._newton
 
-    def nan_velocity(self, *args):
-        g, v, a, r, factor = newton(self, *args)
-        return g, np.full_like(v, np.nan), a, r, factor
+    def nan_acceleration(form, a, factor):
+        a, r, factor = newton(form, a, factor)
+        return np.full_like(a, np.nan), r, factor
 
-    monkeypatch.setattr(Stepper, "_newton", nan_velocity)
+    monkeypatch.setattr(dynamics, "_newton", nan_acceleration)
     with pytest.raises(DivergedError, match="non-finite coefficients") as info:
         step(s)
     assert s.n == 1 and info.value.last_state.step_index == 1
@@ -461,7 +506,7 @@ def test_split_memory_matches_full_recomputation():
             step(s)
             st = s.state()
             mem = memory_term(s.history(), params.kernel, grams, st.t)
-            R = residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
+            R = _ref_residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
             assert np.max(np.abs(R)) <= NEWTON_TOL
 
 
@@ -472,16 +517,16 @@ def test_substep_fallback_rescues_stalled_step(monkeypatch, rho):
     g0 = np.zeros(6)
     g0[0] = 0.04
     whole = Stepper(params, grams, basis, g0, np.zeros(6), 2.0, 1)
-    newton, failed = Stepper._newton, []
+    newton, failed = dynamics._newton, []
 
-    def recorded(self, *args):
+    def recorded(form, a, factor):
         try:
-            return newton(self, *args)
+            return newton(form, a, factor)
         except DivergedError as exc:
-            failed.append((args[5], str(exc)))
+            failed.append((form.h, str(exc)))
             raise
 
-    monkeypatch.setattr(Stepper, "_newton", recorded)
+    monkeypatch.setattr(dynamics, "_newton", recorded)
     step(whole)
     # the whole step of size 2 stalled, and the substeps took it
     assert failed[:1] == [(2.0, f"Newton stalled above tolerance {NEWTON_TOL}")]
@@ -644,20 +689,22 @@ RHO_SIGMA = pytest.mark.parametrize(
 
 @RHO_SIGMA
 def test_accepted_states_meet_newton_tolerance(rho, sigma):
-    # every accepted state of a 200-step run solves its own equation: its
-    # residual, with the memory load recomputed by memory_term, is within
-    # NEWTON_TOL (dt = 2^-7 keeps the oracle's node times exact)
+    # every accepted state of a 200-step run solves its own equation: the
+    # independent _ref_residual, with the memory load recomputed by
+    # memory_term, is within NEWTON_TOL, for an exponential and a power
+    # kernel (dt = 2^-7 keeps the oracle's node times exact)
     dt = 2.0**-7
-    params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), parse_damping_spec("damp-cubic(0.5)"), sigma)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     v0 = np.array([0.0, 0.2, 0.0, -0.05, 0.0, 0.0])
-    traj = run(OneShotScenario(params, dt, 200 * dt, g0, v0, n=6))
-    assert len(traj) == 201
-    hist = traj.history()
-    for i in range(len(traj)):
-        mem = memory_term(hist, params.kernel, traj.grams, traj.times[i])
-        R = residual(traj.a[i], traj.g[i], traj.v[i], params, traj.grams, traj.basis, memory=mem)
-        assert np.max(np.abs(R)) <= NEWTON_TOL
+    for kernel in ("exp(0.5,1.0)", "power(0.4,3.0)"):
+        params = PhysicalParams(rho, 0.5, parse_kernel_spec(kernel), parse_damping_spec("damp-cubic(0.5)"), sigma)
+        traj = run(OneShotScenario(params, dt, 200 * dt, g0, v0, n=6))
+        assert len(traj) == 201
+        hist = traj.history()
+        for i in range(len(traj)):
+            mem = memory_term(hist, params.kernel, traj.grams, traj.times[i])
+            R = _ref_residual(traj.a[i], traj.g[i], traj.v[i], params, traj.grams, traj.basis, memory=mem)
+            assert np.max(np.abs(R)) <= NEWTON_TOL
 
 
 def test_third_residual_reforms_stale_newton_matrix(monkeypatch):
@@ -691,7 +738,7 @@ def test_third_residual_reforms_stale_newton_matrix(monkeypatch):
     assert s._factor is formed[0]
     new = s.state()
     mem = memory_term(s.history(), params.kernel, grams, new.t)
-    assert np.max(np.abs(residual(new.a, new.g, new.v, params, grams, basis, memory=mem))) <= NEWTON_TOL
+    assert np.max(np.abs(_ref_residual(new.a, new.g, new.v, params, grams, basis, memory=mem))) <= NEWTON_TOL
 
 
 def test_newton_start_weights_extrapolate_polynomials():
@@ -720,17 +767,17 @@ def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
     # and the seventh whole step starts at the accepted a, not at an
     # extrapolation over the fallen-back step
     dt = 1e-3
-    newton = Stepper._newton
+    newton = dynamics._newton
     starts = []
 
-    def sixth_whole_step_fails(self, a0, factor, g, v, a=None, h=None, *rest):
-        if h == dt:
+    def sixth_whole_step_fails(form, a0, factor):
+        if form.h == dt:
             starts.append(a0)
             if len(starts) == 6:
                 raise DivergedError("forced")
-        return newton(self, a0, factor, g, v, a, h, *rest)
+        return newton(form, a0, factor)
 
-    monkeypatch.setattr(Stepper, "_newton", sixth_whole_step_fails)
+    monkeypatch.setattr(dynamics, "_newton", sixth_whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=10 * dt))
     assert len(starts) == 10
     assert np.array_equal(starts[6], traj.a[6])
@@ -750,14 +797,14 @@ def test_run_times_are_exact_grid_multiples(monkeypatch, fallback):
     # by the 2-substep fallback (the whole-step solve is made to fail)
     dt = 1e-3
     if fallback:
-        newton = Stepper._newton
+        newton = dynamics._newton
 
-        def whole_step_fails(self, a0, factor, g, v, a=None, h=None, *rest):
-            if h == dt:
+        def whole_step_fails(form, a0, factor):
+            if form.h == dt:
                 raise DivergedError("forced")
-            return newton(self, a0, factor, g, v, a, h, *rest)
+            return newton(form, a0, factor)
 
-        monkeypatch.setattr(Stepper, "_newton", whole_step_fails)
+        monkeypatch.setattr(dynamics, "_newton", whole_step_fails)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=1.0))
     assert len(traj) == 1001
     assert np.array_equal(traj.times, np.arange(len(traj)) * dt)
@@ -1035,14 +1082,14 @@ def test_substep_fallback_matches_closure_stepper(monkeypatch, rho):
     # take the state's factor and re-form it like any solve, since the
     # Newton matrix N(v) + M2 does not depend on the step size
     sub_dts = []
-    newton = Stepper._newton
+    newton = dynamics._newton
 
-    def recorded(self, a0, factor, g, v, a=None, h=None, *rest):
-        if h is not None:
-            sub_dts.append(h)
-        return newton(self, a0, factor, g, v, a, h, *rest)
+    def recorded(form, a0, factor):
+        if form.h != 0.0:
+            sub_dts.append(form.h)
+        return newton(form, a0, factor)
 
-    monkeypatch.setattr(Stepper, "_newton", recorded)
+    monkeypatch.setattr(dynamics, "_newton", recorded)
     params = PhysicalParams(rho, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
     g0 = np.zeros(6)
     g0[0] = 0.04

@@ -18,17 +18,24 @@ checkout's working tree, with OPENBLAS_NUM_THREADS=1:
 
 For each case it prints whether timeseries.csv has the same bytes,
 report.json is equal apart from wall_clock_s and the output directory,
-and the exit codes match.  Exits 0 when every case matches, else 1.
-Needs git and the checkout only: no network.
+the verdict maps are equal and the exit codes match.  Where the bytes or
+the reports differ it also prints how much: the largest |diff| /
+max|column| over the CSV columns and the next largest, each with its
+column, and the largest relative difference over the report's numbers,
+with its key.  Exits 0 when every case matches, else 1.  Needs git and
+the checkout only: no network.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = (
@@ -93,6 +100,58 @@ def artifacts(out_dir: str) -> tuple:
     return csv, report
 
 
+def csv_gaps(a: bytes, b: bytes) -> list:
+    """(max |diff| / max|column|, column) of each column of two timeseries.csv,
+    largest first.
+
+    A column whose nan entries differ has gap inf; CSVs with other columns
+    or row counts give the one entry (inf, "columns or rows").
+    """
+    head_a, *rows_a = a.decode().splitlines()
+    head_b, *rows_b = b.decode().splitlines()
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [(math.inf, "columns or rows")]
+    A, B = (np.array([row.split(",") for row in rows], dtype=float).reshape(len(rows), -1) for rows in (rows_a, rows_b))
+    gaps = []
+    for j, name in enumerate(head_a.split(",")):
+        x, y = A[:, j], B[:, j]
+        known = ~np.isnan(x)
+        diff = np.where(x == y, 0.0, np.abs(x - y))[known]
+        scale = np.abs(x[known]).max(initial=0.0)
+        if not np.array_equal(known, ~np.isnan(y)) or (diff.any() and scale == 0.0):
+            gaps.append((math.inf, name))
+        else:
+            gaps.append((diff.max(initial=0.0) / (scale or 1.0), name))
+    return sorted(gaps, reverse=True)
+
+
+def _numbers(tree, path=""):
+    """Path -> value of every number in a report."""
+    if isinstance(tree, dict):
+        return {k: v for key in tree for k, v in _numbers(tree[key], f"{path}.{key}" if path else key).items()}
+    if isinstance(tree, list):
+        return {k: v for i, item in enumerate(tree) for k, v in _numbers(item, f"{path}[{i}]").items()}
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return {path: float(tree)}
+    return {}
+
+
+def report_gap(a: dict, b: dict) -> tuple:
+    """(largest relative difference over the numbers of two reports, its path);
+    (0.0, None) when they differ in text only."""
+    x, y = _numbers(a), _numbers(b)
+    worst = (0.0, None)
+    for path in sorted(set(x) | set(y)):
+        if path not in x or path not in y:
+            return math.inf, path
+        p, q = x[path], y[path]
+        if p == q or (math.isnan(p) and math.isnan(q)):
+            continue
+        gap = abs(p - q) / max(abs(p), abs(q))
+        worst = max(worst, (gap, path), key=lambda w: w[0])
+    return worst
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -111,12 +170,20 @@ def main(argv=None) -> int:
                 code = run(tree, args, out_dir)
                 side.append((code, *artifacts(out_dir)))
             (code_a, csv_a, rep_a), (code_b, csv_b, rep_b) = side
-            same = (csv_a == csv_b, rep_a == rep_b, code_a == code_b)
+            verdicts_a, verdicts_b = ((rep or {}).get("verdicts") for rep in (rep_a, rep_b))
+            same = (csv_a == csv_b, rep_a == rep_b, verdicts_a == verdicts_b, code_a == code_b)
             all_same &= all(same)
+            csv_note = rep_note = ""
+            if not same[0] and csv_a is not None and csv_b is not None:
+                gaps = csv_gaps(csv_a, csv_b)
+                csv_note = " (max |diff|/max|column| " + ", then ".join(f"{g:.1e} in {c}" for g, c in gaps[:2]) + ")"
+            if not same[1] and rep_a is not None and rep_b is not None:
+                rep_note = " (max relative {:.1e} at {})".format(*report_gap(rep_a, rep_b))
             print(
-                f"{name:28s} timeseries.csv {'same' if same[0] else 'DIFFERS'}  "
-                f"report.json {'same' if same[1] else 'DIFFERS'}  "
-                f"exit {code_a}/{code_b} {'same' if same[2] else 'DIFFERS'}",
+                f"{name:28s} timeseries.csv {'same' if same[0] else 'DIFFERS'}{csv_note}  "
+                f"report.json {'same' if same[1] else 'DIFFERS'}{rep_note}  "
+                f"verdicts {'same' if same[2] else 'DIFFERS'}  "
+                f"exit {code_a}/{code_b} {'same' if same[3] else 'DIFFERS'}",
                 flush=True,
             )
     return 0 if all_same else 1
