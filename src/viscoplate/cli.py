@@ -189,14 +189,18 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
     for name in ("H1", "H2", "H3"):
         verdicts[name] = hyp[name]["verdict"]
 
+    def artifact(name):
+        # the directory is made by the first write, so a run refused before
+        # it writes (a basis or trajectory too large) leaves no directory
+        os.makedirs(scn.out_dir, exist_ok=True)
+        return os.path.join(scn.out_dir, name)
+
     basis = scn.make_basis()
     grams = assemble_grams(basis)
-    # created once the basis is built, so a refused basis leaves no directory
-    os.makedirs(scn.out_dir, exist_ok=True)
     cp = estimate_cp(grams)
     report["cp"] = cp
     if dump_grams:
-        np.savez(os.path.join(scn.out_dir, "grams.npz"), M0=grams.M0, M1=grams.M1, M2=grams.M2)
+        np.savez(artifact("grams.npz"), M0=grams.M0, M1=grams.M1, M2=grams.M2)
 
     k0 = dg.log_source_bound(params, cp)
     if params.k > 0.0:
@@ -207,11 +211,11 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
 
     def finish(code):
         # written with the report, so a run refused while sizing leaves neither
-        with open(os.path.join(scn.out_dir, "effective.ini"), "w", encoding="utf-8") as fh:
+        with open(artifact("effective.ini"), "w", encoding="utf-8") as fh:
             fh.write(effective_config(scn))
         report["verdicts"] = verdicts
         report["wall_clock_s"] = time.perf_counter() - t_begin
-        with open(os.path.join(scn.out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        with open(artifact("report.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
         return report, code
@@ -329,7 +333,7 @@ def run_scenario(scn: Scenario, refine: int = 0, dump_grams: bool = False):
             verdicts["rate_slope"] = "pass" if abs(slope - 2.0) <= 0.1 else "fail"
     report["rate"] = rate_block
 
-    _write_csv(os.path.join(scn.out_dir, "timeseries.csv"), bundle, None if lrep is None else lrep.L, scn.stride)
+    _write_csv(artifact("timeseries.csv"), bundle, None if lrep is None else lrep.L, scn.stride)
     return finish(1 if any(v == "fail" for v in verdicts.values()) else 0)
 
 

@@ -140,7 +140,6 @@ class SeriesBundle:
     """Vectorized per-sample diagnostics for a whole trajectory."""
 
     times: np.ndarray
-    dt: float
     kin_rho: np.ndarray
     bend: np.ndarray
     bend_rate: np.ndarray
@@ -211,7 +210,9 @@ def analyze(trajectory: Stepper, t1: float | None = None) -> SeriesBundle:
     The samples are the rows 0 .. len - 1 of the stepper, the run so far.
     t1, when given, additionally produces the truncated memory tail
     M(t) = -int_{t1}^{t} b'(lag) |D u(t) - D u(t - lag)|^2 dlag with t1
-    snapped to the sample grid.
+    snapped to the sample grid.  The memory functional, its b' form and
+    the tail come from one memory.series call over the g M2 rows and the
+    bending formed here, so the history is transformed once.
     """
     params = trajectory.params
     basis = trajectory.basis
@@ -233,8 +234,12 @@ def analyze(trajectory: Stepper, t1: float | None = None) -> SeriesBundle:
     mass = np.einsum("ij,ij->i", sample_product(G, grams.M0), G)
     logterm = (qw * _log_integrand(UQ)).sum(axis=1)
 
-    mem, C, Bw = memory.series(times, G, grams.M2, params.kernel.value, dt)
-    memp, _, _ = memory.series(times, G, grams.M2, params.kernel.deriv, dt)
+    b, db = params.kernel.value, params.kernel.deriv
+    terms = [(b, 0.0), (db, 0.0)] + ([] if t1 is None else [(db, t1)])
+    (mem, C, Bw), (memp, _, _), *tail = memory.series(G, GM2, bend, dt, terms)
+    # keep the tail's scal alone, so its C and Bw are freed before the
+    # (samples x points) products below
+    tail = -tail[0][0] if tail else None
 
     bint = np.asarray(params.kernel.integral_to(times), dtype=float)
     I = (1.0 - bint) * bend + bend_rate + mass + mem - k * logterm
@@ -268,13 +273,8 @@ def analyze(trajectory: Stepper, t1: float | None = None) -> SeriesBundle:
     if len(times) >= 3:
         rate_residual[1:-1] = (E[2:] - E[:-2]) / (2.0 * dt) - rate[1:-1]
 
-    tail = None
-    if t1 is not None:
-        tail_raw, _, _ = memory.series(times, G, grams.M2, params.kernel.deriv, dt, lag_min=t1)
-        tail = -tail_raw
-
     return SeriesBundle(
-        times=times, dt=dt, kin_rho=kin, bend=bend, bend_rate=bend_rate, mass=mass,
+        times=times, kin_rho=kin, bend=bend, bend_rate=bend_rate, mass=mass,
         logterm=logterm, memory=mem, memory_deriv=memp, E=E, J=J, I=I, psi1=psi1,
         psi2=psi2, dissipation=diss, damping_avg=damping_avg, rate=rate,
         rate_residual=rate_residual, memory_tail=tail,

@@ -43,11 +43,13 @@ form at h = 0.  A step holds one np.errstate for all of this, so an
 overflowing iterate shows only as the residual's DivergedError.
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
-and the Newton factor and start rows.  Its g rows are the trajectory's g
-array and also the convolution history, and memory.StepLoad gives each
-step its memory load.  When Newton fails the step is re-tried with 2, 4,
-then 8 substeps, whose memory integrals run over the union of the stored
-grid and the pending substep nodes.
+and the Newton factor and start rows.  g, v and a are the planes of one
+(3, steps + 1, m) array, so each is contiguous and a step reads and writes
+the column (g_n, v_n, a_n).  The g rows are also the convolution history,
+read in place by memory.StepLoad for each step's memory load and by
+diagnostics.analyze for the memory series.  When Newton fails the step is
+re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
+union of the stored grid and the pending substep nodes.
 """
 
 from __future__ import annotations
@@ -291,16 +293,16 @@ class Stepper:
 
     It holds what the run decides once: the physics, Grams, basis and dt;
     the arrays times, g, v and a of steps + 1 rows, of which rows 0 .. n
-    are filled (g, v and a are views of one (steps + 1, 3, m) array, whose
-    row i is the stacked (g_i, v_i, a_i)); the memory load, None for the
-    zero kernel; the whole step's StepForm; and what each step hands the
-    next: the Newton factor and the Newton-start rows.  The g rows are also
-    the memory history.  The constructor fills row 0: (g0, v0) and the
-    acceleration solving R(a) = 0 of the StepForm at h = 0, where the
-    memory load vanishes, R is affine in a and N(v0) + M2 is its exact
-    Jacobian, so Newton converges in one iteration up to rounding.  A
-    stepper reads as the run so far: len is n + 1, state(i) is row i and
-    history() the rows 0 .. n.
+    are filled (g, v and a are the contiguous planes of one (3, steps + 1,
+    m) array, whose column i is the stacked (g_i, v_i, a_i)); the memory
+    load, None for the zero kernel; the whole step's StepForm; and what
+    each step hands the next: the Newton factor and the Newton-start rows.
+    The g rows are also the memory history.  The constructor fills row 0:
+    (g0, v0) and the acceleration solving R(a) = 0 of the StepForm at h =
+    0, where the memory load vanishes, R is affine in a and N(v0) + M2 is
+    its exact Jacobian, so Newton converges in one iteration up to
+    rounding.  A stepper reads as the run so far: len is n + 1, state(i)
+    is row i and history() the rows 0 .. n.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, g0, v0, dt: float, steps: int):
@@ -310,21 +312,21 @@ class Stepper:
         m = basis.dim
         try:
             self.times = np.empty(steps + 1)
-            self._gva = np.empty((steps + 1, 3, m))
+            self._gva = np.empty((3, steps + 1, m))
         except MemoryError:
             nbytes = 8 * (steps + 1) * (3 * m + 1)
             raise InputError(
                 f"{steps} steps of {m} coefficients need {nbytes:.3g} bytes of trajectory arrays, "
                 "more than can be allocated"
             ) from None
-        self.g, self.v, self.a = self._gva.transpose(1, 0, 2)
+        self.g, self.v, self.a = self._gva
         self.n = 0
         self.times[0], self.g[0], self.v[0], self.a[0] = 0.0, g0, v0, 0.0
         if not np.isfinite(self.g[0]).all() or not np.isfinite(self.v[0]).all():
             raise InputError("state coefficients must be finite")
         hold = StepForm(params, grams, basis, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            hold.at(self._gva[0])
+            hold.at(self._gva[:, 0])
             self.a[0], _, self._factor = _newton(hold, np.zeros(m), None)
         self._rows = self.a[:1]  # Newton-start rows, newest first
         self.load = None if params.kernel.is_zero else memory.StepLoad(params.kernel, dt, steps)
@@ -396,10 +398,10 @@ def step(s: Stepper) -> None:
     n = s.n
     if n + 1 == len(s.times):
         raise InputError(f"the stepper has taken all of its {n} steps")
-    form, old, new = s._form, s._rows, s._gva[n + 1]
+    form, old, new = s._form, s._rows, s._gva[:, n + 1]
     # a diverging iterate overflows here; residual's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        form.at(s._gva[n], None if s.load is None else s.load.grid(s.g, n))
+        form.at(s._gva[:, n], None if s.load is None else s.load.grid(s.g, n))
         try:
             a, r, factor = _newton(form, _START_WEIGHTS[len(old)].dot(old), s._factor)
         except DivergedError as exc:
@@ -426,7 +428,7 @@ def _substeps(s: Stepper, error: DivergedError):
     n = s.n
     for pieces in (2, 4, 8):
         h = s.dt / pieces
-        t, gva, factor = float(s.times[n]), s._gva[n], s._factor
+        t, gva, factor = float(s.times[n]), s._gva[:, n], s._factor
         times, G = s.times[: n + 1], s.g[: n + 1]
         try:
             for j in range(pieces):

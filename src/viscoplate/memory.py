@@ -4,8 +4,9 @@ Every memory integral int b(t - s) f(s) ds in the package uses one rule:
 trapezoid weights on the history nodes times the kernel at the lag, which
 keeps the discrete energy identity exact.  `weights` evaluates it at one
 time, directly (the reference that acceptance criterion C07 checks);
-`series` evaluates it at every sample of a run as one FFT convolution
-(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985);
+`series` evaluates it at every sample of a run as FFT convolutions, one
+per kernel term over one transform of the history (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985);
 `StepLoad` gives it to each step of the Newmark stepper.
 """
 
@@ -15,8 +16,6 @@ import math
 
 import numpy as np
 from numpy.fft import irfft, rfft
-
-from .spectral import sample_product
 
 
 def weights(nodes: np.ndarray, t: float, fn) -> np.ndarray:
@@ -52,37 +51,43 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def series(times: np.ndarray, G: np.ndarray, M2: np.ndarray, fn, dt: float, lag_min: float = 0.0):
-    """Product-trapezoid convolutions at every sample of a uniform run.
+def series(G: np.ndarray, GM2: np.ndarray, p: np.ndarray, dt: float, terms):
+    """Product-trapezoid convolutions at every sample t_n = n dt of a run.
 
-    Row n integrates over the nodes i = 0 .. n - m, where m is the first
-    lag index with t_m - t_0 >= lag_min - 1e-9 max(dt, 1), with weights
-    dt halved at both ends; rows with fewer than two nodes are zero.  With
-    b = fn sampled at the lags t_j - t_0, returns (scal, C, Bw):
+    G holds the rows g_n, GM2 the rows g_n M2 and p the bending g_n M2 g_n.
+    Each term (fn, lag_min) gives its row n as the integral over the nodes
+    i = 0 .. n - m, where m is the first lag index with m dt >= lag_min -
+    1e-9 max(dt, 1), with weights dt halved at both ends; rows with fewer
+    than two nodes are zero, and so is every row of a term whose kernel is
+    zero at each of its lags (no transform is taken for it).  With b = fn
+    at the lags j dt, each term gives (scal, C, Bw):
 
         scal[n] = sum_i w_i b(t_n - t_i) |D(g_n - g_i)|^2   (M2 form)
         C[n]    = sum_i w_i b(t_n - t_i) g_i
         Bw[n]   = sum_i w_i b(t_n - t_i)
+
+    All terms share one transform of the history [G, p, 1].
     """
-    N = len(times)
-    lags = times - times[0]
-    m = int(np.searchsorted(lags, lag_min - 1e-9 * max(dt, 1.0)))
-    if N - m < 2:
-        return np.zeros(N), np.zeros_like(G), np.zeros(N)
-    GM2 = sample_product(G, M2)
-    p = np.einsum("ij,ij->i", GM2, G)
-    K = dt * fn(lags)
-    K[:m] = 0.0
+    N = len(G)
+    lags = np.arange(N) * dt
     X = np.column_stack([G, p, np.ones(N)])
-    size = _fast_len(2 * N - 1)
-    S = irfft(rfft(K, size)[:, None] * rfft(X, size, axis=0), size, axis=0)[:N]
-    # the full convolution weighs every node by dt; halve both ends
-    rows = np.arange(m + 1, N)
-    S[rows] -= 0.5 * (K[rows, None] * X[0] + K[m] * X[rows - m])
-    S[: m + 1] = 0.0
-    C, Bw = S[:, :-2], S[:, -1]
-    scal = p * Bw + S[:, -2] - 2.0 * np.einsum("ij,ij->i", GM2, C)
-    return scal, C, Bw
+    size, FX, out = _fast_len(2 * N - 1), None, []
+    for fn, lag_min in terms:
+        m = int(np.searchsorted(lags, lag_min - 1e-9 * max(dt, 1.0)))
+        K = dt * fn(lags)
+        K[:m] = 0.0
+        if N - m < 2 or not K.any():
+            out.append((np.zeros(N), np.zeros_like(G), np.zeros(N)))
+            continue
+        FX = rfft(X, size, axis=0) if FX is None else FX
+        S = irfft(rfft(K, size)[:, None] * FX, size, axis=0)[:N]
+        # the full convolution weighs every node by dt; halve both ends
+        rows = np.arange(m + 1, N)
+        S[rows] -= 0.5 * (K[rows, None] * X[0] + K[m] * X[rows - m])
+        S[: m + 1] = 0.0
+        C, Bw = S[:, :-2], S[:, -1]
+        out.append((p * Bw + S[:, -2] - 2.0 * np.einsum("ij,ij->i", GM2, C), C, Bw))
+    return out
 
 
 class StepLoad:

@@ -835,6 +835,16 @@ def test_run_with_memory_is_deterministic():
     assert len(t1) == 201
 
 
+def test_run_arrays_are_contiguous_planes():
+    # the g rows are the memory history that StepLoad and analyze read in
+    # place: each of g, v, a is one C-contiguous (steps + 1, m) array
+    params = PhysicalParams(0.0, 0.5, RelaxationKernel.power_law(0.4, 3.0), DampingLaw.linear(1.0), 0.0)
+    s = run(OneShotScenario(params, 0.01, 0.2, np.array([0.05, 0.01, 0.0, 0.0]), np.zeros(4)))
+    for arr in (s.g, s.v, s.a):
+        assert arr.shape == (21, 4)
+        assert arr.flags.c_contiguous
+
+
 def test_trajectory_state_and_history_roundtrip():
     params = PhysicalParams(0.0, 0.2, RelaxationKernel.exponential(0.5, 2.0), DampingLaw.none(), 0.0)
     scn = OneShotScenario(params, 0.01, 0.5, 0.03 * np.ones(4), np.zeros(4))

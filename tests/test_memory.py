@@ -98,15 +98,23 @@ def cases(draw):
     return times, G, kernel, dt, lag_min, where
 
 
+def history(G, M2):
+    """(G, G M2, p) with p_n = g_n M2 g_n: the rows `memory.series` reads."""
+    GM2 = G @ M2
+    return G, GM2, np.einsum("ij,ij->i", GM2, G)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cases())
 def test_series_matches_brute_force_product_trapezoid(case):
+    # one call with the value and derivative terms, from lag 0 and from the
+    # drawn lag_min, each checked against the oracle
     times, G, kernel, dt, lag_min, where = case
     M2 = bending_gram(G.shape[1])
-    p = np.einsum("ij,jk,ik->i", G, M2, G)
-    for fn in (kernel.value, kernel.deriv):
-        scal, C, Bw = memory.series(times, G, M2, fn, dt, lag_min=lag_min)
-        ref_scal, ref_C, ref_Bw, count, absw = brute_series(times, G, M2, fn, dt, lag_min)
+    G, GM2, p = history(G, M2)
+    terms = [(fn, lm) for lm in (0.0, lag_min) for fn in (kernel.value, kernel.deriv)]
+    for (fn, lm), (scal, C, Bw) in zip(terms, memory.series(G, GM2, p, dt, terms), strict=True):
+        ref_scal, ref_C, ref_Bw, count, absw = brute_series(times, G, M2, fn, dt, lm)
         # error scales: sums of |w b| times the largest term of each column
         scale_B = float(absw.max())
         assert np.max(np.abs(Bw - ref_Bw)) <= 1e-12 * scale_B
@@ -115,8 +123,38 @@ def test_series_matches_brute_force_product_trapezoid(case):
         short = count < 2
         assert np.all(scal[short] == 0.0) and np.all(Bw[short] == 0.0)
         assert np.all(C[short] == 0.0)
-        if where == "past the end":
+        if lm == lag_min and where == "past the end":
             assert short.all()
+
+
+def test_multi_term_series_equals_single_term_calls_bit_for_bit():
+    dt, N = 1e-2, 700
+    G = 0.01 * np.random.default_rng(7).standard_normal((N, 8))
+    rows = history(G, bending_gram(8))
+    terms = []
+    for kernel in (RelaxationKernel.exponential(0.5, 1.0), RelaxationKernel.power_law(0.4, 3.0)):
+        terms += [(kernel.value, 0.0), (kernel.deriv, 0.0), (kernel.deriv, 1.23)]
+    for term, got in zip(terms, memory.series(*rows, dt, terms), strict=True):
+        (want,) = memory.series(*rows, dt, [term])
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_series_of_a_zero_lag_table_is_positive_zero_without_a_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero lag table needs no transform")
+
+    monkeypatch.setattr(memory, "rfft", refuse)
+    dt, N = 1e-2, 300
+    G = np.random.default_rng(3).standard_normal((N, 8))
+    kernel = RelaxationKernel.zero()
+    terms = [(kernel.value, 0.0), (kernel.deriv, 0.0), (kernel.deriv, 1.0)]
+    out = memory.series(*history(G, bending_gram(8)), dt, terms)
+    assert len(out) == len(terms)
+    for scal, C, Bw in out:
+        assert scal.shape == Bw.shape == (N,) and C.shape == (N, 8)
+        for x in (scal, C, Bw):
+            assert np.all(x == 0.0) and not np.signbit(x).any()
 
 
 # --- scipy.fft as the oracle of the FFT path ------------------------------
@@ -137,14 +175,13 @@ def test_series_bit_identical_to_scipy_fft(monkeypatch, N):
     import scipy.fft
 
     dt = 1e-3
-    times = np.arange(N) * dt
     G = 0.01 * np.random.default_rng(N).standard_normal((N, 8))
     M2 = bending_gram(8)
     fn = RelaxationKernel.exponential(0.5, 1.0).value
-    got = memory.series(times, G, M2, fn, dt)
+    (got,) = memory.series(*history(G, M2), dt, [(fn, 0.0)])
     monkeypatch.setattr(memory, "rfft", scipy.fft.rfft)
     monkeypatch.setattr(memory, "irfft", scipy.fft.irfft)
     monkeypatch.setattr(memory, "_fast_len", lambda n: scipy.fft.next_fast_len(n, real=True))
-    want = memory.series(times, G, M2, fn, dt)
+    (want,) = memory.series(*history(G, M2), dt, [(fn, 0.0)])
     for x, y in zip(got, want):
         assert np.array_equal(x, y)

@@ -22,8 +22,13 @@ the verdict maps are equal and the exit codes match.  Where the bytes or
 the reports differ it also prints how much: the largest |diff| /
 max|column| over the CSV columns and the next largest, each with its
 column, and the largest relative difference over the report's numbers,
-with its key.  Exits 0 when every case matches, else 1.  Needs git and
-the checkout only: no network.
+with its key.  A column or number whose |diff| is at most 1e3 eps
+max|E| of its case (E from the parent's timeseries.csv), or that over
+the sample spacing for a rate residual, which is a difference quotient
+of E, is counted apart, after "rounding", so that noise such as
+conservative's rate_residual and max_drift is not read as a real move.
+Exits 0 when every case matches, else 1, rounding included.  Needs git
+and the checkout only: no network.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ SCENARIOS = {
     "h2-domain-error": "[physics]\nmodulus = pow(2,0.1)\n[diagnostics]\na = 0.25\n",
 }
 SEED = 3
+# a number that moves by at most this times max|E| of its case moves by rounding
+ROUNDING = 1e3 * np.finfo(float).eps
 RUN = "import sys; from viscoplate.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -100,28 +107,47 @@ def artifacts(out_dir: str) -> tuple:
     return csv, report
 
 
-def csv_gaps(a: bytes, b: bytes) -> list:
-    """(max |diff| / max|column|, column) of each column of two timeseries.csv,
-    largest first.
+def _table(csv: bytes) -> tuple:
+    """(column names, float array) of a timeseries.csv."""
+    head, *rows = csv.decode().splitlines()
+    return head.split(","), np.array([row.split(",") for row in rows], dtype=float).reshape(len(rows), -1)
 
-    A column whose nan entries differ has gap inf; CSVs with other columns
-    or row counts give the one entry (inf, "columns or rows").
+
+def rounding_floor(csv: bytes | None):
+    """The rounding floor of a case, as a function of a column or report key.
+
+    It is ROUNDING times max|E| of the case's timeseries.csv, and that over
+    the sample spacing for a rate residual (a difference quotient of E);
+    0 without a CSV.
     """
-    head_a, *rows_a = a.decode().splitlines()
-    head_b, *rows_b = b.decode().splitlines()
-    if head_a != head_b or len(rows_a) != len(rows_b):
-        return [(math.inf, "columns or rows")]
-    A, B = (np.array([row.split(",") for row in rows], dtype=float).reshape(len(rows), -1) for rows in (rows_a, rows_b))
+    if csv is None:
+        return lambda name: 0.0
+    names, table = _table(csv)
+    floor = ROUNDING * float(np.nanmax(np.abs(table[:, names.index("E")]), initial=0.0))
+    spacing = float(table[1, 0] - table[0, 0]) if len(table) > 1 else 1.0
+    return lambda name: floor / spacing if "residual" in name else floor
+
+
+def csv_gaps(a: bytes, b: bytes) -> list:
+    """(max |diff| / max|column|, max |diff|, column) of each column of two
+    timeseries.csv that differs, largest first.
+
+    A column whose nan entries differ has gaps inf; CSVs with other columns
+    or row counts give the one entry (inf, inf, "columns or rows").
+    """
+    (head_a, A), (head_b, B) = _table(a), _table(b)
+    if head_a != head_b or A.shape != B.shape:
+        return [(math.inf, math.inf, "columns or rows")]
     gaps = []
-    for j, name in enumerate(head_a.split(",")):
+    for j, name in enumerate(head_a):
         x, y = A[:, j], B[:, j]
         known = ~np.isnan(x)
         diff = np.where(x == y, 0.0, np.abs(x - y))[known]
         scale = np.abs(x[known]).max(initial=0.0)
         if not np.array_equal(known, ~np.isnan(y)) or (diff.any() and scale == 0.0):
-            gaps.append((math.inf, name))
-        else:
-            gaps.append((diff.max(initial=0.0) / (scale or 1.0), name))
+            gaps.append((math.inf, math.inf, name))
+        elif diff.any():
+            gaps.append((diff.max() / scale, diff.max(), name))
     return sorted(gaps, reverse=True)
 
 
@@ -136,20 +162,34 @@ def _numbers(tree, path=""):
     return {}
 
 
-def report_gap(a: dict, b: dict) -> tuple:
-    """(largest relative difference over the numbers of two reports, its path);
-    (0.0, None) when they differ in text only."""
+def report_gaps(a: dict, b: dict) -> list:
+    """(relative difference, |diff|, path) of each number that differs
+    between two reports, largest first; a number present in one report
+    only has gaps inf."""
     x, y = _numbers(a), _numbers(b)
-    worst = (0.0, None)
+    gaps = []
     for path in sorted(set(x) | set(y)):
         if path not in x or path not in y:
-            return math.inf, path
+            gaps.append((math.inf, math.inf, path))
+            continue
         p, q = x[path], y[path]
         if p == q or (math.isnan(p) and math.isnan(q)):
             continue
-        gap = abs(p - q) / max(abs(p), abs(q))
-        worst = max(worst, (gap, path), key=lambda w: w[0])
-    return worst
+        diff = abs(p - q)
+        gaps.append((diff / max(abs(p), abs(q)), diff, path))
+    return sorted(gaps, reverse=True)
+
+
+def note(gaps: list, floor, measure: str) -> str:
+    """The two largest gaps above the rounding floor, then how many are at
+    or below it, naming the first three; empty when no number differs."""
+    real = [f"{g:.1e} in {name}" for g, d, name in gaps if d > floor(name)][:2]
+    noise = [name for _, d, name in gaps if d <= floor(name)]
+    parts = [f"{measure} " + ", then ".join(real)] if real else []
+    if noise:
+        more = f" and {len(noise) - 3} more" if len(noise) > 3 else ""
+        parts.append(f"rounding in {', '.join(noise[:3])}{more}")
+    return f" ({'; '.join(parts)})" if parts else ""
 
 
 def main(argv=None) -> int:
@@ -174,11 +214,11 @@ def main(argv=None) -> int:
             same = (csv_a == csv_b, rep_a == rep_b, verdicts_a == verdicts_b, code_a == code_b)
             all_same &= all(same)
             csv_note = rep_note = ""
+            floor = rounding_floor(csv_a)
             if not same[0] and csv_a is not None and csv_b is not None:
-                gaps = csv_gaps(csv_a, csv_b)
-                csv_note = " (max |diff|/max|column| " + ", then ".join(f"{g:.1e} in {c}" for g, c in gaps[:2]) + ")"
+                csv_note = note(csv_gaps(csv_a, csv_b), floor, "max |diff|/max|column|")
             if not same[1] and rep_a is not None and rep_b is not None:
-                rep_note = " (max relative {:.1e} at {})".format(*report_gap(rep_a, rep_b))
+                rep_note = note(report_gaps(rep_a, rep_b), floor, "max relative")
             print(
                 f"{name:28s} timeseries.csv {'same' if same[0] else 'DIFFERS'}{csv_note}  "
                 f"report.json {'same' if same[1] else 'DIFFERS'}{rep_note}  "

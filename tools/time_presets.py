@@ -1,15 +1,21 @@
-"""Time the eight presets end to end, in process.
+"""Time the eight presets and one long power-kernel run end to end, in process.
 
 Usage: python tools/time_presets.py [<ref>] [--runs N]
 
-For each preset it prints the median wall time of `viscoplate.cli.run_scenario`
-over N runs (default 3) after one warm-up run, all in one fresh interpreter
-per preset and tree, with its step count, and the machine facts (CPU count,
-Python, numpy and its BLAS, the BLAS thread variables).  Given a ref, it
-exports that commit with `git archive` into a temporary directory, times it
-the same way, preset by preset and alternating which tree goes first, and
-prints the ratio this/ref.  Outputs go to a temporary directory.  Needs git
-and the checkout only: no network.
+The cases are the eight presets and `power-linear` at dt = 1e-3, T = 20
+(20000 steps), whose memory load is a product with the whole g history at
+every step, so it shows how the history is laid out.  For each case it
+prints the median wall time of `viscoplate.cli.run_scenario` over N runs
+(default 3) after one warm-up run, all in one fresh interpreter per case
+and tree, with its step count and the median time of its stepping
+(`dynamics.run`, which `run_scenario` calls) in microseconds per step,
+and the machine facts (CPU count, Python, numpy and its BLAS, the BLAS
+thread variables).  Given a ref, it exports that commit with `git
+archive` into a temporary directory, times it the same way, case by case
+and alternating which tree goes first, and prints the ratios this/ref of
+the run_scenario times and, under "steps", of the stepping times.
+Outputs go to a temporary directory.  Needs git and the checkout only:
+no network.
 """
 
 from __future__ import annotations
@@ -27,19 +33,33 @@ PRESETS = (
     "exp-linear", "exp-cubic", "power-linear", "power-cubic",
     "exp-fast-linear", "power-steep-cubic", "conservative", "well-certified",
 )
+# case name -> (preset, overrides)
+CASES = {name: (name, {}) for name in PRESETS}
+CASES["power-linear T=20"] = ("power-linear", {"dt": 1e-3, "T": 20.0})
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD = """
 import json, statistics, sys, time
 from viscoplate import cli, dynamics
 from viscoplate.scenario import PRESETS, with_overrides
-name, out, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
-scn = with_overrides(PRESETS[name], out_dir=out)
-times = []
+name, overrides, out, runs = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3], int(sys.argv[4])
+scn = with_overrides(PRESETS[name], out_dir=out, **overrides)
+steps = dynamics.step_count(scn.dt, scn.T)
+times, stepping = [], []
+
+def timed_run(*args, **kwargs):
+    t0 = time.perf_counter()
+    try:
+        return dynamics.run(*args, **kwargs)
+    finally:
+        stepping.append(time.perf_counter() - t0)
+
+cli.simulate = timed_run
 for _ in range(runs + 1):
     t0 = time.perf_counter()
     cli.run_scenario(scn)
     times.append(time.perf_counter() - t0)
-print(json.dumps({"median_s": statistics.median(times[1:]), "steps": dynamics.step_count(scn.dt, scn.T)}))
+step_us = 1e6 * statistics.median(stepping[1:]) / max(steps, 1)
+print(json.dumps({"median_s": statistics.median(times[1:]), "steps": steps, "step_us": step_us}))
 """
 
 
@@ -54,10 +74,12 @@ def facts() -> str:
     )
 
 
-def time_preset(tree: str, name: str, out: str, runs: int) -> dict:
+def time_case(tree: str, name: str, out: str, runs: int) -> dict:
+    preset, overrides = CASES[name]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, name, out, str(runs)], cwd=tree, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", CHILD, preset, json.dumps(overrides), out, str(runs)],
+        cwd=tree, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise SystemExit(f"{name} in {tree} failed:\n{proc.stderr}")
@@ -79,15 +101,17 @@ def main(argv=None) -> int:
             os.makedirs(trees["ref"])
             archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", trees["ref"]], input=archive.stdout, check=True)
-        header = f"{'preset':18s} {'steps':>6s} {'this s':>8s}"
-        print(header + (f" {'ref s':>8s} {'this/ref':>8s}" if args.ref else ""))
-        for i, name in enumerate(PRESETS):
+        header = f"{'case':18s} {'steps':>6s} {'this s':>8s} {'us/step':>8s}"
+        print(header + (f" {'ref s':>8s} {'us/step':>8s} {'this/ref':>8s} {'steps':>8s}" if args.ref else ""))
+        for i, name in enumerate(CASES):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            got = {label: time_preset(trees[label], name, os.path.join(work, label, name), args.runs) for label in order}
-            line = f"{name:18s} {got['this']['steps']:6d} {got['this']['median_s']:8.3f}"
+            got = {label: time_case(trees[label], name, os.path.join(work, label, name), args.runs) for label in order}
+            this = got["this"]
+            line = f"{name:18s} {this['steps']:6d} {this['median_s']:8.3f} {this['step_us']:8.1f}"
             if args.ref:
-                ratio = got["this"]["median_s"] / got["ref"]["median_s"]
-                line += f" {got['ref']['median_s']:8.3f} {ratio:8.3f}"
+                ref = got["ref"]
+                line += f" {ref['median_s']:8.3f} {ref['step_us']:8.1f} {this['median_s'] / ref['median_s']:8.3f}"
+                line += f" {this['step_us'] / ref['step_us']:8.3f}"
             print(line, flush=True)
     return 0
 
