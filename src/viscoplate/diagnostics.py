@@ -236,10 +236,12 @@ def analyze(trajectory: Stepper, t1: float | None = None) -> SeriesBundle:
 
     b, db = params.kernel.value, params.kernel.deriv
     terms = [(b, 0.0), (db, 0.0)] + ([] if t1 is None else [(db, t1)])
-    (mem, C, Bw), (memp, _, _), *tail = memory.series(G, GM2, bend, dt, terms)
-    # keep the tail's scal alone, so its C and Bw are freed before the
-    # (samples x points) products below
-    tail = -tail[0][0] if tail else None
+    # keep the derivative's and the tail's scal alone, so their C and Bw,
+    # views of whole transform outputs, are freed before the (samples x
+    # points) products below
+    (mem, C, Bw), *rest = memory.series(G, GM2, bend, dt, terms)
+    memp, tail = rest[0][0], (-rest[1][0] if t1 is not None else None)
+    del rest
 
     bint = np.asarray(params.kernel.integral_to(times), dtype=float)
     I = (1.0 - bint) * bend + bend_rate + mass + mem - k * logterm

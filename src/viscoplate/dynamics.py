@@ -30,16 +30,22 @@ keeps it below NEWTON_TOL (1.001 residuals per step at dt = 2.5e-4 with 4
 to 10 rows), while at dt = 0.01 the start mostly meets it at once.
 
 Within a step of size h, g = g_c + cb a and v = v_c + cg a are affine in
-the unknown acceleration a, so the residual is R(a) = R_c + A a plus the
-projected pointwise terms at the quadrature points (StepForm).  What
-depends on (h, w_end) alone is built once per run, or per substep of the
-fallback: the predictor matrix, A, and the product tables
-[(S - w_end M2)^T | Basis.phi] and [A^T | Basis.phi].  A step forms
-(g_c, v_c) by one (2 x 3) product, then R_c and (g_c, v_c) at the points
-by one product with the first table; each Newton iteration is one product
-a @ [A^T | phi], giving A a and a at the points, then the pointwise terms
-and one projection by Basis.phi_qw.  The initial acceleration is the same
-form at h = 0.  A step holds one np.errstate for all of this, so an
+the unknown acceleration a, so every term linear in (g, v, a) is one
+affine map R_c + A a (StepForm): stiffness, the memory load, the inertia
+M0 a at rho = 0 and a linear damping law h(s) = d s, whose projection is d
+M0 v.  Only the terms that are not linear, the inertia at rho != 0, a
+nonlinear damping law and the log source, are evaluated at the quadrature
+points and projected back.  What depends on (h, w_end) alone is built once
+per run, or per substep of the fallback: the predictor matrix, A, and the
+product tables [(S - w_end M2)^T | d M0^T | Basis.phi] and [A^T |
+Basis.phi].  A step forms (g_c, v_c) by one (2 x 3) product, then R_c and
+(g_c, v_c) at the points by one product with the first table; each Newton
+iteration is one product a @ [A^T | phi], giving A a and a at the points,
+then the pointwise terms and one projection by Basis.phi_qw.  When the log
+source is the only pointwise term (rho = 0 with linear or no damping, as
+in every exp-linear run), the iteration forms g at the points alone and
+projects the source by -k Basis.phi_qw.  The initial acceleration is the
+same form at h = 0.  A step holds one np.errstate for all of this, so an
 overflowing iterate shows only as the residual's DivergedError.
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
@@ -174,11 +180,9 @@ def memory_term(history: HistoryBuffer, kernel: RelaxationKernel, grams: GramSet
 
 
 def _log_source(u: np.ndarray) -> np.ndarray:
-    # u ln|u| with the continuous extension 0 ln 0 := +0.0
-    zero = u == 0.0
-    out = u * np.log(np.abs(u) + zero)
-    out[zero] = 0.0
-    return out
+    # u ln|u| with the continuous extension 0 ln 0 := +0.0: u + 0.0 is +0.0
+    # at u = -0.0, and ln(|u| + 1) = 0 there
+    return (u + 0.0) * np.log(np.abs(u) + (u == 0.0))
 
 
 def _inertia_weight(vq: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -195,36 +199,54 @@ def inertia_mass(v: np.ndarray, params: PhysicalParams, grams: GramSet, basis: B
 
 class StepForm:
     """The residual of a Newmark step of size h as an affine map of the
-    acceleration a plus pointwise terms.
+    acceleration a plus the nonlinear terms at the quadrature points.
 
     Within the step g = g_c + cb a and v = v_c + cg a, where the stacked
     predictors are (g_c, v_c) = P (g_n, v_n, a_n) with P = [[1, h,
     h^2 (1/2 - beta)], [0, 1, h (1 - gamma)]], and c = (cb, cg) =
-    (h^2 beta, h gamma).  With the memory load M2 (conv + w_end g),
+    (h^2 beta, h gamma).  With the memory load M2 (conv + w_end g) and a
+    linear damping law h(s) = d s, whose projection phi_qw (d v_q) is
+    d M0 v,
 
         R(a) = R_c + A a + phi_qw point(g_q, v_q, a_q),
-        R_c = (S - w_end M2) g_c - M2 conv,   A = cb (S - w_end M2) + B,
+        R_c = (S - w_end M2) g_c + d M0 v_c - M2 conv,
+        A = cb (S - w_end M2) + cg d M0 + B,
 
-    where B is S at rho = 0 (the inertia term is then M0 a) and M2 otherwise,
-    and point sums the inertia, damping and log-source terms at the
-    quadrature points.  The form holds what depends on (h, w_end) alone:
-    Gs = [(S - w_end M2)^T | phi], so that one product of the stacked
-    (g_c, v_c) with it gives (S - w_end M2) g_c and (g_c, v_c) at the
-    points, and Ga = [A^T | phi], so that a @ Ga gives A a and a_q (without
-    phi when no pointwise term is present).  `at` puts the form at one
-    step: (g_c, v_c) as gv, R_c, and gv at the points as gv_q.  h = 0 holds
-    (g, v) at (g_n, v_n): the form of an initial acceleration.
+    where B is S at rho = 0 (the inertia term is then M0 a) and M2
+    otherwise, d is 0 for any other law, and point sums the terms that are
+    not linear: the inertia at rho != 0, a nonlinear damping law and the
+    log source.  The form decides once which terms are linear and holds
+    what depends on (h, w_end) alone: Gs = [(S - w_end M2)^T | d M0^T |
+    phi] (no d M0^T block without a linear law, no phi without a pointwise
+    term), so that one product of the stacked (g_c, v_c) with it gives R_c
+    and (g_c, v_c) at the points, and Ga = [A^T | phi], so that a @ Ga
+    gives A a and a_q.  When the log source is the only pointwise term
+    (rho = 0, linear or no damping, k != 0), Ga carries cb phi, so g_q =
+    g_c,q + (a @ Ga)_q, and -k folds into the projection -k phi_qw: the
+    velocity and acceleration at the points are never formed.  `at` puts
+    the form at one step: (g_c, v_c) as gv, R_c, and the rows of gv at the
+    points that the pointwise terms read as gv_q.  h = 0 holds (g, v) at
+    (g_n, v_n): the form of an initial acceleration.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, h: float, w_end: float = 0.0):
         self.params, self.grams, self.basis, self.h, self.w_end = params, grams, basis, h, w_end
         self.P = np.array([[1.0, h, h * h * (0.5 - NEWMARK_BETA)], [0.0, 1.0, h * (1.0 - NEWMARK_GAMMA)]])
         self.c = np.array([[h * h * NEWMARK_BETA], [h * NEWMARK_GAMMA]])
+        damping, phi, cb = params.damping, basis.phi, self.c[0, 0]
+        self.rho, self.k, self._linear = params.rho, params.k, damping.form == "linear"
+        self.damp = None if self._linear or damping.is_none else damping.h
         Sw = grams.S - w_end * grams.M2
-        A = self.c[0, 0] * Sw + (grams.S if params.rho == 0.0 else grams.M2)
-        self.pointwise = params.rho != 0.0 or not params.damping.is_none or params.k != 0.0
-        phi = basis.phi if self.pointwise else basis.phi[:, :0]
-        self._Gs, self.Ga = np.hstack((Sw.T, phi)), np.hstack((A.T, phi))
+        A = cb * Sw + (grams.S if params.rho == 0.0 else grams.M2)
+        Gs = (Sw.T, damping.c * grams.M0.T) if self._linear else (Sw.T,)
+        if self._linear:
+            A += (self.c[1, 0] * damping.c) * grams.M0
+        full = params.rho != 0.0 or self.damp is not None
+        # point(form, values at the points): a plain function, so the form holds no cycle
+        self.point = _pointwise if full else _log_point if params.k != 0.0 else None
+        self.project, self._rows_q = (basis.phi_qw, slice(None)) if full else (-params.k * basis.phi_qw, 0)
+        self._q0, phi = len(Gs) * basis.dim, phi if self.point is not None else phi[:, :0]
+        self._Gs, self.Ga = np.hstack((*Gs, phi)), np.hstack((A.T, phi if full else cb * phi))
 
     def at(self, rows: np.ndarray, conv: np.ndarray | None = None) -> None:
         """Put the form at the step from rows = (g_n, v_n, a_n), stacked, with
@@ -234,36 +256,48 @@ class StepForm:
         # dispatch costs about as much as the product itself
         self.gv = self.P.dot(rows)
         Y = self.gv.dot(self._Gs)
-        self.R_c = Y[0, :m] if conv is None else Y[0, :m] - self.grams.M2.dot(conv)
-        self.gv_q = Y[:, m:]
+        R_c = Y[0, :m] + Y[1, m : 2 * m] if self._linear else Y[0, :m]
+        if conv is not None:
+            R_c -= self.grams.M2.dot(conv)
+        self.R_c, self.gv_q = R_c, Y[self._rows_q, self._q0 :]
 
     def state(self, a: np.ndarray) -> np.ndarray:
         """(g, v) of the step at acceleration a, stacked."""
         return self.gv + self.c * a
 
 
+def _log_point(form: StepForm, yq: np.ndarray) -> np.ndarray:
+    # the log source alone, yq = cb a_q; form.project holds the -k
+    return _log_source(form.gv_q + yq)
+
+
+def _pointwise(form: StepForm, aq: np.ndarray) -> np.ndarray:
+    # the inertia at rho != 0, a nonlinear damping law and the log source
+    gq, vq = form.gv_q + form.c * aq
+    point = form.damp(vq) if form.rho == 0.0 else _inertia_weight(vq, form.params) * aq
+    if form.rho != 0.0 and form.damp is not None:
+        point = point + form.damp(vq)
+    if form.k != 0.0:
+        point = point - form.k * _log_source(gq)
+    return point
+
+
 def residual(a: np.ndarray, form: StepForm) -> np.ndarray:
     """Galerkin residual R(a) of the step the form is at, for trial acceleration a.
 
     Any non-finite entry, from the coefficients or from overflow, raises
-    DivergedError; callers that step silence numpy's overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"), as `step` does.
+    DivergedError, and so does |R|_2 above about 1.3e154, whose square
+    overflows: only a diverged iterate gets there.  Callers that step
+    silence numpy's overflow warnings with np.errstate(over="ignore",
+    invalid="ignore"), as `step` does.
     """
     m = len(a)
     y = a.dot(form.Ga)
     R = form.R_c + y[:m]
-    if form.pointwise:
-        params, aq = form.params, y[m:]
-        gq, vq = form.gv_q + form.c * aq
-        point = _inertia_weight(vq, params) * aq if params.rho != 0.0 else None
-        if not params.damping.is_none:
-            h = params.damping.h(vq)
-            point = h if point is None else point + h
-        if params.k != 0.0:
-            src = params.k * _log_source(gq)
-            point = -src if point is None else point - src
-        R += form.basis.phi_qw.dot(point)
-    if not np.isfinite(R).all():
+    if form.point is not None:
+        R += form.project.dot(form.point(form, y[m:]))
+    # a sum of squares cannot cancel, so it is finite only if every entry is
+    if not math.isfinite(R.dot(R)):
         raise DivergedError("residual evaluation produced non-finite values")
     return R
 
@@ -358,10 +392,10 @@ def _newton(form: StepForm, a: np.ndarray, factor):
     grams = form.grams
     for i in range(NEWTON_MAX_ITER):
         R = residual(a, form)
-        done = np.abs(R).max() <= NEWTON_TOL
+        done = np.maximum.reduce(np.abs(R)) <= NEWTON_TOL
         if factor is None or (i == 2 and not done):
             J = inertia_mass(form.gv[1] + form.c[1] * a, form.params, grams, form.basis) + grams.M2
-            if not np.isfinite(J).all():
+            if not np.logical_and.reduce(np.isfinite(J), axis=None):
                 raise DivergedError("Newton matrix has non-finite entries")
             factor = cho_factor(J)
         da = cho_solve(factor, R)
@@ -411,7 +445,7 @@ def step(s: Stepper) -> None:
             rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
         new[:2] = form.state(a)
         new[2] = a
-    if not np.isfinite(new).all():
+    if not np.logical_and.reduce(np.isfinite(new), axis=None):
         raise DivergedError("the accepted step has non-finite coefficients", last_state=s.state())
     s.times[n + 1] = (n + 1) * s.dt
     s.n, s._rows, s._factor = n + 1, rows, factor

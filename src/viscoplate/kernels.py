@@ -410,7 +410,7 @@ class DampingLaw:
             a = np.abs(s)
             inner = a ** (self.p - 1.0) * s
             inside = a <= self.eps
-            if inside.all():
+            if np.logical_and.reduce(inside, axis=None):
                 return inner
             outer = np.sign(s) * (self.eps**self.p + self.p * self.eps ** (self.p - 1.0) * (a - self.eps))
             return np.where(inside, inner, outer)

@@ -119,10 +119,15 @@ class StepLoad:
 
     def grid(self, G: np.ndarray, n: int) -> np.ndarray:
         """conv of the step from t_n, over the rows G[0 .. n]; the carry
-        of an exponential kernel takes the steps in order."""
+        of an exponential kernel takes the steps in order and updates one
+        array in place, so its conv holds only until the next step."""
         if self._lags is None:
             if n != self._n:
-                self._conv = (0.5 * self._k1) * G[0] if n == 0 else self._q * self._conv + self._k1 * G[n]
+                if n == 0:
+                    self._conv = (0.5 * self._k1) * G[0]
+                else:
+                    np.multiply(self._conv, self._q, out=self._conv)
+                    self._conv += self._k1 * G[n]
                 self._n = n
             return self._conv
         w = self._lags[-n - 2 : -1]

@@ -217,7 +217,8 @@ def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatc
     load = memory.StepLoad.grid
 
     def recorded(self, G, n):
-        loads.append(load(self, G, n))
+        # the carry updates one array in place: keep a copy of each step's
+        loads.append(load(self, G, n).copy())
         return loads[-1]
 
     monkeypatch.setattr(memory.StepLoad, "grid", recorded)
@@ -338,6 +339,38 @@ def test_residual_diverges_on_overflow():
         hold_residual(np.zeros(6), g, np.zeros(6), params, grams, basis)
     with pytest.raises(DivergedError, match="residual"):
         Stepper(params, grams, basis, g, np.zeros(6), 0.01, 1)
+
+
+def test_residual_diverges_on_nan_in_log_source_only_form():
+    # at rho = 0 with linear damping the log source is the form's only
+    # pointwise term: a NaN in g reaches the residual through R_c and the
+    # log source alike, and the residual's finite check reports it
+    basis, grams = make_setup()
+    params = PhysicalParams(0.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(1.0), 0.0)
+    form = StepForm(params, grams, basis, 0.01, 0.3)
+    assert form.point is dynamics._log_point
+    g = np.full(6, 0.01)
+    g[2] = np.nan
+    form.at(np.array([g, np.zeros(6), np.zeros(6)]), np.zeros(6))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError, match="residual"):
+        residual(np.zeros(6), form)
+
+
+@pytest.mark.parametrize("damping, calls", [("damp-linear(1)", False), ("damp-cubic(0.5)", True)])
+def test_linear_damping_never_evaluates_pointwise(monkeypatch, damping, calls):
+    # a linear law is in the step form's affine map, d M0 v: a run never
+    # evaluates it at the quadrature points, while a nonlinear law is
+    # evaluated at every residual
+    h, count = DampingLaw.h, [0]
+
+    def counted(self, s):
+        count[0] += 1
+        return h(self, s)
+
+    monkeypatch.setattr(DampingLaw, "h", counted)
+    for rho in (0.0, 1.0):
+        run(with_overrides(PRESETS["exp-linear"], damping=damping, rho=rho, sigma=0.0, T=0.1))
+    assert (count[0] > 0) == calls
 
 
 # --- Newton --------------------------------------------------------------

@@ -1,21 +1,25 @@
-"""Time the eight presets and one long power-kernel run end to end, in process.
+"""Time the eight presets and two long runs end to end, in process.
 
 Usage: python tools/time_presets.py [<ref>] [--runs N]
 
-The cases are the eight presets and `power-linear` at dt = 1e-3, T = 20
-(20000 steps), whose memory load is a product with the whole g history at
-every step, so it shows how the history is laid out.  For each case it
-prints the median wall time of `viscoplate.cli.run_scenario` over N runs
-(default 3) after one warm-up run, all in one fresh interpreter per case
-and tree, with its step count and the median time of its stepping
-(`dynamics.run`, which `run_scenario` calls) in microseconds per step,
-and the machine facts (CPU count, Python, numpy and its BLAS, the BLAS
-thread variables).  Given a ref, it exports that commit with `git
-archive` into a temporary directory, times it the same way, case by case
-and alternating which tree goes first, and prints the ratios this/ref of
-the run_scenario times and, under "steps", of the stepping times.
-Outputs go to a temporary directory.  Needs git and the checkout only:
-no network.
+The cases are the eight presets and two long runs: `power-linear` at dt =
+1e-3, T = 20 (20000 steps), whose memory load is a product with the whole
+g history at every step, so it shows how the history is laid out, and
+`exp-linear` at dt = 1e-3, T = 5 (5000 steps), the physics of the
+benchmark's memory-long workload, where stepping takes most of a run.  For
+each case it prints the median wall time of `viscoplate.cli.run_scenario`
+over N runs (default 3) after one warm-up run, in each of INTERPRETERS
+fresh interpreters per case and tree, with its step count and the median
+time of its stepping (`dynamics.run`, which `run_scenario` calls) in
+microseconds per step; each printed time is the median over the
+interpreters, because one process's time varies more than a change of 20 %
+between runs of the same code.  It also prints the machine facts (CPU
+count, Python, numpy and its BLAS, the BLAS thread variables).  Given a
+ref, it exports that commit with `git archive` into a temporary directory
+and times it the same way, interpreter by interpreter and alternating which
+tree goes first, and prints the ratios this/ref of the median run_scenario
+times and, under "steps", of the median stepping times.  Outputs go to a
+temporary directory.  Needs git and the checkout only: no network.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +41,9 @@ PRESETS = (
 # case name -> (preset, overrides)
 CASES = {name: (name, {}) for name in PRESETS}
 CASES["power-linear T=20"] = ("power-linear", {"dt": 1e-3, "T": 20.0})
+CASES["exp-linear T=5"] = ("exp-linear", {"dt": 1e-3, "T": 5.0})
+# fresh interpreters per case and tree; the printed times are their medians
+INTERPRETERS = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD = """
 import json, statistics, sys, time
@@ -104,8 +112,14 @@ def main(argv=None) -> int:
         header = f"{'case':18s} {'steps':>6s} {'this s':>8s} {'us/step':>8s}"
         print(header + (f" {'ref s':>8s} {'us/step':>8s} {'this/ref':>8s} {'steps':>8s}" if args.ref else ""))
         for i, name in enumerate(CASES):
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            got = {label: time_case(trees[label], name, os.path.join(work, label, name), args.runs) for label in order}
+            samples = {label: [] for label in trees}
+            for j in range(INTERPRETERS):
+                for label in list(trees) if (i + j) % 2 == 0 else list(reversed(trees)):
+                    samples[label].append(time_case(trees[label], name, os.path.join(work, label, name), args.runs))
+            got = {
+                label: dict(runs[0], **{key: statistics.median(r[key] for r in runs) for key in ("median_s", "step_us")})
+                for label, runs in samples.items()
+            }
             this = got["this"]
             line = f"{name:18s} {this['steps']:6d} {this['median_s']:8.3f} {this['step_us']:8.1f}"
             if args.ref:
