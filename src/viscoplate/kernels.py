@@ -20,8 +20,9 @@ curves implied by the decay law.  Moduli, weights, origin profiles,
 conjugates and envelopes evaluate arrays elementwise.  Moduli, their
 derivatives and origin profiles invert in closed form, so a convex
 conjugate is closed form too; the two nonlinear envelopes share one solver,
-a bisection over all their points that stops at width 1e-12 * min(1, |hi|)
-or after 200 halvings.
+a bisection over all their points between given brackets (the upper one from
+convexity: B'(r) >= B(r)/r for a convex B with B(0) = 0), which stops at
+width 1e-12 * min(1, |hi|) or after 200 halvings.
 """
 
 from __future__ import annotations
@@ -56,35 +57,25 @@ def _targets(y: np.ndarray, extreme=np.max) -> str:
     return f"target {float(y[0])!r}" if y.size == 1 else f"{y.size} targets, {extreme.__name__} {float(extreme(y))!r}"
 
 
-def invert_increasing(f, y, lo=0.0, hi=None):
+def invert_increasing(f, y, lo, hi):
     """Solve f(s) = y elementwise by bisection, for an increasing elementwise f.
 
     For maps without a closed-form inverse: the nonlinear envelopes, the beam
     roots and the peak of the s-log bound.  y is a scalar or an array of
-    targets; lo and hi broadcast against it.  If hi is None, each upper bracket
-    doubles from max(1, 2 lo) until f(hi) >= y; a given hi must already satisfy
-    it.  Each element is halved at least once and until its bracket is at most
-    INVERSION_TOL * min(1, |hi|) wide (absolute for roots of magnitude 1 or more,
-    relative below), then frozen, so its root has the bits of a scalar bisection.
-    Overflow in f reads as +inf; an unbracketable y raises DomainError.
+    targets; lo and hi broadcast against it and must bracket every target,
+    f(lo) <= y <= f(hi), which is checked: overflow in f reads as +inf, and a
+    target outside the bracket raises DomainError.  Each element is halved at
+    least once and until its bracket is at most INVERSION_TOL * min(1, |hi|)
+    wide (absolute for roots of magnitude 1 or more, relative below), then
+    frozen, so its root has the bits of a scalar bisection.
     """
     target, y, lo = y, _vector(y), _vector(lo)
     if not np.isfinite(y).all():
         raise DomainError(f"cannot invert at non-finite {_targets(y[~np.isfinite(y)])}")
     with np.errstate(over="ignore"):
-        if hi is None:
-            hi = np.maximum(1.0, 2.0 * lo)
-            for _ in range(600):
-                short = ~(f(hi) >= y)  # a nan keeps growing, as in a failed check
-                if not short.any():
-                    break
-                hi = np.where(short, 2.0 * hi, hi)
-            else:
-                raise DomainError(f"{_targets(y)} not reachable while expanding bracket")
-        elif not (f(hi) >= y).all():  # a nan fails too, as in the expansion
+        if not (f(hi) >= y).all():  # a nan fails too
             raise DomainError(f"{_targets(y)} above f(hi)")
-        flo = f(lo)
-        if (flo > y).any():
+        if (f(lo) > y).any():
             raise DomainError(f"{_targets(y, np.min)} below f(lo)")
         active = np.ones(y.shape, dtype=bool)
         for _ in range(INVERSION_MAX_ITER):
@@ -612,6 +603,8 @@ def _convex_envelope(xi, eps, eps1, c, c1, t0, t1, moduli) -> DecayEnvelope:
     phi(y) sums Bbar^{-1}(y)^(1/(1+eps)) over the continued moduli, W = phi^{-1},
     tau = (t-t0)^(1/(1+eps)) and W2(s) = s W'(eps1 s).  At s = phi(y)/eps1,
     W2(s) = phi(y) / (eps1 phi'(y)) increases in y: one bisection in y finds the root.
+    A convex modulus with B(0) = 0 has B'(r) >= B(r)/r, so W2 >= (1+eps) y/eps1: the bracket
+    is twice eps1 target/(1+eps), a rounding margin for p -> 1, where this is an equality.
     """
     for m in moduli:  # formed now, so a modulus that cannot be continued fails the build
         m.continuation
@@ -629,7 +622,8 @@ def _convex_envelope(xi, eps, eps1, c, c1, t0, t1, moduli) -> DecayEnvelope:
         if np.any(acc <= 0.0):
             raise DomainError("weight integral vanishes on the evaluation window")
         tau = (t - t0) ** expo
-        y = invert_increasing(W2_of_y, c1 / (tau * acc))
+        target = c1 / (tau * acc)
+        y = invert_increasing(W2_of_y, target, 0.0, 2.0 * eps1 * target / (1.0 + eps))
         return c * tau * sum(m.inverse(y) ** expo for m in moduli) / eps1
 
     return DecayEnvelope(t1, _eval)

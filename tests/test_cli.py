@@ -346,6 +346,17 @@ def test_refine_judges_slope_outside_zero_crossings(tmp_path):
     assert rate["levels"][-1]["worst_crossing_distance"] <= rate["crossing_halfwidth"]
 
 
+def test_refine_conserved_energy_slope_not_applicable(tmp_path):
+    # a conserved E leaves only rounding in its central difference, a few
+    # 1e-12 at every level: no order to judge, so no failing slope
+    scn = with_overrides(PRESETS["conservative"], T=1.0, out_dir=str(tmp_path / "out"))
+    report, code = run_scenario(scn, refine=3)
+    assert code == 0
+    assert report["verdicts"]["rate_slope"] == "n/a"
+    assert "rounding" in report["rate"]["note"]
+    assert all(0.0 < lv["max_residual_smooth"] < 1e-10 for lv in report["rate"]["levels"])
+
+
 def test_rest_run_lyapunov_not_applicable(tmp_path):
     # zero data: no sample carries energy, so there is no L/E ratio to bound
     cfg = write_cfg(tmp_path, DISSIPATIVE.replace("mode(1,0.04)", "mode(1,0.0)"))

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from viscoplate import kernels
+from viscoplate.cli import _build_envelope
 from viscoplate.errors import DomainError, InputError
 from viscoplate.kernels import (
     ConvexModulus,
@@ -34,6 +36,7 @@ from viscoplate.kernels import (
     validate_h3,
 )
 from viscoplate.kernels import _REL_TOL as REL_TOL
+from viscoplate.scenario import PRESETS, with_overrides
 
 GRID = np.linspace(0.0, 30.0, 2001)
 
@@ -42,7 +45,7 @@ GRID = np.linspace(0.0, 30.0, 2001)
 
 
 def test_invert_increasing_cube_root():
-    root = invert_increasing(lambda s: s**3, 8.0)
+    root = invert_increasing(lambda s: s**3, 8.0, 0.0, 4.0)
     assert abs(root - 2.0) < 1e-11
 
 
@@ -655,17 +658,11 @@ def test_envelope_arrays_match_scalar_calls(name):
     assert np.all(vals > 0)
 
 
-def _scalar_bisection(f, y, lo, hi=None):
+def _scalar_bisection(f, y, lo, hi):
     """invert_increasing as a Python-float loop, one element at a time.
 
-    Returns the root with the number of bracket doublings and halvings.
+    Returns the root with the number of halvings.
     """
-    doublings = 0
-    if hi is None:
-        hi = max(1.0, 2.0 * lo)
-        while f(hi) < y:
-            hi *= 2.0
-            doublings += 1
     for halvings in range(1, 201):
         mid = 0.5 * (lo + hi)
         if f(mid) < y:
@@ -674,24 +671,62 @@ def _scalar_bisection(f, y, lo, hi=None):
             hi = mid
         if hi - lo <= 1e-12 * min(1.0, abs(hi)):
             break
-    return 0.5 * (lo + hi), doublings, halvings
+    return 0.5 * (lo + hi), halvings
 
 
 def test_invert_increasing_array_matches_scalar_loop():
-    # s^3 + s is the same arithmetic on floats and arrays; the targets need
-    # 0 to 7 bracket doublings, and lo varies, so elements stop at different halvings
+    # s^3 + s is the same arithmetic on floats and arrays; lo and hi vary
+    # (the third target sits on f(hi)), so elements stop at different halvings
     def f(s):
         return s * s * s + s
 
     y = np.array([1e-9, 0.3, 2.0, 9.5, 700.0, 3e5, 5.0])
     lo = np.array([0.0, 0.0, 0.5, 0.0, 2.0, 0.0, 0.9])
-    ref = [_scalar_bisection(f, float(v), float(l)) for v, l in zip(y, lo)]
-    assert {d for _, d, _ in ref} >= {0, 1, 7}
-    assert len({h for _, _, h in ref}) >= 3
-    roots = invert_increasing(f, y, lo)
-    assert np.array_equal(roots, [r for r, _, _ in ref])
-    assert np.array_equal(roots, [invert_increasing(f, float(v), float(l)) for v, l in zip(y, lo)])
-    assert type(invert_increasing(f, 2.0)) is float
+    hi = np.array([1.0, 1.0, 1.0, 2.0, 16.0, 128.0, 1.8])
+    ref = [_scalar_bisection(f, float(v), float(l), float(h)) for v, l, h in zip(y, lo, hi)]
+    assert len({h for _, h in ref}) >= 3
+    roots = invert_increasing(f, y, lo, hi)
+    assert np.array_equal(roots, [r for r, _ in ref])
+    assert np.array_equal(
+        roots, [invert_increasing(f, float(v), float(l), float(h)) for v, l, h in zip(y, lo, hi)]
+    )
+    assert type(invert_increasing(f, 2.0, 0.0, 1.0)) is float
+
+
+def test_convex_envelopes_bracket_from_convexity(monkeypatch):
+    # the convexity bound W2(y) >= (1+eps) y/eps1 gives every envelope call its
+    # upper bracket, so no doubling precedes the halvings
+    calls = []
+
+    def counting(f, y, lo=0.0, hi=None):  # a call without brackets is recorded too
+        evals = []
+        calls.append((hi, evals))
+
+        def counted(s):
+            evals.append(s)
+            return f(s)
+
+        return invert_increasing(counted, y, lo, hi)
+
+    monkeypatch.setattr(kernels, "invert_increasing", counting)
+
+    def envelope(name, **changes):
+        scn = with_overrides(PRESETS[name], **changes)
+        env = _build_envelope(scn.decay_case(), scn, scn.physical_params())
+        return env(np.linspace(scn.T / 2, scn.T, 501))
+
+    for name in ("power-linear", "power-steep-cubic"):
+        calls.clear()
+        assert np.all(envelope(name) > 0)
+        assert [hi is not None for hi, _ in calls] == [True]
+        assert all(len(evals) <= 45 for _, evals in calls)
+    # thin margins: a modulus with p - 1 near 1e-15, where the bound is an
+    # equality, and eps1 far from 1 either way
+    thin = [("power-linear", {"kernel": "power(0.5,1e15)"})]
+    thin += [(name, {"eps1": e}) for name in ("power-linear", "power-steep-cubic") for e in (1e-9, 1e6)]
+    for name, changes in thin:
+        vals = envelope(name, **changes)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0), (name, changes)
 
 
 # --- catalog strings -----------------------------------------------------
@@ -830,10 +865,10 @@ def test_invert_increasing_error_names_count_and_extreme_target():
         invert_increasing(lambda s: s, y, 0.0, 50.0)
     assert str(info.value) == "101 targets, max 101.0 above f(hi)"
     with pytest.raises(DomainError) as info:
-        invert_increasing(lambda s: s + 30.0, y)
+        invert_increasing(lambda s: s + 30.0, y, 0.0, 101.0)
     assert str(info.value) == "101 targets, min 1.0 below f(lo)"
     with pytest.raises(DomainError, match="^cannot invert at non-finite target nan$"):
-        invert_increasing(lambda s: s, np.array([1.0, np.nan, 2.0]))
+        invert_increasing(lambda s: s, np.array([1.0, np.nan, 2.0]), 0.0, 2.0)
     with pytest.raises(DomainError, match="^target 100.0 above f"):
         invert_increasing(lambda s: s**3, 100.0, 0.0, 2.0)
 
