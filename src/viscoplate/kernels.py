@@ -21,8 +21,9 @@ conjugates and envelopes evaluate arrays elementwise.  Moduli, their
 derivatives and origin profiles invert in closed form, so a convex
 conjugate is closed form too; the two nonlinear envelopes share one solver,
 a bisection over all their points between given brackets (the upper one from
-convexity: B'(r) >= B(r)/r for a convex B with B(0) = 0), which stops at
-width 1e-12 * min(1, |hi|) or after 200 halvings.
+convexity: B'(r) >= B(r)/r for a convex B with B(0) = 0), which stops an
+element at width 1e-12 * min(1, |hi|), or once its midpoint can no longer
+split its bracket (adjacent floats), or after 200 halvings.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ def invert_increasing(f, y, lo, hi):
     roots and the peak of the s-log bound.  y is a scalar or an array of
     targets; lo and hi broadcast against it and must bracket every target,
     f(lo) <= y <= f(hi), which is checked: overflow in f reads as +inf, and a
-    target outside the bracket raises DomainError.  Each element is halved at
-    least once and until its bracket is at most INVERSION_TOL * min(1, |hi|)
-    wide (absolute for roots of magnitude 1 or more, relative below), then
-    frozen, so its root has the bits of a scalar bisection.
+    target outside the bracket raises DomainError.  Each element is halved
+    until its bracket is at most INVERSION_TOL * min(1, |hi|) wide (absolute
+    for roots of magnitude 1 or more, relative below) or its midpoint no
+    longer lies strictly inside it (lo and hi adjacent floats, which halving
+    would not move again: a root past 2**13 = 8192 has an ulp above 1e-12),
+    then frozen, so its root has the bits of a scalar bisection.
     """
     target, y, lo = y, _vector(y), _vector(lo)
     if not np.isfinite(y).all():
@@ -81,6 +84,7 @@ def invert_increasing(f, y, lo, hi):
         for _ in range(INVERSION_MAX_ITER):
             mid = 0.5 * (lo + hi)
             below = f(mid) < y
+            active &= (lo < mid) & (mid < hi)  # a bracket of adjacent floats is final
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
             active &= hi - lo > INVERSION_TOL * np.minimum(1.0, np.abs(hi))

@@ -4,7 +4,10 @@ projections, and the embedding constant.
 The basis realizes the abstract separable space concretely: clamped-clamped
 Euler beam eigenfunctions on (0, L) in 1D and their tensor products on the
 square in 2D.  Both the function and its normal derivative vanish at the
-boundary, and the 1D modes diagonalize the bending Gram matrix.
+boundary, and the 1D modes diagonalize the bending Gram matrix.  The basis
+holds values and Laplacians only: since every mode is 0 on the boundary,
+Green's identity gives the gradient Gram from them, int grad w_i . grad w_j
+= -int (Laplacian w_i) w_j, so no first-derivative table is formed.
 
 Mode shapes are evaluated in an exponential form that avoids the cosh/cos
 cancellation: with z = beta x / L and sigma the standard clamped-mode mixing
@@ -53,9 +56,9 @@ def _one_minus_sigma(beta: np.ndarray) -> np.ndarray:
 
 
 def _mode_tables(roots: np.ndarray, x: np.ndarray, L: float):
-    """Raw (unnormalized) mode values and first/second derivatives.
+    """Raw (unnormalized) mode values and second derivatives.
 
-    Returns three arrays of shape (len(roots), len(x)).
+    Returns two arrays of shape (len(roots), len(x)).
     """
     beta = np.asarray(roots, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -69,9 +72,8 @@ def _mode_tables(roots: np.ndarray, x: np.ndarray, L: float):
     cz, sz = np.cos(z), np.sin(z)
     scale = (beta / L)[:, None]
     w = ep + em - cz + sig * sz
-    w1 = scale * (ep - em + sz + sig * cz)
     w2 = scale**2 * (ep + em + cz - sig * sz)
-    return w, w1, w2
+    return w, w2
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +81,8 @@ class Basis:
     """Precomputed Galerkin basis with flattened quadrature tables.
 
     phi, lap hold mode values / Laplacians at the flattened quadrature
-    points (shape (dim, nq)); grad holds one table per space direction;
+    points (shape (dim, nq)); no gradient table is held, since every mode
+    vanishes on the boundary and M1 follows from lap and phi (GramSet);
     qw are the flattened quadrature weights, phi_qw = phi * qw projects
     point values onto the basis, and qpts are the node coordinates.
     """
@@ -93,7 +96,6 @@ class Basis:
     axis_scale: np.ndarray
     phi: np.ndarray
     lap: np.ndarray
-    grad: tuple
     qw: np.ndarray
     phi_qw: np.ndarray
     qpts: np.ndarray
@@ -155,20 +157,17 @@ def _build_basis(spatial_dim: int, n: int, L: float, quad_order: int) -> Basis:
     x = 0.5 * L * (t + 1.0)
     wx = 0.5 * L * wt
     roots = beam_roots(n)
-    # an L near 0 overflows the derivative tables; assemble_grams refuses the inf
+    # an L near 0 overflows the second-derivative table; assemble_grams refuses the inf
     with np.errstate(over="ignore"):
-        W, W1, W2 = _mode_tables(roots, x, L)
+        W, W2 = _mode_tables(roots, x, L)
         nrm = np.sqrt((W**2) @ wx)
         scale = 1.0 / nrm
-        W, W1, W2 = W * scale[:, None], W1 * scale[:, None], W2 * scale[:, None]
-
-    def per_axis(table):
-        # one tensor product per axis k, with table on axis k and W elsewhere
-        return [_tensor([table if i == k else W for i in range(spatial_dim)]) for k in range(spatial_dim)]
+        W, W2 = W * scale[:, None], W2 * scale[:, None]
 
     phi = _tensor([W] * spatial_dim)
-    lap = functools.reduce(np.add, per_axis(W2))
-    grad = tuple(per_axis(W1))
+    # the Laplacian: W2 on axis k and W on the others, summed over the axes k
+    axes = range(spatial_dim)
+    lap = functools.reduce(np.add, [_tensor([W2 if i == k else W for i in axes]) for k in axes])
     qw = _tensor([wx[None, :]] * spatial_dim)[0]
     qpts = np.column_stack([X.ravel() for X in np.meshgrid(*[x] * spatial_dim, indexing="ij")])
 
@@ -182,7 +181,6 @@ def _build_basis(spatial_dim: int, n: int, L: float, quad_order: int) -> Basis:
         axis_scale=scale,
         phi=phi,
         lap=lap,
-        grad=grad,
         qw=qw,
         phi_qw=phi * qw,
         qpts=qpts,
@@ -191,7 +189,11 @@ def _build_basis(spatial_dim: int, n: int, L: float, quad_order: int) -> Basis:
 
 @dataclass(frozen=True, eq=False)
 class GramSet:
-    """Mass, gradient, and bending Gram matrices, and their sum S = M0 + M2."""
+    """Mass, gradient, and bending Gram matrices, and their sum S = M0 + M2.
+
+    The gradient Gram M1 comes from Green's identity, M1 = -int (Laplacian
+    w_i) w_j, which holds because every basis function is 0 on the boundary.
+    """
 
     M0: np.ndarray
     M1: np.ndarray
@@ -200,14 +202,16 @@ class GramSet:
 
 
 def assemble_grams(basis: Basis) -> GramSet:
-    """Quadrature assembly of M0, M1, M2; finite entries and SPD verified (Cholesky)."""
-    qw = basis.qw
+    """Quadrature assembly of M0, M1, M2; finite entries and SPD verified (Cholesky).
+
+    M1 = -(lap * qw) @ phi.T by Green's identity (w = 0 on the boundary), so
+    it needs no gradient table; each Gram is symmetrised as (M + M.T) / 2.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite tables are refused below
+        lap_qw = basis.lap * basis.qw
         M0 = basis.phi_qw @ basis.phi.T
-        M2 = (basis.lap * qw) @ basis.lap.T
-        M1 = np.zeros_like(M0)
-        for g in basis.grad:
-            M1 += (g * qw) @ g.T
+        M1 = -(lap_qw @ basis.phi.T)
+        M2 = lap_qw @ basis.lap.T
         M0 = 0.5 * (M0 + M0.T)
         M1 = 0.5 * (M1 + M1.T)
         M2 = 0.5 * (M2 + M2.T)
@@ -292,12 +296,8 @@ def _point_tables(basis: Basis, points: np.ndarray):
     for c in coords:
         if np.any(c < -1e-12) or np.any(c > basis.L + 1e-12):
             raise InputError("evaluation point outside the domain")
-    tabs = []
-    for c in coords:
-        w, w1, w2 = _mode_tables(basis.beam_roots, c, basis.L)
-        s = basis.axis_scale[:, None]
-        tabs.append((w * s, w1 * s, w2 * s))
-    return tabs
+    s = basis.axis_scale[:, None]
+    return [tuple(t * s for t in _mode_tables(basis.beam_roots, c, basis.L)) for c in coords]
 
 
 def eval_field(coeffs: np.ndarray, basis: Basis, points) -> np.ndarray:
@@ -316,9 +316,9 @@ def eval_laplacian(coeffs: np.ndarray, basis: Basis, points) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     tabs = _point_tables(basis, points)
     if basis.spatial_dim == 1:
-        return coeffs @ tabs[0][2]
+        return coeffs @ tabs[0][1]
     n = basis.modes_per_axis
     G = coeffs.reshape(n, n)
-    return np.einsum("jk,jp,kp->p", G, tabs[0][2], tabs[1][0]) + np.einsum(
-        "jk,jp,kp->p", G, tabs[0][0], tabs[1][2]
+    return np.einsum("jk,jp,kp->p", G, tabs[0][1], tabs[1][0]) + np.einsum(
+        "jk,jp,kp->p", G, tabs[0][0], tabs[1][1]
     )

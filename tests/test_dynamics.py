@@ -271,7 +271,7 @@ def test_log_source_against_oversampled_quadrature():
     t, wt = leggauss(10 * basis.quad_order)
     x = 0.5 * (t + 1.0)
     wx = 0.5 * wt
-    W, _, _ = _mode_tables(basis.beam_roots, x, basis.L)
+    W, _ = _mode_tables(basis.beam_roots, x, basis.L)
     W = W * basis.axis_scale[:, None]
     u = 0.7 * W[0]
     f = np.where(u != 0.0, u * np.log(np.abs(np.where(u == 0.0, 1.0, u))), 0.0)

@@ -676,17 +676,28 @@ def _scalar_bisection(f, y, lo, hi):
 
 def test_invert_increasing_array_matches_scalar_loop():
     # s^3 + s is the same arithmetic on floats and arrays; lo and hi vary
-    # (the third target sits on f(hi)), so elements stop at different halvings
+    # (the third target sits on f(hi)), so elements stop at different halvings.
+    # The last root, 8200, is past 2^13, where one ulp exceeds the 1e-12
+    # width: it stops once its bracket holds two adjacent floats, with the
+    # bits of all 200 halvings
     def f(s):
         return s * s * s + s
 
-    y = np.array([1e-9, 0.3, 2.0, 9.5, 700.0, 3e5, 5.0])
-    lo = np.array([0.0, 0.0, 0.5, 0.0, 2.0, 0.0, 0.9])
-    hi = np.array([1.0, 1.0, 1.0, 2.0, 16.0, 128.0, 1.8])
+    y = np.array([1e-9, 0.3, 2.0, 9.5, 700.0, 3e5, 5.0, f(8200.0)])
+    lo = np.array([0.0, 0.0, 0.5, 0.0, 2.0, 0.0, 0.9, 0.0])
+    hi = np.array([1.0, 1.0, 1.0, 2.0, 16.0, 128.0, 1.8, 16400.0])
     ref = [_scalar_bisection(f, float(v), float(l), float(h)) for v, l, h in zip(y, lo, hi)]
-    assert len({h for _, h in ref}) >= 3
+    assert len({h for _, h in ref}) >= 3 and ref[-1][1] == 200
     roots = invert_increasing(f, y, lo, hi)
     assert np.array_equal(roots, [r for r, _ in ref])
+    evals = []
+
+    def counted(s):
+        evals.append(s)
+        return f(s)
+
+    assert invert_increasing(counted, float(y[-1]), 0.0, 16400.0) == roots[-1] == 8200.0
+    assert len(evals) <= 60
     assert np.array_equal(
         roots, [invert_increasing(f, float(v), float(l), float(h)) for v, l, h in zip(y, lo, hi)]
     )
@@ -727,6 +738,11 @@ def test_convex_envelopes_bracket_from_convexity(monkeypatch):
     for name, changes in thin:
         vals = envelope(name, **changes)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0), (name, changes)
+    # eps1 = 1e6 puts W2's roots past 2^13, where a bracket of adjacent
+    # floats is still wider than 1e-12: the bisection stops there
+    calls.clear()
+    envelope("power-linear", eps1=1e6)
+    assert calls and all(len(evals) <= 60 for _, evals in calls)
 
 
 # --- catalog strings -----------------------------------------------------

@@ -7,7 +7,7 @@ implementation's own machinery.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from viscoplate.spectral import (
     ROW_BLOCK,
     Basis,
     _mode_tables,
+    _one_minus_sigma,
     assemble_grams,
     beam_roots,
     build_basis,
@@ -126,14 +127,27 @@ def test_build_rejects_bad_input():
         build_basis(1, 8, 1.0, quad_order=10)  # < 2n+4
 
 
+def _slope_table(basis, x):
+    """Normalized first derivatives of the 1D modes at x, in the exponential
+    form of _mode_tables: the d/dx of its w, which the basis does not hold."""
+    beta = basis.beam_roots
+    oms = _one_minus_sigma(beta)[:, None]
+    sig = 1.0 - oms
+    z = np.outer(beta / basis.L, x)
+    ep = 0.5 * oms * np.exp(z)
+    em = 0.5 * (1.0 + sig) * np.exp(-z)
+    w1 = (beta / basis.L)[:, None] * (ep - em + np.sin(z) + sig * np.cos(z))
+    return w1 * basis.axis_scale[:, None]
+
+
 def test_clamped_boundary_values():
+    # w = 0 on the boundary is what Green's identity needs for M1
     basis = build_basis(1, 32)
     for xb in (0.0, basis.L):
-        w, w1, _ = _mode_tables(basis.beam_roots, np.array([xb]), basis.L)
+        w, _ = _mode_tables(basis.beam_roots, np.array([xb]), basis.L)
         w = w * basis.axis_scale[:, None]
-        w1 = w1 * basis.axis_scale[:, None]
         assert np.max(np.abs(w)) < 1e-8
-        assert np.max(np.abs(w1)) < 1e-8
+        assert np.max(np.abs(_slope_table(basis, np.array([xb])))) < 1e-8
 
 
 def test_boundary_sample_points_2d(basis2d):
@@ -207,7 +221,7 @@ def test_basis_whose_tables_would_overflow_is_refused():
     with pytest.raises(InputError, match="at most 225 modes"):
         build_basis(2, 226)
     basis = build_basis(1, 225)  # root 708.43
-    for table in (basis.phi, basis.lap, *basis.grad, basis.qw):
+    for table in (basis.phi, basis.lap, basis.qw):
         assert np.isfinite(table).all()
 
 
@@ -232,14 +246,29 @@ def _same_bits(a, b):
 def test_2d_basis_is_the_tensor_product_of_the_1d_tables(n):
     # the first axis varies slowest, in the modes and in the quadrature points
     one, two = build_basis(1, n), build_basis(2, n)
-    W, W1, W2, wx, x = one.phi, one.grad[0], one.lap, one.qw, one.qpts[:, 0]
+    W, W2, wx, x = one.phi, one.lap, one.qw, one.qpts[:, 0]
     assert _same_bits(two.phi, np.kron(W, W))
     assert _same_bits(two.lap, np.kron(W2, W) + np.kron(W, W2))
-    assert len(two.grad) == 2
-    assert _same_bits(two.grad[0], np.kron(W1, W)) and _same_bits(two.grad[1], np.kron(W, W1))
     assert _same_bits(two.qw, np.kron(wx, wx))
     assert _same_bits(two.qpts, np.column_stack([np.repeat(x, len(x)), np.tile(x, len(x))]))
     assert two.dim == n * n and one.qpts.shape == (len(x), 1)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 8), (1, 32), (1, MAX_MODES), (2, 3), (2, 8)])
+def test_m1_is_greens_identity_of_the_gradient_form(dim, n):
+    # the basis holds no gradient table; the oracle sums M1 from gradient
+    # tables built here, one per space direction, and its cp.  Bounds of
+    # about 450 float64 eps, set before measuring.
+    assert "grad" not in {f.name for f in fields(Basis)}
+    basis, one = build_basis(dim, n), build_basis(1, n)
+    W, W1 = one.phi, _slope_table(one, one.qpts[:, 0])
+    tables = [W1] if dim == 1 else [np.kron(W1, W), np.kron(W, W1)]
+    M1 = sum((g * basis.qw) @ g.T for g in tables)
+    M1 = 0.5 * (M1 + M1.T)
+    grams = assemble_grams(basis)
+    assert np.max(np.abs(grams.M1 - M1)) <= 1e-13 * np.max(np.abs(M1))
+    cp = estimate_cp(replace(grams, M1=M1))
+    assert abs(estimate_cp(grams) - cp) <= 1e-13 * cp
 
 
 def test_2d_mass_identity(grams2d):

@@ -13,6 +13,8 @@ checkout's working tree, with OPENBLAS_NUM_THREADS=1:
 - exp-linear with lyap_eps = 1000, whose Lyapunov search fails past 2^10;
 - exp-linear with modulus = pow(2,0.1), whose domain edge 0.1 lies below
   b(0) = 0.5, so H2 fails through a DomainError and the run is skipped;
+- exp-linear at n = 32 modes, so a change to the basis is compared at a
+  second size, off the default n = 8;
 - the three perfbench workloads at seed 3, from the scenario files that
   perfbench/harness.write_scenario writes (into the temporary directory).
 
@@ -54,6 +56,7 @@ SCENARIOS = {
     "fallback-power": FALLBACK.format(kernel="power(0.4,3.0)"),
     "lyapunov-fail": "[diagnostics]\na = 0.25\nlyap_eps = 1000.0\n",
     "h2-domain-error": "[physics]\nmodulus = pow(2,0.1)\n[diagnostics]\na = 0.25\n",
+    "exp-linear n=32": "[space]\nn = 32\n[diagnostics]\na = 0.25\n",
 }
 SEED = 3
 # a number that moves by at most this times max|E| of its case moves by rounding
