@@ -36,26 +36,32 @@ M0 a at rho = 0 and a linear damping law h(s) = d s, whose projection is d
 M0 v.  Only the terms that are not linear, the inertia at rho != 0, a
 nonlinear damping law and the log source, are evaluated at the quadrature
 points and projected back.  What depends on (h, w_end) alone is built once
-per run, or per substep of the fallback: the predictor matrix, A, and the
-product tables [(S - w_end M2)^T | d M0^T | Basis.phi] and [A^T |
-Basis.phi].  A step forms (g_c, v_c) by one (2 x 3) product, then R_c and
-(g_c, v_c) at the points by one product with the first table; each Newton
-iteration is one product a @ [A^T | phi], giving A a and a at the points,
-then the pointwise terms and one projection by Basis.phi_qw.  When the log
-source is the only pointwise term (rho = 0 with linear or no damping, as
-in every exp-linear run), the iteration forms g at the points alone and
-projects the source by -k Basis.phi_qw.  The initial acceleration is the
-same form at h = 0.  A step holds one np.errstate for all of this, so an
-overflowing iterate shows only as the residual's DivergedError.
+per run, or per substep of the fallback: A and two product tables.  The
+step row z = (g_n, v_n, a_n, conv_n) is 4m contiguous doubles, the memory
+sum conv written into it by memory.StepLoad.grid; the first table T folds
+the predictor matrix, the stiffness and linear-law blocks and the load's
+-M2^T block, so a step's one product z @ T gives R_c, the predictors
+(g_c, v_c) and their values at the points.  Each Newton iteration is one
+product a @ [A^T | cb phi | cg phi | phi], giving A a, the increments of g
+and v at the points and a there, then the pointwise terms and one
+projection by Basis.phi_qw.  When the log source is the only pointwise
+term (rho = 0 with linear or no damping, as in every exp-linear run), the
+iteration forms g at the points alone and projects the source by -k
+Basis.phi_qw.  The initial acceleration is the same form at h = 0.  A step
+holds one np.errstate for all of this, so an overflowing iterate shows
+only as the residual's DivergedError.
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
-and the Newton factor and start rows.  g, v and a are the planes of one
-(3, steps + 1, m) array, so each is contiguous and a step reads and writes
-the column (g_n, v_n, a_n).  The g rows are also the convolution history,
-read in place by memory.StepLoad for each step's memory load and by
-diagnostics.analyze for the memory series.  When Newton fails the step is
-re-tried with 2, 4, then 8 substeps, whose memory integrals run over the
-union of the stored grid and the pending substep nodes.
+the step row, the Newton factor and the Newton-start rows, a doubled ring
+that gives the last eight as one contiguous slice.  g, v and a are the
+planes of one (3, steps + 1, m) array, so each is contiguous; a step
+forms the accepted (g, v, a) once in the step row, checks it there and
+copies it to the column (g_n+1, v_n+1, a_n+1).  The g rows are also the
+convolution history, read in place by memory.StepLoad for each step's
+memory load and by diagnostics.analyze for the memory series.  When
+Newton fails the step is re-tried with 2, 4, then 8 substeps, whose memory
+integrals run over the union of the stored grid and the pending substep
+nodes, the last to the grid time t_n+1 itself.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ _START_WEIGHTS = {
     k: np.array([(-1) ** j * math.comb(k, j + 1) for j in range(k)], dtype=float)
     for k in range(1, _START_ROWS + 1)
 }
+_START_OLDEST_FIRST = {k: w[::-1].copy() for k, w in _START_WEIGHTS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,54 +223,62 @@ class StepForm:
     otherwise, d is 0 for any other law, and point sums the terms that are
     not linear: the inertia at rho != 0, a nonlinear damping law and the
     log source.  The form decides once which terms are linear and holds
-    what depends on (h, w_end) alone: Gs = [(S - w_end M2)^T | d M0^T |
-    phi] (no d M0^T block without a linear law, no phi without a pointwise
-    term), so that one product of the stacked (g_c, v_c) with it gives R_c
-    and (g_c, v_c) at the points, and Ga = [A^T | phi], so that a @ Ga
-    gives A a and a_q.  When the log source is the only pointwise term
-    (rho = 0, linear or no damping, k != 0), Ga carries cb phi, so g_q =
-    g_c,q + (a @ Ga)_q, and -k folds into the projection -k phi_qw: the
-    velocity and acceleration at the points are never formed.  `at` puts
-    the form at one step: (g_c, v_c) as gv, R_c, and the rows of gv at the
-    points that the pointwise terms read as gv_q.  h = 0 holds (g, v) at
-    (g_n, v_n): the form of an initial acceleration.
+    what depends on (h, w_end) alone: the table T, which folds P into the
+    map from the step row z = (g_n, v_n, a_n, conv), so that `at` is the
+    one product z @ T, written into one buffer whose views are R_c, the
+    predictors (g_c, v_c) as gv and their values at the points as gv_q
+    (g_c,q then v_c,q; g_c,q alone when the log source is the only
+    pointwise term, none without one); and Ga = [A^T | cb phi | cg phi |
+    phi], so that a @ Ga gives A a, the increments of g_q and v_q and a_q.
+    When the log source is the only pointwise term (rho = 0, linear or no
+    damping, k != 0), Ga is [A^T | cb phi], so g_q = g_c,q + (a @ Ga)_q,
+    and -k folds into the projection -k phi_qw: the velocity and
+    acceleration at the points are never formed.  tol2 is NEWTON_TOL^2
+    less the rounding of a sum of m squares, so R.R <= tol2 implies
+    |R|_inf <= NEWTON_TOL.  h = 0 holds (g, v) at (g_n, v_n): the form of
+    an initial acceleration.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, h: float, w_end: float = 0.0):
         self.params, self.grams, self.basis, self.h, self.w_end = params, grams, basis, h, w_end
-        self.P = np.array([[1.0, h, h * h * (0.5 - NEWMARK_BETA)], [0.0, 1.0, h * (1.0 - NEWMARK_GAMMA)]])
+        P = np.array([[1.0, h, h * h * (0.5 - NEWMARK_BETA)], [0.0, 1.0, h * (1.0 - NEWMARK_GAMMA)]])
         self.c = np.array([[h * h * NEWMARK_BETA], [h * NEWMARK_GAMMA]])
-        damping, phi, cb = params.damping, basis.phi, self.c[0, 0]
-        self.rho, self.k, self._linear = params.rho, params.k, damping.form == "linear"
-        self.damp = None if self._linear or damping.is_none else damping.h
+        damping, phi, (cb, cg), m = params.damping, basis.phi, self.c[:, 0], basis.dim
+        self.rho, self.k, linear = params.rho, params.k, damping.form == "linear"
+        self.damp = None if linear or damping.is_none else damping.h
+        self.tol2 = NEWTON_TOL**2 * (1.0 - (m + 3) * 2.0**-52)
         Sw = grams.S - w_end * grams.M2
         A = cb * Sw + (grams.S if params.rho == 0.0 else grams.M2)
-        Gs = (Sw.T, damping.c * grams.M0.T) if self._linear else (Sw.T,)
-        if self._linear:
-            A += (self.c[1, 0] * damping.c) * grams.M0
+        if linear:
+            A += (cg * damping.c) * grams.M0
         full = params.rho != 0.0 or self.damp is not None
-        # point(form, values at the points): a plain function, so the form holds no cycle
+        # point(form, increments at the points): a plain function, so the form holds no cycle
         self.point = _pointwise if full else _log_point if params.k != 0.0 else None
-        self.project, self._rows_q = (basis.phi_qw, slice(None)) if full else (-params.k * basis.phi_qw, 0)
-        self._q0, phi = len(Gs) * basis.dim, phi if self.point is not None else phi[:, :0]
-        self._Gs, self.Ga = np.hstack((*Gs, phi)), np.hstack((A.T, phi if full else cb * phi))
+        self.project = basis.phi_qw if full else -params.k * basis.phi_qw
+        # the map (g_c, v_c) -> [R_c | g_c | v_c | gv_q] as two row blocks, folded with P
+        I, Z, Zq = np.eye(m), np.zeros((m, m)), np.zeros_like(phi)
+        pts = ((phi, Zq), (Zq, phi)) if full else ((phi,), (Zq,)) if self.point is not None else ((), ())
+        Gv = np.hstack((damping.c * grams.M0.T if linear else Z, Z, I, *pts[1]))
+        G = np.stack((np.hstack((Sw.T, I, Z, *pts[0])), Gv)).reshape(2, -1)
+        conv = np.hstack((-grams.M2.T, np.zeros((m, len(Gv[0]) - m))))
+        self.T = np.vstack(((P.T @ G).reshape(3 * m, -1), conv))
+        self._y = np.empty(self.T.shape[1])
+        self.R_c, self.gv, self.gv_q = self._y[:m], self._y[m : 3 * m].reshape(2, m), self._y[3 * m :]
+        if full:
+            self.gv_q = self.gv_q.reshape(2, -1)
+        ga = (A.T, cb * phi, cg * phi, phi) if full else (A.T, cb * phi) if self.point is not None else (A.T,)
+        self.Ga = np.hstack(ga)
 
-    def at(self, rows: np.ndarray, conv: np.ndarray | None = None) -> None:
-        """Put the form at the step from rows = (g_n, v_n, a_n), stacked, with
-        memory sum conv; None is no memory load."""
-        m = len(self.Ga)
+    def at(self, z: np.ndarray) -> None:
+        """Put the form at the step from the row z = (g_n, v_n, a_n, conv), with
+        conv the memory sum (zero for no memory load)."""
         # the step's products use ndarray.dot: at these sizes matmul's ufunc
         # dispatch costs about as much as the product itself
-        self.gv = self.P.dot(rows)
-        Y = self.gv.dot(self._Gs)
-        R_c = Y[0, :m] + Y[1, m : 2 * m] if self._linear else Y[0, :m]
-        if conv is not None:
-            R_c -= self.grams.M2.dot(conv)
-        self.R_c, self.gv_q = R_c, Y[self._rows_q, self._q0 :]
+        z.dot(self.T, out=self._y)
 
-    def state(self, a: np.ndarray) -> np.ndarray:
-        """(g, v) of the step at acceleration a, stacked."""
-        return self.gv + self.c * a
+    def state(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(g, v) of the step at acceleration a, stacked, written to out if given."""
+        return np.add(self.gv, self.c * a, out=out)
 
 
 def _log_point(form: StepForm, yq: np.ndarray) -> np.ndarray:
@@ -271,9 +286,12 @@ def _log_point(form: StepForm, yq: np.ndarray) -> np.ndarray:
     return _log_source(form.gv_q + yq)
 
 
-def _pointwise(form: StepForm, aq: np.ndarray) -> np.ndarray:
-    # the inertia at rho != 0, a nonlinear damping law and the log source
-    gq, vq = form.gv_q + form.c * aq
+def _pointwise(form: StepForm, yq: np.ndarray) -> np.ndarray:
+    # the inertia at rho != 0, a nonlinear damping law and the log source;
+    # yq = (cb a_q, cg a_q, a_q)
+    yq = yq.reshape(3, -1)
+    gq, vq = form.gv_q + yq[:2]
+    aq = yq[2]
     point = form.damp(vq) if form.rho == 0.0 else _inertia_weight(vq, form.params) * aq
     if form.rho != 0.0 and form.damp is not None:
         point = point + form.damp(vq)
@@ -330,13 +348,18 @@ class Stepper:
     are filled (g, v and a are the contiguous planes of one (3, steps + 1,
     m) array, whose column i is the stacked (g_i, v_i, a_i)); the memory
     load, None for the zero kernel; the whole step's StepForm; and what
-    each step hands the next: the Newton factor and the Newton-start rows.
-    The g rows are also the memory history.  The constructor fills row 0:
-    (g0, v0) and the acceleration solving R(a) = 0 of the StepForm at h =
-    0, where the memory load vanishes, R is affine in a and N(v0) + M2 is
-    its exact Jacobian, so Newton converges in one iteration up to
-    rounding.  A stepper reads as the run so far: len is n + 1, state(i)
-    is row i and history() the rows 0 .. n.
+    each step hands the next: the step row z = (g_n, v_n, a_n, conv_n) of
+    4m contiguous doubles, where StepLoad.grid writes conv (zero for the
+    zero kernel), the Newton factor and the Newton-start rows.  These are
+    a doubled ring of 2 _START_ROWS rows: a row enters at slot i and i +
+    _START_ROWS, so the last k rows, oldest first, are the one contiguous
+    slice [i + 1 + _START_ROWS - k, i + 1 + _START_ROWS).  The g rows are
+    also the memory history.  The constructor fills row 0: (g0, v0) and
+    the acceleration solving R(a) = 0 of the StepForm at h = 0, where the
+    memory load vanishes, R is affine in a and N(v0) + M2 is its exact
+    Jacobian, so Newton converges in one iteration up to rounding.  A
+    stepper reads as the run so far: len is n + 1, state(i) is row i and
+    history() the rows 0 .. n.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, g0, v0, dt: float, steps: int):
@@ -355,14 +378,18 @@ class Stepper:
             ) from None
         self.g, self.v, self.a = self._gva
         self.n = 0
-        self.times[0], self.g[0], self.v[0], self.a[0] = 0.0, g0, v0, 0.0
-        if not np.isfinite(self.g[0]).all() or not np.isfinite(self.v[0]).all():
+        self._z = np.zeros(4 * m)
+        self._row, self._conv = self._z[: 3 * m].reshape(3, m), self._z[3 * m :]
+        self.times[0], self._row[0], self._row[1] = 0.0, g0, v0
+        if not np.isfinite(self._row).all():
             raise InputError("state coefficients must be finite")
         hold = StepForm(params, grams, basis, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            hold.at(self._gva[:, 0])
-            self.a[0], _, self._factor = _newton(hold, np.zeros(m), None)
-        self._rows = self.a[:1]  # Newton-start rows, newest first
+            hold.at(self._z)
+            self._row[2], _, self._factor = _newton(hold, np.zeros(m), None)
+        self._gva[:, 0] = self._row
+        self._ring, self._head, self._count = np.empty((2 * _START_ROWS, m)), 0, 1
+        self._ring[0::_START_ROWS] = self.a[0]
         self.load = None if params.kernel.is_zero else memory.StepLoad(params.kernel, dt, steps)
         self._form = StepForm(params, grams, basis, dt, 0.0 if self.load is None else self.load.w_end)
 
@@ -386,13 +413,15 @@ def _newton(form: StepForm, a: np.ndarray, factor):
     current v = v_c + cg a when None and re-formed there when the third
     residual misses NEWTON_TOL.  Returns the root a, where |R|_inf <=
     NEWTON_TOL, the refined a - J^-1 R(a) one update past it, and the
-    factor.  A diverging iterate overflows; under the caller's np.errstate
-    residual's finite check reports it.
+    factor.  R.R <= form.tol2 implies |R|_inf <= NEWTON_TOL, so that test
+    comes first and the max only decides when it fails.  A diverging
+    iterate overflows; under the caller's np.errstate residual's finite
+    check reports it.
     """
     grams = form.grams
     for i in range(NEWTON_MAX_ITER):
         R = residual(a, form)
-        done = np.maximum.reduce(np.abs(R)) <= NEWTON_TOL
+        done = R.dot(R) <= form.tol2 or np.maximum.reduce(np.abs(R)) <= NEWTON_TOL
         if factor is None or (i == 2 and not done):
             J = inertia_mass(form.gv[1] + form.c[1] * a, form.params, grams, form.basis) + grams.M2
             if not np.logical_and.reduce(np.isfinite(J), axis=None):
@@ -416,65 +445,77 @@ def initial_state(g0: np.ndarray, v0: np.ndarray, params: PhysicalParams, grams:
 def step(s: Stepper) -> None:
     """Advance s by one step of s.dt; falls back to 2/4/8 substeps on failure.
 
-    The whole step puts the stepper's StepForm at row n with the memory sum
-    of its StepLoad, and starts Newton at the extrapolation of the
+    The whole step writes the memory sum of its StepLoad into the step
+    row z = (g_n, v_n, a_n, conv_n), puts the stepper's StepForm at z by
+    one product, and starts Newton at the extrapolation of the
     Newton-start rows of refined accelerations: with k rows stored (k <=
     _START_ROWS = 8), the next value of the degree-(k - 1) polynomial
-    through them, with weights c_j = (-1)^j C(k, j + 1), newest row first;
-    row 0 holds the initial a.  The step's refined acceleration goes in
-    front of the rows, or they restart from the accepted a after a substep
-    fallback.  The refined rows only start Newton; g, v and a are the
-    accepted root, written to row n + 1 at t = (n + 1) dt and checked there
-    for finite values before n advances.  Newton takes the stepper's factor,
-    which then becomes the one the last solve ended with.  Substep nodes
-    extend the memory grid only within the step.
+    through them, with weights c_j = (-1)^j C(k, j + 1) on the rows
+    newest first, read oldest first from the ring as one slice; row 0
+    holds the initial a.  The step's refined acceleration enters the ring
+    as its newest row, or the accepted a alone after a substep fallback.
+    The refined rows only start Newton; g, v and a are the accepted root,
+    formed once in z, checked there for finite values and copied to row
+    n + 1 at t = (n + 1) dt before n advances.  Newton takes the
+    stepper's factor, which then becomes the one the last solve ended
+    with.  Substep nodes extend the memory grid only within the step.
     """
     n = s.n
     if n + 1 == len(s.times):
         raise InputError(f"the stepper has taken all of its {n} steps")
-    form, old, new = s._form, s._rows, s._gva[:, n + 1]
+    form, row, i, k = s._form, s._row, s._head, s._count
     # a diverging iterate overflows here; residual's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        form.at(s._gva[:, n], None if s.load is None else s.load.grid(s.g, n))
+        if s.load is not None:
+            s.load.grid(s.g, n, s._conv)
+        form.at(s._z)
+        start = _START_OLDEST_FIRST[k].dot(s._ring[i + 1 + _START_ROWS - k : i + 1 + _START_ROWS])
         try:
-            a, r, factor = _newton(form, _START_WEIGHTS[len(old)].dot(old), s._factor)
+            a, r, factor = _newton(form, start, s._factor)
         except DivergedError as exc:
             form, a, factor = _substeps(s, exc)
-            rows = a[None, :]
-        else:
-            rows = np.concatenate((r[None, :], old[: _START_ROWS - 1]))
-        new[:2] = form.state(a)
-        new[2] = a
-    if not np.logical_and.reduce(np.isfinite(new), axis=None):
+            r, k = a, 0
+        form.state(a, out=row[:2])
+        row[2] = a
+    if not np.logical_and.reduce(np.isfinite(row), axis=None):
+        row[:] = s._gva[:, n]  # the step row stays at row n
         raise DivergedError("the accepted step has non-finite coefficients", last_state=s.state())
+    s._gva[:, n + 1] = row
     s.times[n + 1] = (n + 1) * s.dt
-    s.n, s._rows, s._factor = n + 1, rows, factor
+    i = (i + 1) % _START_ROWS
+    s._ring[i::_START_ROWS] = r
+    s.n, s._head, s._count, s._factor = n + 1, i, min(k + 1, _START_ROWS), factor
 
 
 def _substeps(s: Stepper, error: DivergedError):
     """(form, a, factor) of step s.n taken as 2, 4, then 8 substeps, the form
     at the last substep.
 
-    Each substep has its own StepForm, of size dt / pieces and the end
+    Each substep has its own StepForm, of size h = dt / pieces and the end
     weight of its memory integral, which runs over the stored rows and the
-    earlier substeps' nodes; each try starts from the stepper's factor.
+    earlier substeps' nodes to t_n + (j + 1) h, and to t_n+1 = (n + 1) dt
+    for the last; each substep row is a copy of the step row with that
+    integral's conv, and each try starts from the stepper's factor.
     """
-    n = s.n
+    n, m = s.n, s.basis.dim
     for pieces in (2, 4, 8):
         h = s.dt / pieces
-        t, gva, factor = float(s.times[n]), s._gva[:, n], s._factor
-        times, G = s.times[: n + 1], s.g[: n + 1]
+        z, factor = s._z.copy(), s._factor
+        row, times, G = z[: 3 * m].reshape(3, m), s.times[: n + 1], s.g[: n + 1]
         try:
             for j in range(pieces):
-                t += h
-                conv, w_end = (None, 0.0) if s.load is None else s.load.off_grid(times, G, t)
+                t = (n + 1) * s.dt if j == pieces - 1 else s.times[n] + (j + 1) * h
+                w_end = 0.0
+                if s.load is not None:
+                    z[3 * m :], w_end = s.load.off_grid(times, G, t)
                 form = StepForm(s.params, s.grams, s.basis, h, w_end)
-                form.at(gva, conv)
-                a, _, factor = _newton(form, gva[2], factor)
-                gva = np.vstack((form.state(a), a))
+                form.at(z)
+                a, _, factor = _newton(form, row[2], factor)
+                form.state(a, out=row[:2])
+                row[2] = a
                 if j < pieces - 1:
                     times = np.append(times, t)
-                    G = np.vstack([G, gva[:1]])
+                    G = np.vstack([G, row[:1]])
         except DivergedError as exc:
             error = exc
             continue

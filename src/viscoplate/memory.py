@@ -100,8 +100,9 @@ class StepLoad:
     q = exp(-rate dt), so conv_n = q conv_n-1 + K[1] g_n is carried from
     step to step, built from K[0] and K[1] alone: O(1) per step.  Any other
     kernel takes conv as one product with the lag table of the run's steps,
-    built once.  Sums at the off-grid times of the substep fallback use
-    `weights`.
+    built once.  `grid` writes conv into the stepper's step row, where the
+    exponential carry lives.  Sums at the off-grid times of the substep
+    fallback use `weights`.
     """
 
     def __init__(self, kernel, dt: float, steps: int):
@@ -117,23 +118,24 @@ class StepLoad:
             k0 = self._lags[-1]
         self.w_end = 0.5 * k0
 
-    def grid(self, G: np.ndarray, n: int) -> np.ndarray:
-        """conv of the step from t_n, over the rows G[0 .. n]; the carry
-        of an exponential kernel takes the steps in order and updates one
-        array in place, so its conv holds only until the next step."""
+    def grid(self, G: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+        """conv of the step from t_n, over the rows G[0 .. n], written to out
+        (the conv part of the stepper's step row) and returned.  The carry of
+        an exponential kernel lives in out: each step passes the same array,
+        the steps in order, and a second call at the same n leaves it."""
         if self._lags is None:
             if n != self._n:
                 if n == 0:
-                    self._conv = (0.5 * self._k1) * G[0]
+                    np.multiply(G[0], 0.5 * self._k1, out=out)
                 else:
-                    np.multiply(self._conv, self._q, out=self._conv)
-                    self._conv += self._k1 * G[n]
+                    np.multiply(out, self._q, out=out)
+                    out += self._k1 * G[n]
                 self._n = n
-            return self._conv
+            return out
         w = self._lags[-n - 2 : -1]
-        conv = w @ G[: n + 1]
-        conv -= (0.5 * w[0]) * G[0]  # the trapezoid halves the first node
-        return conv
+        w.dot(G[: n + 1], out=out)
+        out -= (0.5 * w[0]) * G[0]  # the trapezoid halves the first node
+        return out
 
     def off_grid(self, nodes: np.ndarray, rows: np.ndarray, t: float):
         """(conv, w_end) of the integral to t over the nodes, with rows, and t."""

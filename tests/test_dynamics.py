@@ -46,8 +46,20 @@ def hold_residual(a, g, v, params, grams, basis, conv=None, w_end=0.0):
     """residual at (g, v) held fixed: the StepForm at h = 0, whose memory
     load is M2 (conv + w_end g), none when conv is None."""
     form = StepForm(params, grams, basis, 0.0, w_end)
-    form.at(np.array([g, v, np.zeros_like(g)]), conv)
+    form.at(step_row(g, v, np.zeros_like(g), conv))
     return residual(a, form)
+
+
+def step_row(g, v, a, conv=None):
+    """The step row z = (g_n, v_n, a_n, conv) that StepForm.at reads; conv
+    None is no memory load, a zero sum."""
+    return np.concatenate((g, v, a, np.zeros_like(g) if conv is None else conv))
+
+
+def start_rows(s):
+    """The stepper's Newton-start rows, newest first, read from its ring."""
+    end = s._head + 1 + dynamics._START_ROWS
+    return s._ring[end - s._count : end][::-1]
 
 
 class OneShotScenario:
@@ -179,20 +191,22 @@ def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, 300)
     at, taken = StepForm.at, []
 
-    def recorded(self, rows, conv=None):
-        taken.append((conv, self.w_end))
-        return at(self, rows, conv)
+    def recorded(self, z):
+        taken.append((z[18:].copy(), self.w_end))  # conv, after (g_n, v_n, a_n)
+        return at(self, z)
 
     monkeypatch.setattr(StepForm, "at", recorded)
     assert (s.load._lags is None) == kernel.startswith("exp")
     bound = 1e-14 if s.load._lags is not None else 1e-13
     for n in range(300):
-        conv, rows = s.load.grid(s.g, n).copy(), s._rows
+        conv, rows = s.load.grid(s.g, n, s._conv).copy(), start_rows(s).copy()
         step(s)
         assert np.array_equal(taken[-1][0], conv) and taken[-1][1] == s.load.w_end
-        # the step's refined acceleration goes in front of the Newton-start rows
-        assert s._rows.shape == (min(len(rows) + 1, dynamics._START_ROWS), 6)
-        assert np.array_equal(s._rows[1:], rows[: len(s._rows) - 1])
+        # the step's refined acceleration enters the ring as the newest of
+        # the Newton-start rows, and the oldest leaves after 8
+        now = start_rows(s)
+        assert now.shape == (min(len(rows) + 1, dynamics._START_ROWS), 6)
+        assert np.array_equal(now[1:], rows[: len(now) - 1])
         got = grams.M2 @ (conv + s.load.w_end * s.g[n + 1])
         want = memory_term(s.history(), params.kernel, grams, (n + 1) * dt)
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
@@ -216,10 +230,10 @@ def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatc
     loads = []
     load = memory.StepLoad.grid
 
-    def recorded(self, G, n):
-        # the carry updates one array in place: keep a copy of each step's
-        loads.append(load(self, G, n).copy())
-        return loads[-1]
+    def recorded(self, G, n, out):
+        # the carry updates the step row's conv in place: keep a copy of each step's
+        loads.append(load(self, G, n, out).copy())
+        return out
 
     monkeypatch.setattr(memory.StepLoad, "grid", recorded)
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, steps)
@@ -319,7 +333,7 @@ def test_step_form_matches_reference_residual(dim):
                 form = StepForm(params, grams, basis, h, w_end)
                 for _ in range(3):
                     g_n, v_n, a_n, conv, a = 0.1 * rng.standard_normal((5, basis.dim))
-                    form.at(np.array([g_n, v_n, a_n]), conv)
+                    form.at(step_row(g_n, v_n, a_n, conv))
                     g = g_n + h * v_n + h * h * (0.5 - beta) * a_n + h * h * beta * a
                     v = v_n + h * (1.0 - gamma) * a_n + h * gamma * a
                     want = _ref_residual(a, g, v, params, grams, basis, memory=grams.M2 @ (conv + w_end * g))
@@ -351,7 +365,7 @@ def test_residual_diverges_on_nan_in_log_source_only_form():
     assert form.point is dynamics._log_point
     g = np.full(6, 0.01)
     g[2] = np.nan
-    form.at(np.array([g, np.zeros(6), np.zeros(6)]), np.zeros(6))
+    form.at(step_row(g, np.zeros(6), np.zeros(6), np.zeros(6)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError, match="residual"):
         residual(np.zeros(6), form)
 
@@ -584,7 +598,7 @@ def test_step_diverges_on_non_finite_newton_matrix(monkeypatch):
         with pytest.raises(DivergedError, match="residual"):
             Stepper(params, grams, basis, z, np.full(6, 1e200), 0.01, 1)
         s = Stepper(params, grams, basis, z, z, 0.01, 1)
-        s.v[0] = 1e200
+        s._row[1] = 1e200  # v_0 in the step row that the step reads
         with pytest.raises(DivergedError, match="residual"):
             step(s)
     # a finite residual with a matrix that is not finite (forced here) is
@@ -821,7 +835,110 @@ def test_substep_fallback_restarts_newton_start_rows(monkeypatch):
     assert not np.array_equal(starts[5], traj.a[5])
 
 
+def test_ring_start_is_the_newest_first_extrapolation(monkeypatch):
+    # the ring holds the Newton-start rows oldest first; over 30 whole
+    # steps (the ring wraps after 8 rows) each starts Newton within 1e-13
+    # of _START_WEIGHTS[k] @ the last k refined accelerations newest first,
+    # taken here from _newton's returns.  The 20th whole step is made to
+    # fail: the fallback's accepted a is then the one row, and the next
+    # step starts at it bit for bit
+    dt = 1e-3
+    newton, calls = dynamics._newton, []
+
+    def recorded(form, a0, factor):
+        if form.h != dt:
+            return newton(form, a0, factor)
+        calls.append([a0.copy(), None])
+        if len(calls) == 20:
+            raise DivergedError("forced")
+        a, r, factor = newton(form, a0, factor)
+        calls[-1][1] = r
+        return a, r, factor
+
+    monkeypatch.setattr(dynamics, "_newton", recorded)
+    traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=30 * dt))
+    assert len(calls) == 30 and [r is None for _, r in calls].index(True) == 19
+    rows = [traj.a[0]]  # newest first
+    for n, (start, r) in enumerate(calls):
+        k = min(len(rows), dynamics._START_ROWS)
+        want = dynamics._START_WEIGHTS[k] @ np.array(rows[:k])
+        assert np.max(np.abs(start - want)) <= 1e-13 * np.max(np.abs(rows[:k]))
+        rows = [r, *rows] if r is not None else [traj.a[n + 1]]
+    assert np.array_equal(calls[20][0], traj.a[20])
+    assert traj._count == dynamics._START_ROWS
+
+
+@pytest.mark.parametrize(
+    "rho, sigma, damping, kernel, k",
+    [
+        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.5),
+        (1.0, 0.0, "damp-cubic(0.5)", "power(0.4,3.0)", 0.5),
+        (0.5, 0.1, "none", "none", 0.5),
+        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.0),
+    ],
+    ids=["rho0-linear-exp", "rho1-cubic-power", "zero-kernel", "k0"],
+)
+def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k):
+    # z @ T against the map written out here: the predictors (g_c, v_c) =
+    # P (g_n, v_n, a_n), R_c = (S - w_end M2) g_c + d M0 v_c - M2 conv and
+    # the predictors at the points (g_c, v_c on the full path, g_c alone
+    # with the log source only, none without a pointwise term), each part
+    # within 1e-14 of its largest entry; `at` gives the same parts
+    basis, grams = make_setup()
+    m, h = basis.dim, 0.01
+    beta, gamma = dynamics.NEWMARK_BETA, dynamics.NEWMARK_GAMMA
+    params = PhysicalParams(rho, k, parse_kernel_spec(kernel), parse_damping_spec(damping), sigma)
+    w_end = 0.0 if params.kernel.is_zero else memory.StepLoad(params.kernel, h, 10).w_end
+    form = StepForm(params, grams, basis, h, w_end)
+    P = np.array([[1.0, h, h * h * (0.5 - beta)], [0.0, 1.0, h * (1.0 - gamma)]])
+    d = params.damping.c if params.damping.form == "linear" else 0.0
+    full = rho != 0.0 or damping == "damp-cubic(0.5)"
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        g_n, v_n, a_n, conv = 0.1 * rng.standard_normal((4, m))
+        if params.kernel.is_zero:
+            conv = np.zeros(m)
+        gc, vc = P @ np.array([g_n, v_n, a_n])
+        R_c = (grams.S - w_end * grams.M2) @ gc + d * (grams.M0 @ vc) - grams.M2 @ conv
+        points = [gc @ basis.phi, vc @ basis.phi] if full else [gc @ basis.phi] if k != 0.0 else []
+        z = step_row(g_n, v_n, a_n, conv)
+        form.at(z)
+        got = z @ form.T
+        parts = [(R_c, got[:m], form.R_c), (gc, got[m : 2 * m], form.gv[0]), (vc, got[2 * m : 3 * m], form.gv[1])]
+        parts.append((np.concatenate([np.zeros(0), *points]), got[3 * m :], form.gv_q.ravel()))
+        assert len(got) == 3 * m + len(parts[-1][0])
+        for want, *views in parts:
+            for view in views:
+                assert np.max(np.abs(view - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
 # --- run -----------------------------------------------------------------
+
+
+def test_substep_memory_integrals_end_on_the_grid(monkeypatch):
+    # with every step taken as 2 substeps (the whole-step solve is made to
+    # fail), the first substep's memory integral runs to n dt + dt / 2 and
+    # the last to (n + 1) dt bit for bit, the time the step is stored at;
+    # accumulating t += h missed (n + 1) dt in most of these steps
+    dt = 1e-3
+    newton, off_grid, ends = dynamics._newton, memory.StepLoad.off_grid, []
+
+    def whole_step_fails(form, a0, factor):
+        if form.h == dt:
+            raise DivergedError("forced")
+        return newton(form, a0, factor)
+
+    def recorded(self, nodes, rows, t):
+        ends.append(t)
+        return off_grid(self, nodes, rows, t)
+
+    monkeypatch.setattr(dynamics, "_newton", whole_step_fails)
+    monkeypatch.setattr(memory.StepLoad, "off_grid", recorded)
+    traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=0.5))
+    assert len(traj) == 501 and len(ends) == 1000
+    n = np.arange(500)
+    assert np.array_equal(ends[1::2], (n + 1) * dt)
+    assert np.array_equal(ends[0::2], n * dt + dt / 2)
 
 
 @pytest.mark.parametrize("fallback", [False, True])

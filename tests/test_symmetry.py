@@ -50,3 +50,20 @@ def test_2d_swap_of_axes_gives_the_swapped_run():
     swapped = np.swapaxes(g.reshape(len(g), n, n), 1, 2).reshape(g.shape)
     assert not np.array_equal(h, g)  # the data are not symmetric themselves
     assert np.max(np.abs(h - swapped)) <= 1e-14 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("name", ["exp-linear", "exp-cubic", "power-steep-cubic", "well-certified"])
+def test_1d_reflection_keeps_symmetric_data_symmetric(name):
+    # x -> L - x maps the clamped mode j to (-1)^(j+1) times itself, and
+    # every term of the equation commutes with it, so from data in the
+    # symmetric modes 1, 3, ... the antisymmetric coefficients (modes 2,
+    # 4, ...) stay zero.  The Galerkin system keeps this only through its
+    # quadrature: the rule must be reflection symmetric (a node at L - x_i
+    # with the weight of x_i), or the projections of the pointwise terms
+    # couple the two classes; what is left is rounding (5.7e-18 on 0.04)
+    scn = with_overrides(
+        PRESETS[name], T=2.0, initial_u="mode(1,0.04) + mode(3,0.01)", initial_v="mode(1,0.01) + mode(3,-0.002)"
+    )
+    g = run(scn).g
+    assert g.shape[1] >= 4
+    assert np.max(np.abs(g[:, 1::2])) <= 1e-14 * np.max(np.abs(g))
