@@ -38,18 +38,19 @@ nonlinear damping law and the log source, are evaluated at the quadrature
 points and projected back.  What depends on (h, w_end) alone is built once
 per run, or per substep of the fallback: A and two product tables.  The
 step row z = (g_n, v_n, a_n, conv_n) is 4m contiguous doubles, the memory
-sum conv written into it by memory.StepLoad.grid; the first table T folds
-the predictor matrix, the stiffness and linear-law blocks and the load's
--M2^T block, so a step's one product z @ T gives R_c, the predictors
-(g_c, v_c) and their values at the points.  Each Newton iteration is one
-product a @ [A^T | cb phi | cg phi | phi], giving A a, the increments of g
-and v at the points and a there, then the pointwise terms and one
-projection by Basis.phi_qw.  When the log source is the only pointwise
-term (rho = 0 with linear or no damping, as in every exp-linear run), the
-iteration forms g at the points alone and projects the source by -k
-Basis.phi_qw.  The initial acceleration is the same form at h = 0.  A step
-holds one np.errstate for all of this, so an overflowing iterate shows
-only as the residual's DivergedError.
+sum conv written into it by memory.StepLoad.grid; the first table T, 4m by
+3m in every dimension, folds the predictor matrix, the stiffness and
+linear-law blocks and the load's -M2^T block, so a step's product z @ T
+gives R_c and the predictors (g_c, v_c), and one product with phi gives
+the predictors that the pointwise terms read at the points.  Each Newton
+iteration is one product a @ [A^T | phi], giving A a and a at the points,
+then the pointwise terms at (g_c, v_c) + c a there and one projection by
+Basis.phi_qw.  When the log source is the only pointwise term (rho = 0
+with linear or no damping, as in every exp-linear run), the step forms g_c
+alone at the points, the iteration's product is a @ [A^T | cb phi] and
+the source projects by -k Basis.phi_qw.  The initial acceleration is the
+same form at h = 0.  A step holds one np.errstate for all of this, so an
+overflowing iterate shows only as the residual's DivergedError.
 
 One Stepper holds a run: what it decides once, its arrays, sized once,
 the step row, the Newton factor and the Newton-start rows, a doubled ring
@@ -223,20 +224,21 @@ class StepForm:
     otherwise, d is 0 for any other law, and point sums the terms that are
     not linear: the inertia at rho != 0, a nonlinear damping law and the
     log source.  The form decides once which terms are linear and holds
-    what depends on (h, w_end) alone: the table T, which folds P into the
-    map from the step row z = (g_n, v_n, a_n, conv), so that `at` is the
-    one product z @ T, written into one buffer whose views are R_c, the
-    predictors (g_c, v_c) as gv and their values at the points as gv_q
-    (g_c,q then v_c,q; g_c,q alone when the log source is the only
-    pointwise term, none without one); and Ga = [A^T | cb phi | cg phi |
-    phi], so that a @ Ga gives A a, the increments of g_q and v_q and a_q.
-    When the log source is the only pointwise term (rho = 0, linear or no
-    damping, k != 0), Ga is [A^T | cb phi], so g_q = g_c,q + (a @ Ga)_q,
-    and -k folds into the projection -k phi_qw: the velocity and
-    acceleration at the points are never formed.  tol2 is NEWTON_TOL^2
-    less the rounding of a sum of m squares, so R.R <= tol2 implies
-    |R|_inf <= NEWTON_TOL.  h = 0 holds (g, v) at (g_n, v_n): the form of
-    an initial acceleration.
+    what depends on (h, w_end) alone: the 4m x 3m table T, which folds P
+    into the map from the step row z = (g_n, v_n, a_n, conv) to [R_c | g_c
+    | v_c], so that `at` is the product z @ T, written into one buffer
+    whose views are R_c and the predictors (g_c, v_c) as gv, and one
+    product gv[:p] @ phi, written to gv_q: the predictors at the points
+    that the pointwise terms read, p = 2 of them (g_c,q then v_c,q) on the
+    full path, 1 (g_c,q) when the log source is the only pointwise term
+    and 0 without one; and Ga = [A^T | phi], so that a @ Ga gives A a and
+    a_q, and (g_q, v_q) = gv_q + c a_q.  When the log source is the only
+    pointwise term (rho = 0, linear or no damping, k != 0), Ga is [A^T |
+    cb phi], so g_q = g_c,q + (a @ Ga)_q, and -k folds into the projection
+    -k phi_qw: the velocity and acceleration at the points are never
+    formed.  tol2 is NEWTON_TOL^2 less the rounding of a sum of m squares,
+    so R.R <= tol2 implies |R|_inf <= NEWTON_TOL.  h = 0 holds (g, v) at
+    (g_n, v_n): the form of an initial acceleration.
     """
 
     def __init__(self, params: PhysicalParams, grams: GramSet, basis: Basis, h: float, w_end: float = 0.0):
@@ -252,22 +254,18 @@ class StepForm:
         if linear:
             A += (cg * damping.c) * grams.M0
         full = params.rho != 0.0 or self.damp is not None
-        # point(form, increments at the points): a plain function, so the form holds no cycle
+        # point(form, a @ Ga past A a): a plain function, so the form holds no cycle
         self.point = _pointwise if full else _log_point if params.k != 0.0 else None
         self.project = basis.phi_qw if full else -params.k * basis.phi_qw
-        # the map (g_c, v_c) -> [R_c | g_c | v_c | gv_q] as two row blocks, folded with P
-        I, Z, Zq = np.eye(m), np.zeros((m, m)), np.zeros_like(phi)
-        pts = ((phi, Zq), (Zq, phi)) if full else ((phi,), (Zq,)) if self.point is not None else ((), ())
-        Gv = np.hstack((damping.c * grams.M0.T if linear else Z, Z, I, *pts[1]))
-        G = np.stack((np.hstack((Sw.T, I, Z, *pts[0])), Gv)).reshape(2, -1)
-        conv = np.hstack((-grams.M2.T, np.zeros((m, len(Gv[0]) - m))))
-        self.T = np.vstack(((P.T @ G).reshape(3 * m, -1), conv))
-        self._y = np.empty(self.T.shape[1])
-        self.R_c, self.gv, self.gv_q = self._y[:m], self._y[m : 3 * m].reshape(2, m), self._y[3 * m :]
-        if full:
-            self.gv_q = self.gv_q.reshape(2, -1)
-        ga = (A.T, cb * phi, cg * phi, phi) if full else (A.T, cb * phi) if self.point is not None else (A.T,)
-        self.Ga = np.hstack(ga)
+        # (g_c, v_c) -> [R_c | g_c | v_c] as two row blocks folded with P, then conv -> -M2 conv
+        I, Z = np.eye(m), np.zeros((m, m))
+        G = np.stack((np.hstack((Sw.T, I, Z)), np.hstack((damping.c * grams.M0.T if linear else Z, Z, I))))
+        self.T = np.vstack(((P.T @ G.reshape(2, -1)).reshape(3 * m, -1), np.hstack((-grams.M2.T, Z, Z))))
+        self._y = np.empty(3 * m)
+        self.R_c, self.gv = self._y[:m], self._y[m:].reshape(2, m)
+        self._gv_p = self.gv[: 2 if full else 1 if self.point is not None else 0]
+        self.gv_q = np.empty((len(self._gv_p), phi.shape[1]))
+        self.Ga = np.hstack((A.T, phi if full else cb * phi) if self.point is not None else (A.T,))
 
     def at(self, z: np.ndarray) -> None:
         """Put the form at the step from the row z = (g_n, v_n, a_n, conv), with
@@ -275,6 +273,7 @@ class StepForm:
         # the step's products use ndarray.dot: at these sizes matmul's ufunc
         # dispatch costs about as much as the product itself
         z.dot(self.T, out=self._y)
+        self._gv_p.dot(self.basis.phi, out=self.gv_q)
 
     def state(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(g, v) of the step at acceleration a, stacked, written to out if given."""
@@ -283,15 +282,12 @@ class StepForm:
 
 def _log_point(form: StepForm, yq: np.ndarray) -> np.ndarray:
     # the log source alone, yq = cb a_q; form.project holds the -k
-    return _log_source(form.gv_q + yq)
+    return _log_source(form.gv_q[0] + yq)
 
 
-def _pointwise(form: StepForm, yq: np.ndarray) -> np.ndarray:
-    # the inertia at rho != 0, a nonlinear damping law and the log source;
-    # yq = (cb a_q, cg a_q, a_q)
-    yq = yq.reshape(3, -1)
-    gq, vq = form.gv_q + yq[:2]
-    aq = yq[2]
+def _pointwise(form: StepForm, aq: np.ndarray) -> np.ndarray:
+    # the inertia at rho != 0, a nonlinear damping law and the log source
+    gq, vq = form.gv_q + form.c * aq
     point = form.damp(vq) if form.rho == 0.0 else _inertia_weight(vq, form.params) * aq
     if form.rho != 0.0 and form.damp is not None:
         point = point + form.damp(vq)

@@ -7,6 +7,7 @@ under test.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,12 +66,12 @@ def start_rows(s):
 class OneShotScenario:
     """Minimal duck-typed scenario for driving run() in tests."""
 
-    def __init__(self, params, dt, T, g0, v0, n=4):
+    def __init__(self, params, dt, T, g0, v0, n=4, dim=1):
         self.params, self.dt, self.T = params, dt, T
-        self._g0, self._v0, self._n = np.asarray(g0, float), np.asarray(v0, float), n
+        self._g0, self._v0, self._n, self._dim = np.asarray(g0, float), np.asarray(v0, float), n, dim
 
     def make_basis(self):
-        return build_basis(1, self._n)
+        return build_basis(self._dim, self._n)
 
     def physical_params(self):
         return self.params
@@ -869,22 +870,25 @@ def test_ring_start_is_the_newest_first_extrapolation(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rho, sigma, damping, kernel, k",
+    "rho, sigma, damping, kernel, k, dim, n",
     [
-        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.5),
-        (1.0, 0.0, "damp-cubic(0.5)", "power(0.4,3.0)", 0.5),
-        (0.5, 0.1, "none", "none", 0.5),
-        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.0),
+        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.5, 1, 6),
+        (1.0, 0.0, "damp-cubic(0.5)", "power(0.4,3.0)", 0.5, 1, 6),
+        (0.5, 0.1, "none", "none", 0.5, 1, 6),
+        (0.0, 0.0, "damp-linear(1)", "exp(0.5,1.0)", 0.0, 1, 6),
+        (1.0, 0.0, "damp-cubic(0.5)", "power(0.4,3.0)", 0.5, 2, 4),
     ],
-    ids=["rho0-linear-exp", "rho1-cubic-power", "zero-kernel", "k0"],
+    ids=["rho0-linear-exp", "rho1-cubic-power", "zero-kernel", "k0", "2d-rho1-cubic-power"],
 )
-def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k):
+def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k, dim, n):
     # z @ T against the map written out here: the predictors (g_c, v_c) =
-    # P (g_n, v_n, a_n), R_c = (S - w_end M2) g_c + d M0 v_c - M2 conv and
-    # the predictors at the points (g_c, v_c on the full path, g_c alone
-    # with the log source only, none without a pointwise term), each part
-    # within 1e-14 of its largest entry; `at` gives the same parts
-    basis, grams = make_setup()
+    # P (g_n, v_n, a_n) and R_c = (S - w_end M2) g_c + d M0 v_c - M2 conv;
+    # after `at`, gv_q against the predictors at the points (g_c, v_c on
+    # the full path, g_c alone with the log source only, none without a
+    # pointwise term); each part within 1e-14 of its largest entry, and
+    # `at`'s views R_c and gv give the parts of z @ T
+    basis = build_basis(dim, n)
+    grams = assemble_grams(basis)
     m, h = basis.dim, 0.01
     beta, gamma = dynamics.NEWMARK_BETA, dynamics.NEWMARK_GAMMA
     params = PhysicalParams(rho, k, parse_kernel_spec(kernel), parse_damping_spec(damping), sigma)
@@ -900,16 +904,36 @@ def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k):
             conv = np.zeros(m)
         gc, vc = P @ np.array([g_n, v_n, a_n])
         R_c = (grams.S - w_end * grams.M2) @ gc + d * (grams.M0 @ vc) - grams.M2 @ conv
-        points = [gc @ basis.phi, vc @ basis.phi] if full else [gc @ basis.phi] if k != 0.0 else []
+        points = [gc, vc] if full else [gc] if k != 0.0 else []
         z = step_row(g_n, v_n, a_n, conv)
         form.at(z)
         got = z @ form.T
-        parts = [(R_c, got[:m], form.R_c), (gc, got[m : 2 * m], form.gv[0]), (vc, got[2 * m : 3 * m], form.gv[1])]
-        parts.append((np.concatenate([np.zeros(0), *points]), got[3 * m :], form.gv_q.ravel()))
-        assert len(got) == 3 * m + len(parts[-1][0])
+        assert form.T.shape == (4 * m, 3 * m)
+        parts = [(R_c, got[:m], form.R_c), (gc, got[m : 2 * m], form.gv[0]), (vc, got[2 * m :], form.gv[1])]
+        parts.append((np.reshape(points, (-1, m)) @ basis.phi, form.gv_q))
+        assert form.gv_q.shape == parts[-1][0].shape
         for want, *views in parts:
             for view in views:
                 assert np.max(np.abs(view - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+
+
+def test_2d_step_holds_phi_once():
+    # five steps of exp-fast-linear physics in 2D at n = 8 (64 modes, 1024
+    # points): with the basis and Grams given, the allocation peak of run
+    # stays within 8 phi tables.  Each of its two step forms holds phi
+    # once, in Ga, and a Newton matrix forms one (m, q) temporary; a step
+    # table that folds phi into point columns reads about 37
+    scn = with_overrides(PRESETS["exp-fast-linear"], spatial_dim=2, n=8, T=0.05)
+    basis = scn.make_basis()
+    grams = assemble_grams(basis)
+    tracemalloc.start()
+    try:
+        s = run(scn, basis, grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 6
+    assert peak <= 8 * basis.phi.nbytes
 
 
 # --- run -----------------------------------------------------------------
@@ -1222,16 +1246,25 @@ def _assert_matches(got, want):
         assert np.max(np.abs(x - y)) <= MATCH_RTOL * np.max(np.abs(y))
 
 
-@RHO_SIGMA
-@pytest.mark.parametrize(
-    "kernel, damping",
-    [("exp(0.5,1.0)", "damp-linear(1)"), ("power(0.4,3.0)", "damp-cubic(0.5)")],
+# (rho, sigma, kernel, damping, dim, n, T): each law pair at each RHO_SIGMA
+# value in 1D, and the full pointwise path in 2D
+CLOSURE_CASES = [
+    pytest.param(rho, sigma, kernel, damping, 1, 6, 1.0, id=f"{kernel}-{damping}-{rho_id}")
+    for kernel, damping in (("exp(0.5,1.0)", "damp-linear(1)"), ("power(0.4,3.0)", "damp-cubic(0.5)"))
+    for (rho, sigma), rho_id in zip(((0.0, 0.0), (1.0, 0.0), (0.5, 1e-3)), ("0.0", "1.0", "0.5-0.001"))
+]
+CLOSURE_CASES.append(
+    pytest.param(1.0, 0.0, "power(0.4,3.0)", "damp-cubic(0.5)", 2, 3, 0.5, id="2d-power(0.4,3.0)-damp-cubic(0.5)-1.0")
 )
-def test_run_matches_closure_stepper(rho, sigma, kernel, damping):
+
+
+@pytest.mark.parametrize("rho, sigma, kernel, damping, dim, n, T", CLOSURE_CASES)
+def test_run_matches_closure_stepper(rho, sigma, kernel, damping, dim, n, T):
     params = PhysicalParams(rho, 0.5, parse_kernel_spec(kernel), parse_damping_spec(damping), sigma)
-    g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
-    v0 = np.array([0.0, 0.2, 0.0, -0.05, 0.0, 0.0])
-    scn = OneShotScenario(params, 0.01, 1.0, g0, v0, n=6)
+    g0, v0 = np.zeros((2, n**dim))
+    g0[:6] = [0.05, -0.01, 0.004, 0.0, 0.001, 0.0]
+    v0[:6] = [0.0, 0.2, 0.0, -0.05, 0.0, 0.0]
+    scn = OneShotScenario(params, 0.01, T, g0, v0, n=n, dim=dim)
     traj = run(scn)
     _assert_matches((traj.g, traj.v, traj.a), _ref_run(scn))
 

@@ -1,15 +1,18 @@
-"""Time the eight presets, two long runs and C01 end to end, in process.
+"""Time the eight presets, two long runs, a 2D run and C01 end to end, in process.
 
 Usage: python tools/time_presets.py [<ref>] [--runs N]
 
-The cases are the eight presets, two long runs and acceptance criterion
-C01: `power-linear` at dt = 1e-3, T = 20 (20000 steps), whose memory load
-is a product with the whole g history at every step, so it shows how the
-history is laid out; `exp-linear` at dt = 1e-3, T = 5 (5000 steps), the
-physics of the benchmark's memory-long workload, where stepping takes most
-of a run; and C01's configuration (exp(0.5,1.0), damp-linear(1), rho = 1,
-sigma = 0, dt = 1e-3, T = 5) run with three refinement levels, 35000 steps
-in all.  For each case it prints the median wall time of
+The cases are the eight presets, two long runs, a 2D run and acceptance
+criterion C01: `power-linear` at dt = 1e-3, T = 20 (20000 steps), whose
+memory load is a product with the whole g history at every step, so it
+shows how the history is laid out; `exp-linear` at dt = 1e-3, T = 5 (5000
+steps), the physics of the benchmark's memory-long workload, where
+stepping takes most of a run; `plate-2d`, the physics of the benchmark's
+2D workload: `exp-fast-linear` in 2D at n = 8 (64 modes, 1024 quadrature
+points), dt = 0.01, T = 10, where the step's products with the quadrature
+table dominate; and C01's configuration (exp(0.5,1.0), damp-linear(1),
+rho = 1, sigma = 0, dt = 1e-3, T = 5) run with three refinement levels,
+35000 steps in all.  For each case it prints the median wall time of
 `viscoplate.cli.run_scenario` over N runs (default 3) after one warm-up
 run, in each of INTERPRETERS fresh interpreters per case and tree, with its
 step count over all levels, the median time of its stepping (`dynamics.run`,
@@ -48,6 +51,7 @@ PRESETS = (
 CASES = {name: (name, {}, 0) for name in PRESETS}
 CASES["power-linear T=20"] = ("power-linear", {"dt": 1e-3, "T": 20.0}, 0)
 CASES["exp-linear T=5"] = ("exp-linear", {"dt": 1e-3, "T": 5.0}, 0)
+CASES["plate-2d"] = ("exp-fast-linear", {"spatial_dim": 2, "n": 8, "T": 10.0}, 0)
 # exp-linear with a unset is the Scenario defaults that C01 starts from
 CASES["C01"] = ("exp-linear", {"rho": 1.0, "sigma": 0.0, "dt": 1e-3, "T": 5.0, "a": None}, 3)
 # fresh interpreters per case and tree; the printed times are their medians
