@@ -36,7 +36,7 @@ M0 a at rho = 0 and a linear damping law h(s) = d s, whose projection is d
 M0 v.  Only the terms that are not linear, the inertia at rho != 0, a
 nonlinear damping law and the log source, are evaluated at the quadrature
 points and projected back.  What depends on (h, w_end) alone is built once
-per run, or per substep of the fallback: A and two product tables.  The
+per run, or per try of the fallback: A and two product tables.  The
 step row z = (g_n, v_n, a_n, conv_n) is 4m contiguous doubles, the memory
 sum conv written into it by memory.StepLoad.grid; the first table T, 4m by
 3m in every dimension, folds the predictor matrix, the stiffness and
@@ -60,9 +60,10 @@ forms the accepted (g, v, a) once in the step row, checks it there and
 copies it to the column (g_n+1, v_n+1, a_n+1).  The g rows are also the
 convolution history, read in place by memory.StepLoad for each step's
 memory load and by diagnostics.analyze for the memory series.  When
-Newton fails the step is re-tried with 2, 4, then 8 substeps, whose memory
-integrals run over the union of the stored grid and the pending substep
-nodes, the last to the grid time t_n+1 itself.
+Newton fails the step is re-tried with 2, 4, then 8 substeps, one StepForm
+per try, whose memory sums run over the stored rows, read in place, and
+the substeps' own rows, at node positions that are integers in units of
+the substep, the last at the grid time t_n+1 itself.
 """
 
 from __future__ import annotations
@@ -487,31 +488,26 @@ def _substeps(s: Stepper, error: DivergedError):
     """(form, a, factor) of step s.n taken as 2, 4, then 8 substeps, the form
     at the last substep.
 
-    Each substep has its own StepForm, of size h = dt / pieces and the end
-    weight of its memory integral, which runs over the stored rows and the
-    earlier substeps' nodes to t_n + (j + 1) h, and to t_n+1 = (n + 1) dt
-    for the last; each substep row is a copy of the step row with that
-    integral's conv, and each try starts from the stepper's factor.
+    Each try builds one StepForm, of size h = dt / pieces and end weight
+    w_end / pieces; substep j's memory sum, from memory.StepLoad.off_grid,
+    runs over the stored rows and the earlier substeps' g rows to the node
+    position n pieces + j + 1 in units of h, the last to (n + 1) dt itself.
+    Each substep row is a copy of the step row with that sum's conv, and
+    each try starts from the stepper's factor.
     """
     n, m = s.n, s.basis.dim
     for pieces in (2, 4, 8):
-        h = s.dt / pieces
-        z, factor = s._z.copy(), s._factor
-        row, times, G = z[: 3 * m].reshape(3, m), s.times[: n + 1], s.g[: n + 1]
+        z, factor, sub = s._z.copy(), s._factor, np.empty((pieces, m))
+        row = z[: 3 * m].reshape(3, m)
+        form = StepForm(s.params, s.grams, s.basis, s.dt / pieces, s._form.w_end / pieces)
         try:
             for j in range(pieces):
-                t = (n + 1) * s.dt if j == pieces - 1 else s.times[n] + (j + 1) * h
-                w_end = 0.0
                 if s.load is not None:
-                    z[3 * m :], w_end = s.load.off_grid(times, G, t)
-                form = StepForm(s.params, s.grams, s.basis, h, w_end)
+                    z[3 * m :] = s.load.off_grid(s.g, n, sub[: j + 1], pieces)
                 form.at(z)
                 a, _, factor = _newton(form, row[2], factor)
                 form.state(a, out=row[:2])
-                row[2] = a
-                if j < pieces - 1:
-                    times = np.append(times, t)
-                    G = np.vstack([G, row[:1]])
+                row[2], sub[j] = a, row[0]
         except DivergedError as exc:
             error = exc
             continue

@@ -7,7 +7,8 @@ time, directly (the reference that acceptance criterion C07 checks);
 `series` evaluates it at every sample of a run as FFT convolutions, one
 per kernel term over one transform of the history (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985);
-`StepLoad` gives it to each step of the Newmark stepper.
+`StepLoad` gives it to each step of the Newmark stepper, and to each
+substep of its fallback as `weights` at integer node positions.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ class StepLoad:
     step to step, built from K[0] and K[1] alone: O(1) per step.  Any other
     kernel takes conv as one product with the lag table of the run's steps,
     built once.  `grid` writes conv into the stepper's step row, where the
-    exponential carry lives.  Sums at the off-grid times of the substep
-    fallback use `weights`.
+    exponential carry lives.  `off_grid` gives the sums of the substep
+    fallback by `weights` on the node positions in units of the substep,
+    which are integers, so no node time and no lag is rounded.
     """
 
     def __init__(self, kernel, dt: float, steps: int):
-        self.kernel = kernel
+        self.kernel, self.dt = kernel, dt
         self._lags = None
         if kernel.family == "exponential":
             k0, self._k1 = dt * kernel.value(np.array([0.0, dt]))
@@ -137,7 +139,14 @@ class StepLoad:
         out -= (0.5 * w[0]) * G[0]  # the trapezoid halves the first node
         return out
 
-    def off_grid(self, nodes: np.ndarray, rows: np.ndarray, t: float):
-        """(conv, w_end) of the integral to t over the nodes, with rows, and t."""
-        w = weights(np.append(nodes, t), t, self.kernel.value)
-        return rows.T @ w[:-1], w[-1]
+    def off_grid(self, G: np.ndarray, n: int, sub: np.ndarray, pieces: int) -> np.ndarray:
+        """conv of the fallback substep that ends at t_n + J h, h = dt /
+        pieces, J = len(sub): the sum over the rows G[0 .. n] and sub[:-1],
+        the earlier substeps' rows.  sub's last row stands for the end node
+        and is not read: its weight, w_end / pieces (exact, as pieces is a
+        power of two), is the substep form's.  The nodes sit at the integer
+        positions i pieces and n pieces + k in units of h."""
+        J, h = len(sub), self.dt / pieces
+        pos = np.concatenate((np.arange(n + 1.0) * pieces, n * pieces + np.arange(1.0, J + 1)))
+        w = weights(pos, pos[-1], lambda lag: self.kernel.value(lag * h))
+        return h * (w[: n + 1] @ G[: n + 1] + w[n + 1 : -1] @ sub[:-1])

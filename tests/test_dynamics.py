@@ -582,8 +582,9 @@ def test_substep_fallback_rescues_stalled_step(monkeypatch, rho):
     step(halves)
     step(halves)
     assert whole.n == 1 and whole.times[1] == halves.times[2] == 2.0
-    # the halves read the lag table and start Newton at 2 a_n - a_{n-1}; the
-    # fallback substeps use memory.weights over explicit nodes and start at a_n
+    # the halves read the exponential carry and start Newton at 2 a_n -
+    # a_{n-1}; the fallback substeps sum memory.weights at integer node
+    # positions and start at a_n
     _assert_matches((whole.g[1], whole.v[1], whole.a[1]), (halves.g[2], halves.v[2], halves.a[2]))
 
 
@@ -941,28 +942,39 @@ def test_2d_step_holds_phi_once():
 
 def test_substep_memory_integrals_end_on_the_grid(monkeypatch):
     # with every step taken as 2 substeps (the whole-step solve is made to
-    # fail), the first substep's memory integral runs to n dt + dt / 2 and
-    # the last to (n + 1) dt bit for bit, the time the step is stored at;
-    # accumulating t += h missed (n + 1) dt in most of these steps
+    # fail), each step's memory sums end at the node positions n pieces + 1
+    # and n pieces + 2 in units of h = dt / pieces, the last at (n + 1)
+    # pieces, so at (n + 1) dt bit for bit, the time the step is stored at;
+    # accumulating t += h missed (n + 1) dt in most of these steps.  Each
+    # try builds one StepForm, not one per substep
     dt = 1e-3
-    newton, off_grid, ends = dynamics._newton, memory.StepLoad.off_grid, []
+    newton, off_grid, form_cls, calls, forms = dynamics._newton, memory.StepLoad.off_grid, dynamics.StepForm, [], []
 
     def whole_step_fails(form, a0, factor):
         if form.h == dt:
             raise DivergedError("forced")
         return newton(form, a0, factor)
 
-    def recorded(self, nodes, rows, t):
-        ends.append(t)
-        return off_grid(self, nodes, rows, t)
+    def recorded(self, G, n, sub, pieces):
+        calls.append((n, len(sub), pieces))
+        return off_grid(self, G, n, sub, pieces)
+
+    def counted(*args, **kwargs):
+        forms.append(args[3])
+        return form_cls(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_newton", whole_step_fails)
     monkeypatch.setattr(memory.StepLoad, "off_grid", recorded)
+    monkeypatch.setattr(dynamics, "StepForm", counted)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=dt, T=0.5))
-    assert len(traj) == 501 and len(ends) == 1000
+    assert len(traj) == 501 and len(calls) == 1000
     n = np.arange(500)
-    assert np.array_equal(ends[1::2], (n + 1) * dt)
-    assert np.array_equal(ends[0::2], n * dt + dt / 2)
+    assert calls == [(i, J, 2) for i in range(500) for J in (1, 2)]
+    ends = np.array([i * pieces + J for i, J, pieces in calls[1::2]])
+    assert np.array_equal(ends, (n + 1) * 2)
+    assert np.array_equal(ends * (dt / 2), (n + 1) * dt)
+    # the stepper's two forms (h = 0 and dt), then one form of h = dt / 2 per step
+    assert forms == [0.0, dt] + [dt / 2] * 500
 
 
 @pytest.mark.parametrize("fallback", [False, True])

@@ -185,3 +185,49 @@ def test_series_bit_identical_to_scipy_fft(monkeypatch, N):
     (want,) = memory.series(*history(G, M2), dt, [(fn, 0.0)])
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
+
+
+# --- the substep fallback's sums against exact lags -----------------------
+
+
+def exact_lag_conv(kernel, dt, G, n, sub, pieces):
+    """off_grid's conv in 30-digit arithmetic: the nodes sit at the integer
+    positions i pieces and n pieces + k, each lag is the exact position
+    difference times h = dt / pieces, and the trapezoid weight of a node is
+    half the spacing to its neighbours; the end node's weight is the form's.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        h = mpmath.mpf(dt) / pieces
+        b0 = mpmath.mpf(kernel.b0)
+        if kernel.family == "exponential":
+            rate = mpmath.mpf(kernel.rate)
+            b = lambda t: b0 * mpmath.exp(-rate * t)  # noqa: E731
+        else:
+            q = mpmath.mpf(kernel.q)
+            b = lambda t: b0 * (1 + t) ** -q  # noqa: E731
+        pos = [i * pieces for i in range(n + 1)] + [n * pieces + k for k in range(1, len(sub) + 1)]
+        rows = np.vstack((G[: n + 1], sub[:-1]))
+        spans = [mpmath.mpf(pos[i + 1] - pos[max(i - 1, 0)]) / 2 for i in range(len(rows))]
+        c = [span * b((pos[-1] - p) * h) * h for span, p in zip(spans, pos)]
+        return np.array([float(mpmath.fdot(c, [mpmath.mpf(x) for x in col])) for col in rows.T])
+
+
+@pytest.mark.parametrize("kernel", [RelaxationKernel.exponential(0.5, 1.0), RelaxationKernel.power_law(0.4, 3.0)])
+@pytest.mark.parametrize("dt", [1e-3, 1.9])
+def test_off_grid_matches_exact_lag_sum(kernel, dt):
+    # every substep J of 2 and 8 pieces after n = 0, 1 and 300 grid steps:
+    # off_grid's conv within 2e-15 of the largest entry of the exact-lag
+    # sum.  Node times rounded to floats moved these sums by up to 3e-15 at
+    # dt = 1e-3 and 3e-13 at dt = 1.9
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 300):
+        G = rng.standard_normal((n + 1, 3))
+        load = memory.StepLoad(kernel, dt, n + 1)
+        for pieces in (2, 8):
+            sub = rng.standard_normal((pieces, 3))
+            for J in range(1, pieces + 1):
+                got = load.off_grid(G, n, sub[:J], pieces)
+                want = exact_lag_conv(kernel, dt, G, n, sub[:J], pieces)
+                assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))

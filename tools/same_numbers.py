@@ -10,6 +10,9 @@ checkout's working tree, with OPENBLAS_NUM_THREADS=1:
 - exp-linear with --refine 3;
 - dt = 2, T = 8 with kernels exp(0.5,1.0) and power(0.4,3.0), which take
   the substep fallback on every step;
+- power(0.4,3.0) at dt = 1.9, T = 1900 with a = 0.25: 236 of its 1000
+  steps take the fallback, at node times that are not dyadic, so it shows
+  a change in how the fallback rounds its lags;
 - exp-linear with lyap_eps = 1000, whose Lyapunov search fails past 2^10;
 - exp-linear with modulus = pow(2,0.1), whose domain edge 0.1 lies below
   b(0) = 0.5, so H2 fails through a DomainError and the run is skipped;
@@ -54,6 +57,8 @@ FALLBACK = "[time]\ndt = 2.0\nT = 8.0\n[physics]\nkernel = {kernel}\n"
 SCENARIOS = {
     "fallback-exp": FALLBACK.format(kernel="exp(0.5,1.0)"),
     "fallback-power": FALLBACK.format(kernel="power(0.4,3.0)"),
+    "fallback-power dt=1.9": "[time]\ndt = 1.9\nT = 1900.0\n[physics]\nkernel = power(0.4,3.0)\n"
+    "[diagnostics]\na = 0.25\n",
     "lyapunov-fail": "[diagnostics]\na = 0.25\nlyap_eps = 1000.0\n",
     "h2-domain-error": "[physics]\nmodulus = pow(2,0.1)\n[diagnostics]\na = 0.25\n",
     "exp-linear n=32": "[space]\nn = 32\n[diagnostics]\na = 0.25\n",

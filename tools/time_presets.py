@@ -1,16 +1,18 @@
-"""Time the eight presets, two long runs, a 2D run and C01 end to end, in process.
+"""Time the eight presets, two long runs, a 2D run, a fallback run and C01 end to end, in process.
 
 Usage: python tools/time_presets.py [<ref>] [--runs N]
 
-The cases are the eight presets, two long runs, a 2D run and acceptance
-criterion C01: `power-linear` at dt = 1e-3, T = 20 (20000 steps), whose
-memory load is a product with the whole g history at every step, so it
-shows how the history is laid out; `exp-linear` at dt = 1e-3, T = 5 (5000
+The cases are the eight presets, two long runs, a 2D run, a fallback run
+and acceptance criterion C01: `power-linear` at dt = 1e-3, T = 20 (20000
+steps), whose memory load is a product with the whole g history at every
+step, so it shows how the history is laid out; `exp-linear` at dt = 1e-3, T = 5 (5000
 steps), the physics of the benchmark's memory-long workload, where
 stepping takes most of a run; `plate-2d`, the physics of the benchmark's
 2D workload: `exp-fast-linear` in 2D at n = 8 (64 modes, 1024 quadrature
 points), dt = 0.01, T = 10, where the step's products with the quadrature
-table dominate; and C01's configuration (exp(0.5,1.0), damp-linear(1),
+table dominate; `fallback-power dt=1.9`, power(0.4,3.0) at dt = 1.9,
+T = 1900, 236 of whose 1000 steps take the substep fallback, so the
+fallback is timed; and C01's configuration (exp(0.5,1.0), damp-linear(1),
 rho = 1, sigma = 0, dt = 1e-3, T = 5) run with three refinement levels,
 35000 steps in all.  For each case it prints the median wall time of
 `viscoplate.cli.run_scenario` over N runs (default 3) after one warm-up
@@ -27,8 +29,11 @@ variables of this process and of the interpreters).  Given a
 ref, it exports that commit with `git archive` into a temporary directory
 and times it the same way, interpreter by interpreter and alternating which
 tree goes first, and prints the ratios this/ref of the median run_scenario
-times and, under "steps", of the median stepping times.  Outputs go to a
-temporary directory.  Needs git and the checkout only: no network.
+times and, under "steps", of the median stepping times, then under "min"
+the smallest per-interpreter stepping ratio, this/ref of the two
+interpreters that ran one after the other, to read beside the median when
+a process of a short case is slow.  Outputs go to a temporary directory.
+Needs git and the checkout only: no network.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ CASES = {name: (name, {}, 0) for name in PRESETS}
 CASES["power-linear T=20"] = ("power-linear", {"dt": 1e-3, "T": 20.0}, 0)
 CASES["exp-linear T=5"] = ("exp-linear", {"dt": 1e-3, "T": 5.0}, 0)
 CASES["plate-2d"] = ("exp-fast-linear", {"spatial_dim": 2, "n": 8, "T": 10.0}, 0)
+CASES["fallback-power dt=1.9"] = ("exp-linear", {"kernel": "power(0.4,3.0)", "dt": 1.9, "T": 1900.0}, 0)
 # exp-linear with a unset is the Scenario defaults that C01 starts from
 CASES["C01"] = ("exp-linear", {"rho": 1.0, "sigma": 0.0, "dt": 1e-3, "T": 5.0, "a": None}, 3)
 # fresh interpreters per case and tree; the printed times are their medians
@@ -129,8 +135,9 @@ def main(argv=None) -> int:
             os.makedirs(trees["ref"])
             archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", trees["ref"]], input=archive.stdout, check=True)
-        header = f"{'case':18s} {'steps':>6s} {'this s':>8s} {'step s':>8s} {'us/step':>8s}"
-        print(header + (f" {'ref s':>8s} {'step s':>8s} {'us/step':>8s} {'this/ref':>8s} {'steps':>8s}" if args.ref else ""))
+        header = f"{'case':21s} {'steps':>6s} {'this s':>8s} {'step s':>8s} {'us/step':>8s}"
+        ratios = f" {'this/ref':>8s} {'steps':>8s} {'min':>8s}"
+        print(header + (f" {'ref s':>8s} {'step s':>8s} {'us/step':>8s}{ratios}" if args.ref else ""))
         for i, name in enumerate(CASES):
             samples = {label: [] for label in trees}
             for j in range(INTERPRETERS):
@@ -141,12 +148,13 @@ def main(argv=None) -> int:
                 for label, runs in samples.items()
             }
             this = got["this"]
-            line = f"{name:18s} {this['steps']:6d} {this['median_s']:8.3f} {this['step_s']:8.3f} {this['step_us']:8.1f}"
+            line = f"{name:21s} {this['steps']:6d} {this['median_s']:8.3f} {this['step_s']:8.3f} {this['step_us']:8.1f}"
             if args.ref:
                 ref = got["ref"]
                 line += f" {ref['median_s']:8.3f} {ref['step_s']:8.3f} {ref['step_us']:8.1f}"
                 line += f" {this['median_s'] / ref['median_s']:8.3f}"
                 line += f" {this['step_us'] / ref['step_us']:8.3f}"
+                line += f" {min(x['step_us'] / y['step_us'] for x, y in zip(samples['this'], samples['ref'])):8.3f}"
             print(line, flush=True)
     return 0
 
