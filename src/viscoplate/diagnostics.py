@@ -191,9 +191,8 @@ def energy(
     logterm = float(basis.qw @ _log_integrand(uq))
     mem = 0.0
     if history is not None and not params.kernel.is_zero:
-        sub = history.upto(state.t)
-        wts = memory.weights(sub, state.t, params.kernel.value)
-        diffs = history.snapshots[: len(sub)] - state.g
+        wts, rows = history.weights(state.t, params.kernel.value)
+        diffs = rows - state.g
         mem = float(wts @ np.einsum("ij,ij->i", diffs @ grams.M2, diffs))
     bint = float(params.kernel.integral_to(state.t))
     I = (1.0 - bint) * bend + bend_rate + mass + mem - params.k * logterm
@@ -441,14 +440,10 @@ def psi2(
     grams: GramSet,
     basis: Basis,
     history: HistoryBuffer,
-    kernel: RelaxationKernel,
 ) -> float:
     """Weighted cross term against the memory convolution (weak form)."""
-    sub = history.upto(state.t)
-    wts = memory.weights(sub, state.t, kernel.value)
-    if not np.any(wts):
-        return 0.0
-    conv = wts.sum() * state.g - wts @ history.snapshots[: len(sub)]
+    wts, rows = history.weights(state.t, params.kernel.value)
+    conv = wts.sum() * state.g - wts @ rows
     vq = state.v @ basis.phi
     srho = np.abs(vq) ** params.rho * vq if params.rho != 0.0 else vq
     term1 = float(state.v @ (grams.M2 @ conv))
@@ -492,16 +487,12 @@ def memory_cs_check(
 
     Returns (gap_b, gap_db); both must be >= -1e-10.
     """
-    if len(history) == 0:
-        raise InputError("history is empty")
-    sub = history.upto(state.t)
-    diffs = state.g - history.snapshots[: len(sub)]
+    wb, rows = history.weights(state.t, kernel.value)
+    wdb = history.weights(state.t, kernel.deriv)[0]
+    diffs = state.g - rows
     q = np.einsum("ij,ij->i", diffs @ grams.M2, diffs)
     out = []
-    for wts, const in (
-        (memory.weights(sub, state.t, kernel.value), 1.0 - kernel.l),
-        (-memory.weights(sub, state.t, kernel.deriv), kernel.value(0.0)),
-    ):
+    for wts, const in ((wb, 1.0 - kernel.l), (-wdb, kernel.value(0.0))):
         conv = wts @ diffs
         lhs = float(conv @ (grams.M2 @ conv))
         out.append(const * float(wts @ q) - lhs)
@@ -513,7 +504,6 @@ def damping_diag(
     params: PhysicalParams,
     basis: Basis,
     history: HistoryBuffer,
-    kernel: RelaxationKernel,
     t1: float,
     delta: float = 0.5,
     modulus: ConvexModulus | None = None,
@@ -524,7 +514,8 @@ def damping_diag(
     The tail M integrates -b'(lag) against squared Laplacian differences
     for lags in [t1, t]; with a modulus and weight given, the convexity
     tail bound (t-t1)/delta * Binv(delta M / ((t-t1) xi(t))) is evaluated
-    and compared against the same integral weighted by b itself.
+    and compared against the same integral weighted by b itself.  The lags
+    start at the memory.first_lag of t1, as analyze's memory_tail does.
     """
     t = state.t
     if not t1 < t:
@@ -547,15 +538,14 @@ def damping_diag(
 
     M = 0.0
     tail_lhs = tail_rhs = tail_ok = None
+    kernel = params.kernel
     if not kernel.is_zero and len(history) > 1:
-        # nodes with lag >= t1, i.e. s <= t - t1 (t1 snapped to the grid)
-        sub = history.upto(t)[: int(math.floor((t - t1) / history.dt + 1e-9)) + 1]
-        if len(sub) >= 2:
+        wdb, rows = history.weights(t, kernel.deriv, lag_min=t1)
+        if len(rows) >= 2:
             lap_t = state.g @ basis.lap
-            lap_s = history.snapshots[: len(sub)] @ basis.lap
-            q = ((lap_s - lap_t) ** 2) @ qw
-            M = float(-memory.weights(sub, t, kernel.deriv) @ q)
-            tail_lhs = float(memory.weights(sub, t, kernel.value) @ q)
+            q = ((rows @ basis.lap - lap_t) ** 2) @ qw
+            M = float(-wdb @ q)
+            tail_lhs = float(history.weights(t, kernel.value, lag_min=t1)[0] @ q)
             if modulus is not None and xi is not None:
                 span = t - t1
                 xival = float(xi.value(t))

@@ -166,26 +166,23 @@ class HistoryBuffer:
     def __len__(self) -> int:
         return self.snapshots.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.dt
-
-    def upto(self, t: float) -> np.ndarray:
-        """Node times 0, dt, ..., t; t must be a stored grid time."""
+    def weights(self, t: float, fn, lag_min: float = 0.0) -> tuple:
+        """(w, rows): the product-trapezoid weights at the grid time t = n dt
+        of the rows g_0 .. g_n-m at the lags (n - i) dt >= lag_min, m the
+        memory.first_lag of lag_min, and those rows.  fn is kernel.value or
+        kernel.deriv, evaluated at the exact lags j dt of memory.series."""
         n = step_count(self.dt, t)
         if not 0 <= n < len(self):
             raise InputError(f"history holds {len(self)} nodes, cannot reach t = {t}")
-        return np.arange(n + 1) * self.dt
+        m = memory.first_lag(np.arange(n + 1) * self.dt, self.dt, lag_min)
+        w = memory.weights(np.arange(n + 1.0 - m), n, lambda j: fn(j * self.dt))
+        return self.dt * w, self.snapshots[: n + 1 - m]
 
 
 def memory_term(history: HistoryBuffer, kernel: RelaxationKernel, grams: GramSet, t: float) -> np.ndarray:
     """Convolution load M2 * int_0^t b(t-s) g(s) ds by product trapezoid."""
-    m = history.snapshots.shape[1] if len(history) else 0
-    if kernel.is_zero or len(history) == 0:
-        return np.zeros(m)
-    s = history.upto(t)
-    conv = history.snapshots[: len(s)].T @ memory.weights(s, t, kernel.value)
-    return grams.M2 @ conv
+    w, rows = history.weights(t, kernel.value)
+    return grams.M2 @ (rows.T @ w)
 
 
 def _log_source(u: np.ndarray) -> np.ndarray:

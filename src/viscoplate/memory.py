@@ -9,6 +9,8 @@ per kernel term over one transform of the history (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985);
 `StepLoad` gives it to each step of the Newmark stepper, and to each
 substep of its fallback as `weights` at integer node positions.
+`first_lag` is the one rule for a term's smallest lag, shared by `series`
+and the per-state sums of `dynamics.HistoryBuffer.weights`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ def weights(nodes: np.ndarray, t: float, fn) -> np.ndarray:
     return w * fn(t - nodes)
 
 
+def first_lag(lags: np.ndarray, dt: float, lag_min: float) -> int:
+    """Index of the first of the lags j dt (ascending) that is >= lag_min,
+    up to 1e-9 max(dt, 1); len(lags) when there is none."""
+    return int(np.searchsorted(lags, lag_min - 1e-9 * max(dt, 1.0)))
+
+
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
     best = 1
@@ -57,10 +65,10 @@ def series(G: np.ndarray, GM2: np.ndarray, p: np.ndarray, dt: float, terms):
 
     G holds the rows g_n, GM2 the rows g_n M2 and p the bending g_n M2 g_n.
     Each term (fn, lag_min) gives its row n as the integral over the nodes
-    i = 0 .. n - m, where m is the first lag index with m dt >= lag_min -
-    1e-9 max(dt, 1), with weights dt halved at both ends; rows with fewer
-    than two nodes are zero, and so is every row of a term whose kernel is
-    zero at each of its lags (no transform is taken for it).  With b = fn
+    i = 0 .. n - m, where m is the `first_lag` of lag_min, with weights dt
+    halved at both ends; rows with fewer than two nodes are zero, and so is
+    every row of a term whose kernel is zero at each of its lags (no
+    transform is taken for it).  With b = fn
     at the lags j dt, each term gives (scal, C, Bw):
 
         scal[n] = sum_i w_i b(t_n - t_i) |D(g_n - g_i)|^2   (M2 form)
@@ -74,7 +82,7 @@ def series(G: np.ndarray, GM2: np.ndarray, p: np.ndarray, dt: float, terms):
     X = np.column_stack([G, p, np.ones(N)])
     size, FX, out = _fast_len(2 * N - 1), None, []
     for fn, lag_min in terms:
-        m = int(np.searchsorted(lags, lag_min - 1e-9 * max(dt, 1.0)))
+        m = first_lag(lags, dt, lag_min)
         K = dt * fn(lags)
         K[:m] = 0.0
         if N - m < 2 or not K.any():

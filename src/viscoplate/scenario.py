@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import PhysicalParams, check_physics_args, step_count
+from .dynamics import DEFAULT_SIGMA, PhysicalParams, check_physics_args, step_count
 from .errors import ScenarioError, ViscoplateError
 from .kernels import (
     call_args,
@@ -47,7 +47,7 @@ class Scenario:
     T: float = _ini("time", "T", float, 10.0)
     rho: float = _ini("physics", "rho", float, 0.0)
     k: float = _ini("physics", "k", float, 0.5)
-    sigma: float = _ini("physics", "sigma", float, 1e-8)
+    sigma: float = _ini("physics", "sigma", float, DEFAULT_SIGMA)
     kernel: str = _ini("physics", "kernel", str, "exp(0.5,1.0)")
     damping: str = _ini("physics", "damping", str, "damp-linear(1)")
     xi: str | None = _ini("physics", "xi", str, None)

@@ -346,6 +346,30 @@ def test_refine_judges_slope_outside_zero_crossings(tmp_path):
     assert rate["levels"][-1]["worst_crossing_distance"] <= rate["crossing_halfwidth"]
 
 
+def test_refine_of_a_run_at_rest_has_no_slope(tmp_path):
+    # u = v = 0 stays at rest: every residual is 0, so no level has a
+    # positive maximum to fit a slope through
+    text = DISSIPATIVE.replace("u = mode(1,0.04)", "u = zero")
+    out = str(tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, text), "--out", out, "--refine", "2"]) == 0
+    report = read_report(out)
+    assert report["verdicts"]["rate_slope"] == "n/a"
+    assert report["rate"]["slope"] is None
+    assert report["rate"]["note"] == "no positive residual maximum outside the crossing windows"
+
+
+def test_refine_merges_overlapping_crossing_windows(tmp_path, monkeypatch):
+    # two crossings 0.06 apart: their windows of half-width 0.05 overlap
+    # and are reported as one, [0.35, 0.51], at every level
+    monkeypatch.setattr(dg, "zero_crossings", lambda traj: np.array([0.4, 0.46]))
+    scn = with_overrides(load_scenario(write_cfg(tmp_path, DISSIPATIVE)), out_dir=str(tmp_path / "out"))
+    report, code = run_scenario(scn, refine=2)
+    assert code == 0
+    for level in report["rate"]["levels"]:
+        [(lo, hi)] = level["excluded_windows"]
+        assert lo == pytest.approx(0.35) and hi == pytest.approx(0.51)
+
+
 def test_refine_conserved_energy_slope_not_applicable(tmp_path):
     # a conserved E leaves only rounding in its central difference, a few
     # 1e-12 at every level: no order to judge, so no failing slope
@@ -436,6 +460,19 @@ def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
     rows = Path(out, "summary.csv").read_text().splitlines()[1:]
     codes = [int(r.split(",")[1]) for r in rows]
     assert codes == [0, 1, 0]
+
+
+def test_sweep_records_a_cell_whose_run_raises(tmp_path, monkeypatch):
+    # T = 1e12 passes validation, but its 1e14 steps cannot be allocated:
+    # run_scenario raises, and the cell's row keeps its exit code 2 and
+    # its axis value with every result field empty
+    monkeypatch.setenv("VISCOPLATE_THREADS", "1")
+    cfg = write_cfg(tmp_path, DISSIPATIVE)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", cfg, "--axis", "T=1.0,1e12", "--out", out]) == 1
+    rows = Path(out, "summary.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("0,0,1.0,")
+    assert rows[1] == "1,2,1000000000000.0,,,,,,"
 
 
 def test_sweep_leaves_case_empty_for_a_cell_without_decay_fit(tmp_path, monkeypatch):
@@ -734,6 +771,30 @@ def test_modulus_domain_below_kernel_range_fails_h2_and_skips_run(tmp_path):
     }
     assert "skipped" in report["note"]
     assert not os.path.exists(os.path.join(scn.out_dir, "timeseries.csv"))
+
+
+def test_xi_override_satisfying_the_decay_law_passes_h2(tmp_path):
+    # [physics] xi and modulus replace the natural pair of power(0.5,2.0):
+    # rational(0.5) with pow(1.5,0.5) keeps the decay law, and the energy
+    # is fitted to the nonlinear-B envelope of that modulus
+    pair = "damping = damp-linear(1)\nxi = rational(0.5)\nmodulus = pow(1.5,0.5)"
+    text = DISSIPATIVE.replace("exp(0.5,1.0)", "power(0.5,2.0)").replace("damping = damp-linear(1)", pair)
+    out = str(tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, text + "[diagnostics]\na = 0.25\n"), "--out", out]) == 0
+    report = read_report(out)
+    assert report["hypotheses"]["H2"] == {"verdict": "pass", "violations": []}
+    assert report["decay"]["case"] == "nonlinear-B"
+
+
+def test_xi_override_breaking_the_decay_law_fails_h2(tmp_path):
+    # xi = rational(0.5,2.0) is 2 at t = 0, twice the natural weight of
+    # exp(0.5,1.0): the bound -xi B(b) = -1 there lies below b'(0) = -0.5
+    text = DISSIPATIVE.replace("damping = damp-linear(1)", "damping = damp-linear(1)\nxi = rational(0.5,2.0)")
+    out = str(tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, text), "--out", out]) == 1
+    assert read_report(out)["hypotheses"]["H2"] == {
+        "verdict": "fail", "violations": ["decay law violated near t = 0 (relative excess 0.333)"],
+    }
 
 
 def test_nonlinear_both_envelope_through_run_scenario(tmp_path):

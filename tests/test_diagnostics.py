@@ -481,7 +481,7 @@ def test_psi_zero_state(setup6):
     params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
     hist = HistoryBuffer(0.01, z)
     assert dg.psi1(st, params, grams, basis) == 0.0
-    assert dg.psi2(st, params, grams, basis, hist, params.kernel) == 0.0
+    assert dg.psi2(st, params, grams, basis, hist) == 0.0
 
 
 def test_psi1_rho0_gram_oracle(setup6):
@@ -503,7 +503,7 @@ def test_psi2_empty_history(setup6):
     st = PlateState(0.0, g, v, np.zeros(6))
     params = PhysicalParams(1.0, 0.5, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
     hist = HistoryBuffer(0.01, g)
-    assert dg.psi2(st, params, grams, basis, hist, params.kernel) == 0.0
+    assert dg.psi2(st, params, grams, basis, hist) == 0.0
 
 
 def test_psi2_brute_force_oracle(dissipative_run):
@@ -511,7 +511,7 @@ def test_psi2_brute_force_oracle(dissipative_run):
     hist = traj.history()
     i = 1500
     st = traj.state(i)
-    got = dg.psi2(st, traj.params, traj.grams, traj.basis, hist, traj.params.kernel)
+    got = dg.psi2(st, traj.params, traj.grams, traj.basis, hist)
     # independent loop: trapezoid conv, then both pairings
     dt = hist.dt
     conv = np.zeros(6)
@@ -637,7 +637,7 @@ def test_damping_diag_rest_state(setup6):
     g = 0.1 * np.ones(6)
     hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(6), np.zeros(6))
-    dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.25)
+    dd = dg.damping_diag(st, params, basis, hist, t1=0.25)
     assert dd.G == 0.0 and dd.dissipation == 0.0
     assert dd.omega1_fraction == 1.0 and not dd.omega1_empty
     assert dd.M == 0.0  # zero kernel: no memory tail
@@ -650,7 +650,7 @@ def test_damping_diag_rest_state_2d():
     g = 0.1 * np.ones(basis.dim)
     hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(basis.dim), np.zeros(basis.dim))
-    dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.25)
+    dd = dg.damping_diag(st, params, basis, hist, t1=0.25)
     assert dd.G == 0.0 and dd.dissipation == 0.0
     assert dd.omega1_fraction == 1.0 and not dd.omega1_empty
 
@@ -663,7 +663,7 @@ def test_damping_diag_constant_history_tail(setup6):
     hist = HistoryBuffer(0.01, np.tile(g, (101, 1)))
     st = PlateState(1.0, g, np.zeros(6), np.zeros(6))
     dd = dg.damping_diag(
-        st, params, basis, hist, ker, t1=0.25,
+        st, params, basis, hist, t1=0.25,
         modulus=ker.natural_modulus(), xi=ker.natural_xi(),
     )
     assert abs(dd.M) < 1e-20
@@ -676,7 +676,7 @@ def test_damping_diag_along_run(dissipative_run):
     ker = traj.params.kernel
     st = traj.state(2000)
     dd = dg.damping_diag(
-        st, traj.params, traj.basis, hist, ker, t1=0.5,
+        st, traj.params, traj.basis, hist, t1=0.5,
         modulus=ker.natural_modulus(), xi=ker.natural_xi(),
     )
     assert dd.G >= 0.0 and dd.M >= 0.0 and dd.dissipation >= 0.0
@@ -689,9 +689,9 @@ def test_damping_diag_validation(dissipative_run):
     hist = traj.history()
     st = traj.state(100)
     with pytest.raises(InputError):
-        dg.damping_diag(st, traj.params, traj.basis, hist, traj.params.kernel, t1=st.t)
+        dg.damping_diag(st, traj.params, traj.basis, hist, t1=st.t)
     with pytest.raises(InputError):
-        dg.damping_diag(st, traj.params, traj.basis, hist, traj.params.kernel, t1=0.01, delta=1.5)
+        dg.damping_diag(st, traj.params, traj.basis, hist, t1=0.01, delta=1.5)
 
 
 def test_damping_none_reports_empty(setup6):
@@ -699,7 +699,7 @@ def test_damping_none_reports_empty(setup6):
     params = PhysicalParams(0.0, 0.0, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
     st = PlateState(1.0, np.zeros(6), np.zeros(6), np.zeros(6))
     hist = HistoryBuffer(0.01, np.zeros((101, 6)))
-    dd = dg.damping_diag(st, params, basis, hist, params.kernel, t1=0.5)
+    dd = dg.damping_diag(st, params, basis, hist, t1=0.5)
     assert dd.G == 0.0 and dd.dissipation == 0.0 and dd.omega1_empty
 
 
@@ -711,7 +711,7 @@ def test_convexified_damping_ratio_finite(dissipative_run):
     ratios = []
     for i in (1000, 1500, 2000, 2500):
         st = traj.state(i)
-        dd = dg.damping_diag(st, traj.params, traj.basis, hist, traj.params.kernel, t1=0.5)
+        dd = dg.damping_diag(st, traj.params, traj.basis, hist, t1=0.5)
         span = (st.t - 0.5) ** 0.5
         if dd.G > 0 and dd.M > 0:
             ratios.append(math.sqrt(dd.G) / (span * math.sqrt(dd.M / span) ** 0.5))

@@ -167,6 +167,12 @@ def test_catalog_natural_pairs_pass_at_1e10():
         assert violations == [], (ker.family, violations)
 
 
+def test_h1_nonpositive_b0_fails():
+    # built directly: RelaxationKernel.exponential refuses b0 <= 0
+    kernel = RelaxationKernel("exponential", b0=-0.5, rate=1.0)
+    assert "b(0) <= 0" in validate_h1(kernel, GRID)
+
+
 # --- damping -------------------------------------------------------------
 
 SYM_GRID = np.linspace(-3.0, 3.0, 1201)
@@ -194,6 +200,22 @@ def test_h3_sign_violation():
     violations = validate_h3(law, SYM_GRID)
     assert violations != []
     assert any("sign" in v for v in violations)
+
+
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        (dict(eps=0.5, c1=1.0, c2=1.0, r2=0.25), "linear lower bound c1|s| <= |h(s)| violated"),
+        (dict(eps=0.5, c1=0.25, c2=0.1, r2=0.25), "linear upper bound |h(s)| <= c2|s| violated"),
+        (dict(eps=2.0, c1=4.0, c2=12.0, r2=4.0), "upper sandwich |h(s)| <= h1^{-1}(|s|) violated near origin"),
+    ],
+    ids=["c1-above-slope", "c2-below-slope", "eps-above-1"],
+)
+def test_h3_bound_violations(fields, problem):
+    # cubic laws built directly, with constants DampingLaw.origin_power
+    # would not choose: each breaks exactly one bound of H3
+    law = DampingLaw("origin_power", p=3.0, **fields)
+    assert validate_h3(law, SYM_GRID) == [problem]
 
 
 def test_h3_asymmetric_grid_rejected():
