@@ -368,7 +368,11 @@ def _run_cell(args):
 
 
 def sweep(base: Scenario, axes: dict, out_root: str) -> int:
-    """Cartesian product of axis assignments; one cell directory each."""
+    """Cartesian product of axis assignments; one cell directory each.
+
+    Returns 2 when any cell's run raised (its row's exit code is 2), else
+    1 when any cell failed a verdict, else 0: the codes of `viscoplate run`.
+    """
     if not axes:
         raise InputError("sweep needs at least one --axis")
     env_cap = os.environ.get("VISCOPLATE_THREADS")
@@ -410,7 +414,7 @@ def sweep(base: Scenario, axes: dict, out_root: str) -> int:
             row.append(extra.get("case"))  # None, as in the numeric fields, writes ""
             row += [None if extra.get(f) is None else _fmt(extra[f]) for f in ("c", "overshoot", "exponent")]
             writer.writerow(row)
-    return 0 if all(code == 0 for _, code, _ in results) else 1
+    return max(code for _, code, _ in results)
 
 
 # --- entry point ---------------------------------------------------------

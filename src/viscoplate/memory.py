@@ -107,20 +107,23 @@ class StepLoad:
     g_0 .. g_n (w_0 = 1/2, w_i = 1 otherwise) of the lags K[j] = dt b(j dt),
     and w_end = K[0] / 2.  An exponential kernel has K[j+1] = q K[j] with
     q = exp(-rate dt), so conv_n = q conv_n-1 + K[1] g_n is carried from
-    step to step, built from K[0] and K[1] alone: O(1) per step.  Any other
-    kernel takes conv as one product with the lag table of the run's steps,
-    built once.  `grid` writes conv into the stepper's step row, where the
-    exponential carry lives.  `off_grid` gives the sums of the substep
-    fallback by `weights` on the node positions in units of the substep,
-    which are integers, so no node time and no lag is rounded.
+    step to step, built from K[0] and K[1] alone: O(1) per step.  carry is
+    then (q, K[1]), which the stepper's StepForm folds into its tables, so
+    that each step's row update forms the carry; `grid` states the rule,
+    for the first sum and for the step after a substep fallback.  Any
+    other kernel has carry None and takes conv as one product with the lag
+    table of the run's steps, built once, written by `grid` at every step.
+    `off_grid` gives the sums of the substep fallback by `weights` on the
+    node positions in units of the substep, which are integers, so no node
+    time and no lag is rounded.
     """
 
     def __init__(self, kernel, dt: float, steps: int):
         self.kernel, self.dt = kernel, dt
-        self._lags = None
+        self._lags = self.carry = None
         if kernel.family == "exponential":
-            k0, self._k1 = dt * kernel.value(np.array([0.0, dt]))
-            self._q, self._n = math.exp(-kernel.rate * dt), -1
+            k0, k1 = dt * kernel.value(np.array([0.0, dt]))
+            self.carry = (math.exp(-kernel.rate * dt), k1)
         else:
             # entry steps + 1 - j is K[j], so the lags n+1 .. 1 of step n
             # are the contiguous slice [-n-2:-1]
@@ -130,17 +133,16 @@ class StepLoad:
 
     def grid(self, G: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
         """conv of the step from t_n, over the rows G[0 .. n], written to out
-        (the conv part of the stepper's step row) and returned.  The carry of
-        an exponential kernel lives in out: each step passes the same array,
-        the steps in order, and a second call at the same n leaves it."""
-        if self._lags is None:
-            if n != self._n:
-                if n == 0:
-                    np.multiply(G[0], 0.5 * self._k1, out=out)
-                else:
-                    np.multiply(out, self._q, out=out)
-                    out += self._k1 * G[n]
-                self._n = n
+        (the conv part of the stepper's step row) and returned.  For an
+        exponential kernel, n = 0 gives the first sum K[1] g_0 / 2 and n > 0
+        the carry: out holds conv_n-1 and becomes q conv_n-1 + K[1] G[n]."""
+        if self.carry is not None:
+            q, k1 = self.carry
+            if n == 0:
+                np.multiply(G[0], 0.5 * k1, out=out)
+            else:
+                np.multiply(out, q, out=out)
+                out += k1 * G[n]
             return out
         w = self._lags[-n - 2 : -1]
         w.dot(G[: n + 1], out=out)

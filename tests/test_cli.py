@@ -11,7 +11,7 @@ import pytest
 
 import viscoplate
 import viscoplate.diagnostics as dg
-from viscoplate.cli import CSV_HEADER, _parse_axes, main, run_scenario
+from viscoplate.cli import CSV_HEADER, _parse_axes, main, run_scenario, sweep
 from viscoplate.errors import InputError
 from viscoplate.kernels import split_top
 from viscoplate.scenario import PRESETS, load_scenario, with_overrides
@@ -465,11 +465,12 @@ def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
 def test_sweep_records_a_cell_whose_run_raises(tmp_path, monkeypatch):
     # T = 1e12 passes validation, but its 1e14 steps cannot be allocated:
     # run_scenario raises, and the cell's row keeps its exit code 2 and
-    # its axis value with every result field empty
+    # its axis value with every result field empty; the sweep exits 2, as
+    # `viscoplate run` does for that cell
     monkeypatch.setenv("VISCOPLATE_THREADS", "1")
     cfg = write_cfg(tmp_path, DISSIPATIVE)
     out = str(tmp_path / "sw")
-    assert main(["sweep", cfg, "--axis", "T=1.0,1e12", "--out", out]) == 1
+    assert main(["sweep", cfg, "--axis", "T=1.0,1e12", "--out", out]) == 2
     rows = Path(out, "summary.csv").read_text().splitlines()[1:]
     assert rows[0].startswith("0,0,1.0,")
     assert rows[1] == "1,2,1000000000000.0,,,,,,"
@@ -512,6 +513,31 @@ def test_sweep_kernel_rate_ordering(tmp_path, monkeypatch):
     exponents = [float(r[header.index("exponent")]) for r in rows]
     assert len(exponents) == 3
     assert exponents[0] > exponents[1] > exponents[2] > 0.0
+
+
+def test_sweep_without_an_axis_is_refused(tmp_path):
+    # the command line requires --axis; a library call with no axes is
+    # refused before any cell directory exists
+    out = str(tmp_path / "sw")
+    with pytest.raises(InputError, match="at least one --axis"):
+        sweep(PRESETS["exp-linear"], {}, out)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "text", ["dim = 1\n[space]\nn = 4\n", "[space]\ndim = 1\n[space]\nn = 4\n"],
+    ids=["no-section-header", "duplicate-section"],
+)
+def test_malformed_ini_exits_two_with_one_error_line(tmp_path, capsys, text):
+    # configparser's refusal is the ScenarioError "config parse error": one
+    # error line, exit 2 and no output directory
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse error:")
+    assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])

@@ -379,6 +379,15 @@ def test_well_constants_exact_point():
     assert wc.d_positive
 
 
+@pytest.mark.parametrize(
+    "k, cp, problem", [(0.0, 0.0253, "need k > 0"), (1.0, 0.0, "cp must be positive"), (1.0, -1.0, "cp must be positive")]
+)
+def test_well_constants_refuse_k_or_cp_not_positive(k, cp, problem):
+    # the well needs the log source (k > 0) and a Poincare constant cp > 0
+    with pytest.raises(InputError, match=problem):
+        dg.well_constants(well_params(k), cp)
+
+
 def test_well_constants_negative_d_flagged():
     wc = dg.well_constants(well_params(1.0), 0.0253, a=1.0)
     assert abs(wc.Q0 - 2.5) < 1e-12

@@ -52,9 +52,9 @@ def hold_residual(a, g, v, params, grams, basis, conv=None, w_end=0.0):
 
 
 def step_row(g, v, a, conv=None):
-    """The step row z = (g_n, v_n, a_n, conv) that StepForm.at reads; conv
+    """The step row z = (conv, g_n, v_n, a_n) that StepForm.at reads; conv
     None is no memory load, a zero sum."""
-    return np.concatenate((g, v, a, np.zeros_like(g) if conv is None else conv))
+    return np.concatenate((np.zeros_like(g) if conv is None else conv, g, v, a))
 
 
 def start_rows(s):
@@ -220,7 +220,10 @@ def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
     # load is the lag-table product, within 1e-14; the exponential kernel
     # builds no lag table and carries its load, whose rounding adds up over
     # the steps (1.15e-14 measured at step 300), so it gets the bound of the
-    # carry test below, 300 eps (6.7e-14) with some margin
+    # carry test below, 300 eps (6.7e-14) with some margin.  The
+    # exponential carry is in the step row before the step, formed by the
+    # one add of the step before; a lag table's sum is written there by
+    # StepLoad.grid at every step
     dt = 2.0**-7
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.5, parse_kernel_spec(kernel), DampingLaw.linear(1.0), 0.0)
@@ -229,14 +232,15 @@ def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
     at, taken = StepForm.at, []
 
     def recorded(self, z):
-        taken.append((z[18:].copy(), self.w_end))  # conv, after (g_n, v_n, a_n)
+        taken.append((z[:6].copy(), self.w_end))  # conv, before (g_n, v_n, a_n)
         return at(self, z)
 
     monkeypatch.setattr(StepForm, "at", recorded)
     assert (s.load._lags is None) == kernel.startswith("exp")
     bound = 1e-14 if s.load._lags is not None else 1e-13
     for n in range(300):
-        conv, rows = s.load.grid(s.g, n, s._conv).copy(), start_rows(s).copy()
+        conv = s._rows[n % 2, :6]
+        conv, rows = (conv if s.load.carry is not None else s.load.grid(s.g, n, conv)).copy(), start_rows(s).copy()
         step(s)
         assert np.array_equal(taken[-1][0], conv) and taken[-1][1] == s.load.w_end
         # the step's refined acceleration enters the ring as the newest of
@@ -249,10 +253,11 @@ def test_lag_table_load_matches_memory_weights(monkeypatch, kernel):
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
-def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatch):
-    # an exponential kernel carries its load from step to step,
-    # conv_n+1 = q conv_n + K[1] g_n+1 with q = exp(-rate dt); at rate 0.05
-    # and dt = 1e-3, 1 - q = 5e-5, so the rounding of each carried step
+def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run():
+    # an exponential kernel carries its load from step to step in the step
+    # row, conv_n+1 = q conv_n + K[1] g_n+1 with q = exp(-rate dt), formed
+    # by each step's one add as (q conv_n + K[1] g_c) + K[1] cb a; at rate
+    # 0.05 and dt = 1e-3, 1 - q = 5e-5, so the rounding of each carried step
     # decays slowly.  Sampled loads over 3000 steps must match the
     # product-trapezoid sum over the lag table, formed here from the kernel
     # (the first node halved): the largest gap measured is 1.0e-13 relative,
@@ -265,16 +270,10 @@ def test_exponential_load_recurrence_tracks_lag_table_over_a_long_run(monkeypatc
     params = PhysicalParams(0.0, 0.5, kernel, DampingLaw.linear(1.0), 0.0)
     g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
     loads = []
-    load = memory.StepLoad.grid
-
-    def recorded(self, G, n, out):
-        # the carry updates the step row's conv in place: keep a copy of each step's
-        loads.append(load(self, G, n, out).copy())
-        return out
-
-    monkeypatch.setattr(memory.StepLoad, "grid", recorded)
     s = Stepper(params, grams, basis, g0, np.zeros(6), dt, steps)
-    for _ in range(steps):
+    for n in range(steps):
+        # conv_n, the sum of the step from t_n, read from the step row it takes
+        loads.append(s._rows[n % 2, :6].copy())
         step(s)
     assert len(loads) == steps
     assert s.load.w_end == 0.5 * dt * kernel.b0
@@ -357,7 +356,8 @@ def test_step_form_matches_reference_residual(dim):
     # _ref_residual at the Newmark-predicted g = g_c + h^2 beta a,
     # v = v_c + h gamma a (predictors formed here), with the memory load
     # M2 (conv + w_end g) and w_end the step load's, for an exponential and
-    # a power kernel, in 1D at n = 6 and 2D at n = 4 (16 modes)
+    # a power kernel, in 1D at n = 6 and 2D at n = 4 (16 modes); the step
+    # row formed from that residual's product holds that g, v and a
     basis = build_basis(dim, 6 if dim == 1 else 4)
     grams = assemble_grams(basis)
     rng = np.random.default_rng(dim)
@@ -376,7 +376,10 @@ def test_step_form_matches_reference_residual(dim):
                     want = _ref_residual(a, g, v, params, grams, basis, memory=grams.M2 @ (conv + w_end * g))
                     got = residual(a, form)
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                    assert np.max(np.abs(np.concatenate(form.state(a)) - np.concatenate((g, v)))) <= 1e-15
+                    # the row that the one add of a step forms at this a
+                    row = form.pred + form.inc
+                    assert np.max(np.abs(row[basis.dim : 3 * basis.dim] - np.concatenate((g, v)))) <= 1e-15
+                    assert np.array_equal(row[3 * basis.dim :], a)
 
 
 def test_residual_diverges_on_overflow():
@@ -522,6 +525,14 @@ def test_conservative_energy_drift():
     assert np.max(np.abs(E - E[0])) <= 1e-9 * E[0]
 
 
+@pytest.mark.parametrize(
+    "rho, k, problem", [(-0.5, 0.5, "rho must be >= 0"), (0.0, -1.0, "k must be >= 0")], ids=["rho", "k"]
+)
+def test_physical_params_refuse_a_negative_exponent_or_source(rho, k, problem):
+    with pytest.raises(InputError, match=problem):
+        PhysicalParams(rho, k, RelaxationKernel.zero(), DampingLaw.none(), 0.0)
+
+
 def test_stepper_refuses_bad_input():
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
@@ -543,9 +554,10 @@ def test_stepper_refuses_bad_input():
 
 
 def test_step_refuses_a_non_finite_accepted_state(monkeypatch):
-    # a solve that returned a non-finite acceleration (forced here), and so
-    # non-finite coefficients, ends the run with DivergedError at that step,
-    # and the stepper stays where it was
+    # a solve whose accepted residual's product is not finite (forced here:
+    # the product at a NaN acceleration, which residual would refuse), and
+    # so a non-finite step row, ends the run with DivergedError at that
+    # step, and the stepper stays where it was, its step row too
     basis, grams = make_setup()
     params = PhysicalParams(0.0, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.none(), 0.0)
     s = Stepper(params, grams, basis, np.full(6, 0.01), np.zeros(6), 0.01, 3)
@@ -554,12 +566,15 @@ def test_step_refuses_a_non_finite_accepted_state(monkeypatch):
 
     def nan_acceleration(form, a, factor):
         a, r, factor = newton(form, a, factor)
+        np.full_like(a, np.nan).dot(form.Ga, form._ya)
         return np.full_like(a, np.nan), r, factor
 
+    row = s._rows[1].copy()
     monkeypatch.setattr(dynamics, "_newton", nan_acceleration)
     with pytest.raises(DivergedError, match="non-finite coefficients") as info:
         step(s)
     assert s.n == 1 and info.value.last_state.step_index == 1
+    assert np.array_equal(s._rows[1], row)
 
 
 def test_step_divergence_attaches_state():
@@ -592,6 +607,68 @@ def test_split_memory_matches_full_recomputation():
             mem = memory_term(s.history(), params.kernel, grams, st.t)
             R = _ref_residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
             assert np.max(np.abs(R)) <= NEWTON_TOL
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_fallback_restarts_the_carry_from_the_accepted_state(monkeypatch, rho):
+    # step 10 of 50 is made to take the substep fallback (its whole-step
+    # solve fails); the fallback's accepted row carries no memory sum, so
+    # the next row's conv is StepLoad.grid's carry rule applied to the
+    # accepted g_11, bit for bit, and every accepted state from there on
+    # solves R = 0 under the full-grid memory_term oracle, as in
+    # test_split_memory_matches_full_recomputation.  A carry left at
+    # conv_10 misses NEWTON_TOL from step 11 on
+    basis, grams = make_setup()
+    rng = np.random.RandomState(17)
+    g0 = 0.02 * rng.standard_normal(6)
+    params = PhysicalParams(rho, 0.3, RelaxationKernel.exponential(0.5, 1.0), DampingLaw.linear(0.5), 0.0)
+    dt, newton, whole = 0.01, dynamics._newton, []
+
+    def fails_at_step_10(form, a, factor):
+        if form.h == dt:
+            whole.append(form.h)
+            if len(whole) == 11:
+                raise DivergedError("forced")
+        return newton(form, a, factor)
+
+    monkeypatch.setattr(dynamics, "_newton", fails_at_step_10)
+    s = Stepper(params, grams, basis, g0, np.zeros(6), dt, 50)
+    for n in range(50):
+        conv = s._rows[n % 2, :6].copy()
+        step(s)
+        if n == 10:
+            assert s._count == 1  # the fallback's a alone starts the next step
+            assert np.array_equal(s._rows[1 - n % 2, :6], s.load.grid(s.g, n + 1, conv))
+        if n == 10:
+            continue  # the fallback's own state solves the substeps' sums
+        st = s.state()
+        mem = memory_term(s.history(), params.kernel, grams, st.t)
+        R = _ref_residual(st.a, st.g, st.v, params, grams, basis, memory=mem)
+        assert np.max(np.abs(R)) <= NEWTON_TOL, n
+    assert len(whole) == 50
+
+
+def test_one_add_forms_the_next_step_row():
+    # each whole step forms the next row (g, v, a, conv) by one add of the
+    # predictors and carry from z @ T and the increment that the accepted
+    # residual's product a @ Ga ends with: (g, v) is gv + c a of the form's
+    # predictors within 1e-15 of its largest entry, a is the accepted a
+    # stored in the trajectory, and conv is StepLoad.grid's carry from the
+    # row before within the carry test's bound, 1e-12 of its largest entry
+    basis, grams = make_setup()
+    params = PhysicalParams(0.0, 0.5, parse_kernel_spec("exp(0.5,1.3)"), DampingLaw.linear(1.0), 0.0)
+    g0 = np.array([0.05, -0.01, 0.004, 0.0, 0.001, 0.0])
+    s = Stepper(params, grams, basis, g0, np.zeros(6), 1e-3, 40)
+    for n in range(40):
+        z = s._rows[n % 2].copy()
+        step(s)
+        row, form = s._rows[(n + 1) % 2], s._form
+        want = (form.gv + form.c * s.a[n + 1]).ravel()
+        assert np.max(np.abs(row[6:18] - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(row[6:18], np.concatenate((s.g[n + 1], s.v[n + 1])))
+        assert np.array_equal(row[18:], s.a[n + 1])
+        carry = s.load.grid(s.g, n + 1, z[:6])
+        assert np.max(np.abs(row[:6] - carry)) <= 1e-12 * np.max(np.abs(carry))
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
@@ -636,7 +713,7 @@ def test_step_diverges_on_non_finite_newton_matrix(monkeypatch):
         with pytest.raises(DivergedError, match="residual"):
             Stepper(params, grams, basis, z, np.full(6, 1e200), 0.01, 1)
         s = Stepper(params, grams, basis, z, z, 0.01, 1)
-        s._row[1] = 1e200  # v_0 in the step row that the step reads
+        s._rows[0, 12:18] = 1e200  # v_0 in the step row that the step reads
         with pytest.raises(DivergedError, match="residual"):
             step(s)
     # a finite residual with a matrix that is not finite (forced here) is
@@ -728,8 +805,9 @@ def test_exp_linear_work_count(monkeypatch):
     # the whole step starts Newton at the degree-7 extrapolation of refined
     # accelerations, which nearly always meets NEWTON_TOL at once: about one
     # residual per step, each followed by one solve, and one factor per run.
-    # The exponential kernel's memory load is carried from the first step
-    # on, from one kernel evaluation at the lags 0 and dt: no lag table
+    # The exponential kernel's memory load is carried in the step row from
+    # its first sum, the one StepLoad.grid call, made by the constructor,
+    # with one kernel evaluation at the lags 0 and dt: no lag table
     counts = _count_stepper_calls(monkeypatch)
     traj = run(with_overrides(PRESETS["exp-linear"], dt=1e-3, T=0.5))
     steps = len(traj) - 1
@@ -738,7 +816,7 @@ def test_exp_linear_work_count(monkeypatch):
     assert counts["residual"] <= 1.1 * steps
     assert counts["solve"] == counts["residual"]
     assert counts["factor"] == 1
-    assert counts["grid_load"] == steps
+    assert counts["grid_load"] == 1
     assert traj.load._lags is None
     assert len(counts["tables"]) == 1
     assert counts["tables"][0].shape == (2,)
@@ -918,19 +996,26 @@ def test_ring_start_is_the_newest_first_extrapolation(monkeypatch):
     ids=["rho0-linear-exp", "rho1-cubic-power", "zero-kernel", "k0", "2d-rho1-cubic-power"],
 )
 def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k, dim, n):
-    # z @ T against the map written out here: the predictors (g_c, v_c) =
-    # P (g_n, v_n, a_n) and R_c = (S - w_end M2) g_c + d M0 v_c - M2 conv;
-    # after `at`, gv_q against the predictors at the points (g_c, v_c on
-    # the full path, g_c alone with the log source only, none without a
-    # pointwise term); each part within 1e-14 of its largest entry, and
-    # `at`'s views R_c and gv give the parts of z @ T
+    # z @ T against the map written out here: R_c = (S - w_end M2) g_c +
+    # d M0 v_c - M2 conv, the carry's predictor q conv + K[1] g_c, with
+    # (q, K[1]) the exponential load's and zero for any other, and the
+    # predictors (g_c, v_c) = P (g_n, v_n, a_n); after `at`, gv_q against
+    # the predictors at the points (g_c, v_c on the full path, g_c alone
+    # with the log source only, none without a pointwise term); each part
+    # within 1e-14 of its largest entry, and `at`'s views R_c, pred and gv
+    # give the parts of z @ T, pred ending in a zero block.  The increment
+    # that a @ Ga ends with is (K[1] cb a, cb a, cg a, a), each block exact
     basis = build_basis(dim, n)
     grams = assemble_grams(basis)
     m, h = basis.dim, 0.01
     beta, gamma = dynamics.NEWMARK_BETA, dynamics.NEWMARK_GAMMA
     params = PhysicalParams(rho, k, parse_kernel_spec(kernel), parse_damping_spec(damping), sigma)
-    w_end = 0.0 if params.kernel.is_zero else memory.StepLoad(params.kernel, h, 10).w_end
-    form = StepForm(params, grams, basis, h, w_end)
+    load = None if params.kernel.is_zero else memory.StepLoad(params.kernel, h, 10)
+    w_end, carry = (0.0, None) if load is None else (load.w_end, load.carry)
+    q, k1 = (0.0, 0.0) if carry is None else carry
+    assert (carry is not None) == kernel.startswith("exp")
+    form = StepForm(params, grams, basis, h, w_end, carry)
+    cb, cg = h * h * beta, h * gamma
     P = np.array([[1.0, h, h * h * (0.5 - beta)], [0.0, 1.0, h * (1.0 - gamma)]])
     d = params.damping.c if params.damping.form == "linear" else 0.0
     full = rho != 0.0 or damping == "damp-cubic(0.5)"
@@ -945,13 +1030,18 @@ def test_step_table_is_the_unfolded_map(rho, sigma, damping, kernel, k, dim, n):
         z = step_row(g_n, v_n, a_n, conv)
         form.at(z)
         got = z @ form.T
-        assert form.T.shape == (4 * m, 3 * m)
-        parts = [(R_c, got[:m], form.R_c), (gc, got[m : 2 * m], form.gv[0]), (vc, got[2 * m :], form.gv[1])]
+        assert form.T.shape == (4 * m, 4 * m)
+        parts = [(R_c, got[:m], form.R_c), (q * conv + k1 * gc, got[m : 2 * m], form.pred[:m])]
+        parts += [(gc, got[2 * m : 3 * m], form.gv[0], form.pred[m : 2 * m])]
+        parts += [(vc, got[3 * m :], form.gv[1], form.pred[2 * m : 3 * m]), (np.zeros(m), form.pred[3 * m :])]
         parts.append((np.reshape(points, (-1, m)) @ basis.phi, form.gv_q))
         assert form.gv_q.shape == parts[-1][0].shape
         for want, *views in parts:
             for view in views:
                 assert np.max(np.abs(view - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+        a = 0.1 * rng.standard_normal(m)
+        inc = (a @ form.Ga)[-4 * m :]
+        assert np.array_equal(inc, np.concatenate(((k1 * cb) * a, cb * a, cg * a, a)))
 
 
 def test_2d_step_holds_phi_once():
@@ -1350,3 +1440,6 @@ def test_log_source_signed_zeros_and_bits():
     assert np.all(out[zero] == 0.0) and not np.any(np.signbit(out[zero]))
     nz = u[~zero]
     assert np.array_equal(out[~zero].view(np.int64), (nz * np.log(np.abs(nz))).view(np.int64))
+    # written to buffers, as a step form's log source is: the same bits
+    buffers = np.full((2, len(u)), np.nan), np.empty(len(u), bool)
+    assert np.array_equal(dynamics._log_source(u, *buffers[0], buffers[1]).view(np.int64), out.view(np.int64))
